@@ -85,15 +85,21 @@ inline void RecordAvsStats(const AvsWorkerStats& merged) {
 }
 
 /// The reusable per-worker working state of scope generation: the scope's
-/// RecVec, the duplicate eliminator, and the adjacency buffer. One instance
-/// lives for a whole worker (across every scope, chunk, and range it
-/// executes), so the backing capacity is allocated on high-water marks only —
-/// per-scope work is clear-and-refill, never allocate.
+/// RecVec, the duplicate eliminator, the adjacency buffer, and the pending
+/// per-scope observations. One instance lives for a whole worker (across
+/// every scope, chunk, and range it executes), so the backing capacity is
+/// allocated on high-water marks only — per-scope work is clear-and-refill,
+/// never allocate.
 template <typename Real>
 struct ScopeScratch {
   RecVec<Real> rec_vec;
   ScopeDedup dedup;
+  /// Sized to the largest degree seen; a scope's edges are its first n.
   std::vector<VertexId> adj;
+  /// `avs.scope_degree` and `progress.edges` updates not yet published;
+  /// flushed every kObsFlushScopes scopes and at the end of each range.
+  obs::HistogramBatch pending_degrees;
+  std::uint64_t pending_edges = 0;
 };
 
 /// Generates all scopes of a contiguous vertex range following the recursive
@@ -136,10 +142,11 @@ class AvsRangeGenerator {
         // hot loop pays a single predictable branch.
         degree_hist_(obs::Enabled() ? obs::GetHistogram("avs.scope_degree")
                                     : nullptr),
-        // Live mirror of edges emitted so far, bumped once per finished
-        // scope (never per edge) so the obs::Sampler can compute a rate and
-        // ETA mid-run. `avs.edges_generated` itself stays an end-of-run
-        // aggregate (RecordAvsStats), keeping both exact.
+        // Live mirror of edges emitted so far, published every
+        // kObsFlushScopes scopes and at range end (never per edge) so the
+        // obs::Sampler can compute a rate and ETA mid-run.
+        // `avs.edges_generated` itself stays an end-of-run aggregate
+        // (RecordAvsStats), keeping both exact.
         live_edges_(obs::Enabled() ? obs::GetCounter("progress.edges")
                                    : nullptr) {
     // The table kernel requires plain-double arithmetic and all three of
@@ -175,19 +182,23 @@ class AvsRangeGenerator {
   }
 
   /// Scratch-reusing form used by the work-stealing scheduler: one scratch
-  /// per worker outlives every chunk the worker executes.
+  /// per worker outlives every chunk the worker executes. Publishes the
+  /// range's pending per-scope observations before returning.
   void GenerateRange(VertexId lo, VertexId hi, const rng::Rng& root,
                      ScopeScratch<Real>* scratch, AvsWorkerStats* stats,
                      ScopeSink* sink) const {
     for (VertexId u = lo; u < hi; ++u) {
       GenerateScope(u, root, scratch, stats, sink);
     }
+    FlushObs(scratch);
   }
 
   /// Generates a single scope (exposed for tests and the Figure 13 bench).
   /// Safe to call concurrently from multiple threads as long as each thread
   /// brings its own scratch/stats (the generator itself is read-only here;
-  /// the shared MemoryBudget is thread-safe).
+  /// the shared MemoryBudget is thread-safe). Per-scope observations are
+  /// published in batches: every kObsFlushScopes scopes and at the end of
+  /// each GenerateRange.
   void GenerateScope(VertexId u, const rng::Rng& root,
                      ScopeScratch<Real>* scratch, AvsWorkerStats* stats,
                      ScopeSink* sink) const {
@@ -209,97 +220,43 @@ class AvsRangeGenerator {
         SampleScopeSize(num_edges_, p, num_vertices_, &rng);
     if (degree == 0) return;
 
-    ScopeDedup& dedup = scratch->dedup;
-    std::vector<VertexId>& adj = scratch->adj;
-    const std::uint64_t wiped_before = dedup.wiped_words();
-    dedup.Reset(degree, num_vertices_);
-    stats->dedup_wiped_words += dedup.wiped_words() - wiped_before;
-    adj.clear();
-    adj.reserve(degree);
-
-    // Account the per-scope working set against the machine budget: this is
-    // exactly the O(d_max) space term of Table 1.
-    ScopedAllocation scope_mem(
-        budget_, dedup.MemoryBytes() + degree * sizeof(VertexId), scope_tag_);
-    stats->peak_scope_bytes =
-        std::max(stats->peak_scope_bytes, scope_mem.bytes());
-
-    // Rejection loop (Algorithm 4 lines 4-7): repeat until `degree` distinct
-    // neighbors are collected. The attempt cap only matters for near-dense
-    // scopes, which realistic sparse configurations never produce.
-    const std::uint64_t max_attempts = 100 * degree + 10000;
-    std::uint64_t attempts = 0;
-
-    auto accept = [&](VertexId v) {
-      if (exclude_self_loops_ && v == u) return;
-      if (dedup.Insert(v)) {
-        adj.push_back(v);
-        const std::uint64_t working =
-            dedup.MemoryBytes() + degree * sizeof(VertexId);
-        if (working > scope_mem.bytes()) {
-          scope_mem.ResizeTo(working);
-          stats->peak_scope_bytes =
-              std::max(stats->peak_scope_bytes, scope_mem.bytes());
-        }
-      }
-    };
-
     if (opts_.reuse_rec_vec && opts_.reuse_random_value) {
       // Batched hot path. With the cached RecVec and Theorem 2's value
       // reuse, one attempt consumes exactly one uniform deviate and the
       // determiner touches no RNG state, so drawing a block up front
       // consumes the scope's stream in the same order as the scalar loop —
       // the output is bit-identical, only cheaper.
-      Real xs[kDrawBatch];
-      while (adj.size() < degree && attempts < max_attempts) {
-        std::uint64_t block = degree - adj.size();
-        if (block > kDrawBatch) block = kDrawBatch;
-        if (block > max_attempts - attempts) block = max_attempts - attempts;
-        for (std::uint64_t i = 0; i < block; ++i) {
-          xs[i] = NextUniformReal<Real>(&rng, rv.Total());
-        }
-        attempts += block;
-        stats->cdf_evaluations += block;
-        if (opts_.reduce_recursions) {
-          for (std::uint64_t i = 0; i < block; ++i) {
-            accept(DetermineEdge(rv, xs[i]));
-          }
-        } else {
-          for (std::uint64_t i = 0; i < block; ++i) {
-            accept(DetermineEdgeLinear(rv, xs[i]));
-          }
-        }
-      }
-    } else {
-      // Ablation paths (Figure 13): a fresh deviate may be drawn inside the
-      // determiner (Idea#3 off) or the CDF is recomputed per access
-      // (Idea#1 off), so attempts stay strictly sequential.
-      auto draw_destination = [&]() -> VertexId {
-        ++stats->cdf_evaluations;
-        if (opts_.reuse_rec_vec) {
-          Real x = NextUniformReal<Real>(&rng, rv.Total());
-          return DetermineEdgeWithOptions(rv, x, &rng, opts_);
-        }
-        // Idea#1 disabled: every CDF access recomputes from the seed
-        // parameters (no precomputed vector exists conceptually).
-        OnDemandCdf<Real> on_demand(noise_, u);
-        Real x = NextUniformReal<Real>(&rng, on_demand.Total());
-        VertexId v = DetermineEdgeWithOptions(on_demand, x, &rng, opts_);
-        ++stats->rec_vec_builds;  // counts per-edge recomputation work
-        return v;
-      };
-      while (adj.size() < degree && attempts < max_attempts) {
-        ++attempts;
-        accept(draw_destination());
-      }
+      RunScope(u, degree, kDrawBatch, scratch, stats, sink,
+               [&](VertexId* dests, std::size_t n) {
+                 Real xs[kDrawBatch];
+                 for (std::size_t i = 0; i < n; ++i) {
+                   xs[i] = NextUniformReal<Real>(&rng, rv.Total());
+                 }
+                 for (std::size_t i = 0; i < n; ++i) {
+                   dests[i] = opts_.reduce_recursions
+                                  ? DetermineEdge(rv, xs[i])
+                                  : DetermineEdgeLinear(rv, xs[i]);
+                 }
+               });
+      return;
     }
-
-    stats->num_edges += adj.size();
-    stats->num_scopes += 1;
-    stats->max_degree = std::max<std::uint64_t>(stats->max_degree, adj.size());
-    if (degree_hist_ != nullptr) degree_hist_->Observe(adj.size());
-    if (live_edges_ != nullptr) live_edges_->Add(adj.size());
-    sink->ConsumeScope(u, adj.data(), adj.size());
+    // Ablation paths (Figure 13): a fresh deviate may be drawn inside the
+    // determiner (Idea#3 off) or the CDF is recomputed per access (Idea#1
+    // off), so attempts stay strictly sequential — blocks of one.
+    RunScope(u, degree, 1, scratch, stats, sink,
+             [&](VertexId* dests, std::size_t) {
+               if (opts_.reuse_rec_vec) {
+                 Real x = NextUniformReal<Real>(&rng, rv.Total());
+                 dests[0] = DetermineEdgeWithOptions(rv, x, &rng, opts_);
+                 return;
+               }
+               // Idea#1 disabled: every CDF access recomputes from the seed
+               // parameters (no precomputed vector exists conceptually).
+               OnDemandCdf<Real> on_demand(noise_, u);
+               Real x = NextUniformReal<Real>(&rng, on_demand.Total());
+               dests[0] = DetermineEdgeWithOptions(on_demand, x, &rng, opts_);
+               ++stats->rec_vec_builds;  // counts per-edge recomputation work
+             });
   }
 
   /// True when GenerateScope routes through the table kernel (exposed for
@@ -316,11 +273,30 @@ class AvsRangeGenerator {
  private:
   static constexpr bool kRealIsDouble = std::is_same_v<Real, double>;
 
+  /// Scopes between publications of the batched per-scope observations:
+  /// rare enough that the shared atomics cost nothing per scope, frequent
+  /// enough that `--progress` still ticks smoothly mid-run.
+  static constexpr std::uint64_t kObsFlushScopes = 4096;
+
+  /// Publishes the scratch's pending `avs.scope_degree` observations and
+  /// `progress.edges` count.
+  void FlushObs(ScopeScratch<Real>* scratch) const {
+    if (degree_hist_ != nullptr) {
+      scratch->pending_degrees.FlushTo(degree_hist_);
+    } else {
+      scratch->pending_degrees = obs::HistogramBatch();
+    }
+    if (live_edges_ != nullptr && scratch->pending_edges != 0) {
+      live_edges_->Add(scratch->pending_edges);
+    }
+    scratch->pending_edges = 0;
+  }
+
   /// The table kernel (ROADMAP item 2): one LaneRng stream per scope, scope
   /// size from the precomputed row-mass product (no RecVec build), and
-  /// destinations by prefix-table inversion of batched unit deviates (no
-  /// per-edge descent). The batches consume the scope's counter stream in
-  /// order, so SIMD-on and SIMD-off runs are bit-identical.
+  /// destinations by block inversion of batched unit deviates (no per-edge
+  /// descent). The batches consume the scope's counter stream in order, so
+  /// SIMD-on and SIMD-off runs are bit-identical.
   void GenerateScopeTables(VertexId u, const rng::Rng& root,
                            ScopeScratch<Real>* scratch, AvsWorkerStats* stats,
                            ScopeSink* sink) const {
@@ -333,57 +309,77 @@ class AvsRangeGenerator {
         SampleScopeSize(num_edges_, view.total, num_vertices_, &lane);
     if (degree == 0) return;
 
+    const std::uint64_t n = RunScope(
+        u, degree, kDrawBatch, scratch, stats, sink,
+        [&](VertexId* dests, std::size_t block) {
+          double xs[kDrawBatch];
+          lane.FillUnit(xs, block);
+          tables_view_->InvertBlock(view, xs, dests, block);
+        });
+    stats->table_scopes += 1;
+    stats->table_edges += n;
+  }
+
+  /// The scope tail both kernels share (Algorithm 4 lines 3-8): dedup
+  /// reset, budget accounting, the rejection loop, stats, observations, and
+  /// the sink. `draw(dests, n)` writes the next n candidate destinations
+  /// (n <= max_block <= kDrawBatch), consuming the scope's stream exactly
+  /// as n sequential draws would. Returns the scope's edge count.
+  template <typename Draw>
+  std::uint64_t RunScope(VertexId u, std::uint64_t degree,
+                         std::size_t max_block, ScopeScratch<Real>* scratch,
+                         AvsWorkerStats* stats, ScopeSink* sink,
+                         Draw&& draw) const {
     ScopeDedup& dedup = scratch->dedup;
-    std::vector<VertexId>& adj = scratch->adj;
     const std::uint64_t wiped_before = dedup.wiped_words();
     dedup.Reset(degree, num_vertices_);
     stats->dedup_wiped_words += dedup.wiped_words() - wiped_before;
-    adj.clear();
-    adj.reserve(degree);
+    if (scratch->adj.size() < degree) scratch->adj.resize(degree);
+    VertexId* adj = scratch->adj.data();
 
+    // Account the per-scope working set against the machine budget: this is
+    // exactly the O(d_max) space term of Table 1. Neither dedup
+    // representation grows inside a scope, so one charge covers it.
     ScopedAllocation scope_mem(
         budget_, dedup.MemoryBytes() + degree * sizeof(VertexId), scope_tag_);
     stats->peak_scope_bytes =
         std::max(stats->peak_scope_bytes, scope_mem.bytes());
 
+    // Rejection loop (Algorithm 4 lines 4-7): repeat until `degree` distinct
+    // neighbors are collected. The attempt cap only matters for near-dense
+    // scopes, which realistic sparse configurations never produce. A block
+    // never asks for more than the edges still missing, so `adj[n]` below
+    // stays inside the scope's `degree` slots.
     const std::uint64_t max_attempts = 100 * degree + 10000;
     std::uint64_t attempts = 0;
-
-    auto accept = [&](VertexId v) {
-      if (exclude_self_loops_ && v == u) return;
-      if (dedup.Insert(v)) {
-        adj.push_back(v);
-        const std::uint64_t working =
-            dedup.MemoryBytes() + degree * sizeof(VertexId);
-        if (working > scope_mem.bytes()) {
-          scope_mem.ResizeTo(working);
-          stats->peak_scope_bytes =
-              std::max(stats->peak_scope_bytes, scope_mem.bytes());
-        }
-      }
-    };
-
-    double xs[kDrawBatch];
-    while (adj.size() < degree && attempts < max_attempts) {
-      std::uint64_t block = degree - adj.size();
-      if (block > kDrawBatch) block = kDrawBatch;
-      if (block > max_attempts - attempts) block = max_attempts - attempts;
-      lane.FillUnit(xs, block);
+    std::uint64_t n = 0;
+    VertexId dests[kDrawBatch];
+    while (n < degree && attempts < max_attempts) {
+      const std::uint64_t block = std::min<std::uint64_t>(
+          {degree - n, max_block, max_attempts - attempts});
+      draw(dests, static_cast<std::size_t>(block));
       attempts += block;
       stats->cdf_evaluations += block;
       for (std::uint64_t i = 0; i < block; ++i) {
-        accept(tables_view_->Invert(view, xs[i]));
+        const VertexId v = dests[i];
+        if (exclude_self_loops_ && v == u) continue;
+        adj[n] = v;
+        n += dedup.Insert(v) ? 1 : 0;
       }
     }
 
-    stats->num_edges += adj.size();
+    stats->num_edges += n;
     stats->num_scopes += 1;
-    stats->table_scopes += 1;
-    stats->table_edges += adj.size();
-    stats->max_degree = std::max<std::uint64_t>(stats->max_degree, adj.size());
-    if (degree_hist_ != nullptr) degree_hist_->Observe(adj.size());
-    if (live_edges_ != nullptr) live_edges_->Add(adj.size());
-    sink->ConsumeScope(u, adj.data(), adj.size());
+    stats->max_degree = std::max<std::uint64_t>(stats->max_degree, n);
+    if (degree_hist_ != nullptr || live_edges_ != nullptr) {
+      scratch->pending_degrees.Observe(n);
+      scratch->pending_edges += n;
+      if (scratch->pending_degrees.count() >= kObsFlushScopes) {
+        FlushObs(scratch);
+      }
+    }
+    sink->ConsumeScope(u, adj, n);
+    return n;
   }
 
   static double ToDouble(double v) { return v; }

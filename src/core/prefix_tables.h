@@ -15,6 +15,7 @@
 #ifndef TRILLIONG_CORE_PREFIX_TABLES_H_
 #define TRILLIONG_CORE_PREFIX_TABLES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -165,20 +166,39 @@ class AvsPrefixTables {
   /// group first, exactly mirroring the MSB-first descent order.
   VertexId Invert(const ScopeView& view, double y) const {
     VertexId v = 0;
-    for (int g = static_cast<int>(groups_.size()) - 1; g >= 0; --g) {
-      const Group& grp = groups_[g];
-      const double* bound = view.bound[g];
-      unsigned p = view.guide[g][static_cast<unsigned>(
-          y * static_cast<double>(grp.guide_size))];
-      while (bound[p + 1] <= y) ++p;
-      v |= static_cast<VertexId>(p) << grp.shift;
-      y = (y - bound[p]) * view.invw[g][p];
-      // Renormalization guards: y is in [0, ~1+ulp) by construction; clamp
-      // the rounding spill so the next group's guide lookup stays in range.
-      if (y >= 1.0) y = 0x1.fffffffffffffp-1;
-      if (y < 0.0) y = 0.0;
+    for (int g = static_cast<int>(groups_.size()) - 1; g > 0; --g) {
+      v |= static_cast<VertexId>(DrawGroup<true>(view, g, &y))
+           << groups_[g].shift;
     }
-    return v;
+    return v | DrawGroup<false>(view, 0, &y);
+  }
+
+  /// Inverts `n` deviates at once; out[i] == Invert(view, ys[i]) bit for
+  /// bit. Group-major: each group's draw runs over a whole block of
+  /// deviates before the next group starts, so the per-deviate chains
+  /// (guide load -> scan -> renormalize) of different deviates overlap
+  /// instead of serializing group after group.
+  void InvertBlock(const ScopeView& view, const double* ys, VertexId* out,
+                   std::size_t n) const {
+    constexpr std::size_t kBlock = 64;
+    double y[kBlock];
+    for (std::size_t base = 0; base < n; base += kBlock) {
+      const std::size_t m = std::min(kBlock, n - base);
+      for (std::size_t i = 0; i < m; ++i) {
+        y[i] = ys[base + i];
+        out[base + i] = 0;
+      }
+      for (int g = static_cast<int>(groups_.size()) - 1; g > 0; --g) {
+        const int shift = groups_[g].shift;
+        for (std::size_t i = 0; i < m; ++i) {
+          out[base + i] |=
+              static_cast<VertexId>(DrawGroup<true>(view, g, &y[i])) << shift;
+        }
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        out[base + i] |= DrawGroup<false>(view, 0, &y[i]);
+      }
+    }
   }
 
   /// Bytes held by all tables (budget attribution, tag
@@ -195,6 +215,35 @@ class AvsPrefixTables {
   }
 
  private:
+  /// One group's draw, shared by Invert and InvertBlock: returns the
+  /// outcome P with bound[P] <= *y < bound[P+1] and, if `kRenormalize`,
+  /// replaces *y by the renormalized residual that feeds the next (lower)
+  /// group — the lowest group (shift 0) has no one to feed. The guide
+  /// leaves the answer 0 steps away for most deviates and 1 for most of
+  /// the rest, so two branchless steps come first and the loop is a
+  /// rarely taken tail. Every step is the same monotone test, so the
+  /// result equals a plain scan's.
+  template <bool kRenormalize>
+  [[gnu::always_inline]] unsigned DrawGroup(const ScopeView& view, int g,
+                                            double* y) const {
+    const double* bound = view.bound[g];
+    double v = *y;
+    unsigned p = view.guide[g][static_cast<unsigned>(
+        v * static_cast<double>(groups_[g].guide_size))];
+    p += static_cast<unsigned>(bound[p + 1] <= v);
+    p += static_cast<unsigned>(bound[p + 1] <= v);
+    while (bound[p + 1] <= v) ++p;
+    if constexpr (kRenormalize) {
+      v = (v - bound[p]) * view.invw[g][p];
+      // Renormalization guards: y is in [0, ~1+ulp) by construction; clamp
+      // the rounding spill so the next group's guide lookup stays in range.
+      // std::min/max keep the exact comparisons and compile to
+      // minsd/maxsd.
+      *y = std::max(std::min(v, 0x1.fffffffffffffp-1), 0.0);
+    }
+    return p;
+  }
+
   struct Group {
     int shift = 0;       ///< bit position of the group's least level
     int width = 0;       ///< levels in this group (1..8)

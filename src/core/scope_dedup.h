@@ -1,23 +1,23 @@
 #ifndef TRILLIONG_CORE_SCOPE_DEDUP_H_
 #define TRILLIONG_CORE_SCOPE_DEDUP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "util/common.h"
-#include "util/flat_set64.h"
 
 namespace tg::core {
 
 /// Per-scope duplicate eliminator with two representations, picked per scope
 /// by expected density:
 ///
-///  * sparse scopes (the overwhelming majority under a power-law seed) use
-///    FlatSet64 — O(d) memory for a degree-d scope;
+///  * sparse scopes (the overwhelming majority under a power-law seed) use a
+///    stamped open-addressing table — O(d) memory for a degree-d scope;
 ///  * dense scopes, where the sampled degree exceeds 1/64 of the scope's
 ///    reachable destination range, use a plain bitmap over [0, |V|) — |V|/8
 ///    bytes is then at most 8 bytes per expected entry, cheaper than the
-///    ~16-32 bytes/entry the hash table costs, and Insert degrades to a
+///    16-32 bytes/entry the hash table costs, and Insert degrades to a
 ///    branch-free test-and-set with no probe chains.
 ///
 /// The mode depends only on (degree, universe), both of which are derived
@@ -26,19 +26,31 @@ namespace tg::core {
 ///
 /// Both backing stores persist across Reset calls (capacity is never
 /// released), so a per-worker instance reused for millions of scopes
-/// allocates only on high-water marks. Clearing is lazy per mode: a sparse
-/// Reset never touches the bitmap, and a dense Reset wipes only the words
-/// the previous dense scope actually dirtied (a touched-word log) — O(d)
-/// per scope, never O(|V|/64). wiped_words() counts the wiped words
-/// cumulatively so tests can pin this down.
+/// allocates only on high-water marks. Clearing is lazy per mode:
+///
+///  * a sparse slot holds `v << 16 | stamp`, and a slot whose stamp is not
+///    the current scope's is empty. Reset bumps the stamp — O(1), with one
+///    full wipe every 65535 sparse scopes when the stamp wraps. Vertex ids
+///    are below 2^48 (kMaxScale), so the shifted id never loses a bit;
+///  * a dense Reset wipes only the words the previous dense scope actually
+///    dirtied (a touched-word log) — O(d) per scope, never O(|V|/64).
+///    wiped_words() counts the wiped words cumulatively so tests can pin
+///    this down.
 class ScopeDedup {
  public:
   /// Entries per bitmap word: the density threshold is degree > universe/64,
   /// i.e. at least one expected entry per word of the bitmap.
   static constexpr std::uint64_t kDenseDivisor = 64;
+  /// Largest sparse stamp; the 16 low bits of a slot.
+  static constexpr std::uint32_t kMaxStamp = 0xFFFF;
+  /// Sparse slots up to which a scope gets a load of 1/4 instead of 1/2.
+  static constexpr std::uint64_t kSmallSlots = 512;
+
+  ScopeDedup() { Reset(0, 0); }
 
   /// Clears the structure and picks the representation for a scope expected
-  /// to hold `degree` distinct destinations drawn from [0, universe).
+  /// to hold at most `degree` distinct destinations drawn from
+  /// [0, universe).
   void Reset(std::uint64_t degree, VertexId universe) {
     dense_ = universe != 0 && degree > universe / kDenseDivisor;
     if (dense_) {
@@ -51,13 +63,33 @@ class ScopeDedup {
       wiped_words_ += dirty_.size();
       dirty_.clear();
     } else {
-      set_.Reset(static_cast<std::size_t>(degree));
+      // This scope probes only its own power-of-two prefix of the table,
+      // sized for a load of at most 1/4 once all `degree` values are in
+      // while that prefix fits in 4 KiB (short probe runs for the many
+      // small scopes), and at most 1/2 beyond (O(d) bytes for the few
+      // large ones).
+      const std::uint64_t want =
+          std::max<std::uint64_t>(2 * degree, std::min<std::uint64_t>(
+                                                  4 * degree, kSmallSlots));
+      int bits = 4;
+      while ((std::uint64_t{1} << bits) < want) ++bits;
+      const std::size_t cap = std::size_t{1} << bits;
+      if (slots_.size() < cap) slots_.resize(cap, 0);
+      mask_ = cap - 1;
+      hash_shift_ = 64 - bits;
+      // Stamp 0 never matches (fresh slots hold 0), so a wrap wipes the
+      // table and restarts at 1.
+      if (++stamp_ > kMaxStamp) {
+        std::fill(slots_.begin(), slots_.end(), 0);
+        stamp_ = 1;
+      }
     }
     size_ = 0;
   }
 
-  /// Inserts `v`; returns true if it was newly added.
-  bool Insert(VertexId v) {
+  /// Inserts `v`; returns true if it was newly added. Forced inline: this
+  /// is the per-candidate probe of every rejection loop.
+  [[gnu::always_inline]] bool Insert(VertexId v) {
     if (dense_) {
       std::uint64_t& word = bits_[static_cast<std::size_t>(v >> 6)];
       // A zero word cannot be in the touched log (entries are logged on the
@@ -70,11 +102,22 @@ class ScopeDedup {
       ++size_;
       return true;
     }
-    if (set_.Insert(v)) {
-      ++size_;
-      return true;
+    TG_DCHECK(v < (VertexId{1} << 48));
+    const std::uint64_t key = v << 16 | stamp_;
+    // Fibonacci hashing: the top bits of the product mix every id bit.
+    std::size_t i =
+        static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ULL) >> hash_shift_);
+    while (true) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == key) return false;
+      if ((slot & kMaxStamp) != stamp_) {
+        slots_[i] = key;
+        ++size_;
+        TG_DCHECK(size_ * 2 <= mask_ + 1);
+        return true;
+      }
+      i = (i + 1) & mask_;
     }
-    return false;
   }
 
   std::size_t size() const { return size_; }
@@ -85,14 +128,19 @@ class ScopeDedup {
   /// generator_test regression assertion relies on exactly that.
   std::uint64_t wiped_words() const { return wiped_words_; }
 
-  /// Bytes held by the active representation (the other one's retained
-  /// capacity is idle scratch, charged once per worker, not per scope).
+  /// Bytes of the active representation: the bitmap, or this scope's
+  /// slice of the stamped table. Constant between Resets. (The other
+  /// representation's retained capacity is idle scratch, charged once per
+  /// worker, not per scope.)
   std::size_t MemoryBytes() const {
-    return dense_ ? words_ * sizeof(std::uint64_t) : set_.MemoryBytes();
+    return (dense_ ? words_ : mask_ + 1) * sizeof(std::uint64_t);
   }
 
  private:
-  FlatSet64 set_;
+  std::vector<std::uint64_t> slots_;  ///< sparse: v << 16 | stamp
+  std::size_t mask_ = 0;              ///< this scope's capacity - 1
+  int hash_shift_ = 64;
+  std::uint32_t stamp_ = 0;
   std::vector<std::uint64_t> bits_;
   std::vector<std::size_t> dirty_;  ///< words dirtied since the last wipe
   std::size_t words_ = 0;

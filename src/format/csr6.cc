@@ -195,9 +195,11 @@ void Csr6Writer::Finish() {
     offsets_[i] += offsets_[i - 1];
   }
   if (status().ok()) {
-    std::vector<unsigned char> header;
+    // Constructed from the magic rather than inserted into an empty
+    // vector: GCC 12 misreports the latter as a stringop overflow under
+    // -fsanitize=thread, and this file builds with -Werror.
+    std::vector<unsigned char> header(kMagic, kMagic + 8);
     header.reserve(HeaderBytes());
-    header.insert(header.end(), kMagic, kMagic + 8);
     AppendU64(&header, kVersion);
     AppendU64(&header, lo_);
     AppendU64(&header, hi_);

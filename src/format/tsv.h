@@ -39,6 +39,10 @@ class TsvWriter : public core::ResumableSink {
   std::uint64_t bytes_written() const { return writer_->bytes_written(); }
 
  private:
+  /// Staging bytes claimed per line: two 20-digit values plus "\t\n",
+  /// with slack.
+  static constexpr std::size_t kMaxLine = 44;
+
   std::unique_ptr<storage::FileWriterBase> writer_;
   bool transposed_;
 };

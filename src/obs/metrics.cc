@@ -92,6 +92,19 @@ std::uint64_t Histogram::count() const {
   return c;
 }
 
+void HistogramBatch::FlushTo(Histogram* h) {
+  if (count_ == 0) return;
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    if (buckets_[i] != 0) {
+      h->buckets_[i].fetch_add(buckets_[i], std::memory_order_relaxed);
+    }
+  }
+  h->sum_.fetch_add(sum_, std::memory_order_relaxed);
+  h->ObserveMin(min_);
+  h->ObserveMax(max_);
+  *this = HistogramBatch();
+}
+
 void Histogram::Reset() {
   for (int i = 0; i < kNumBuckets; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);

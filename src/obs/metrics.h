@@ -8,6 +8,7 @@
 #define TRILLIONG_OBS_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -102,28 +103,14 @@ class Histogram {
   static constexpr int kNumBuckets = 65;  // bit_width(v) in [0, 64]
 
   void Observe(std::uint64_t v) {
-    int b = BucketOf(v);
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    ObserveMin(v);
+    ObserveMax(v);
   }
 
   /// Bucket index of a value: its bit width (0 for value 0).
-  static int BucketOf(std::uint64_t v) {
-    int b = 0;
-    while (v != 0) {
-      ++b;
-      v >>= 1;
-    }
-    return b;
-  }
+  static int BucketOf(std::uint64_t v) { return std::bit_width(v); }
 
   /// Inclusive lower bound of bucket `b` (0, 1, 2, 4, 8, ...).
   static std::uint64_t BucketLowerBound(int b) {
@@ -135,10 +122,53 @@ class Histogram {
   void Reset();
 
  private:
+  friend class HistogramBatch;
+
+  void ObserveMin(std::uint64_t v) {
+    std::uint64_t cur = min_.load(std::memory_order_relaxed);
+    while (v < cur &&
+           !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+  void ObserveMax(std::uint64_t v) {
+    std::uint64_t cur = max_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+
   std::atomic<std::uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max_{0};
+};
+
+/// Single-thread accumulator in front of a shared Histogram, for hot loops
+/// that observe far more often than anyone reads: Observe is plain
+/// arithmetic, and FlushTo folds the pending observations in with one
+/// atomic add per touched bucket. After a flush the histogram holds exactly
+/// what observing each value directly would have produced.
+class HistogramBatch {
+ public:
+  void Observe(std::uint64_t v) {
+    ++buckets_[Histogram::BucketOf(v)];
+    ++count_;
+    sum_ += v;
+    if (v < min_) min_ = v;
+    if (v > max_) max_ = v;
+  }
+
+  std::uint64_t count() const { return count_; }
+
+  /// Moves the pending observations into `h` and empties the batch.
+  void FlushTo(Histogram* h);
+
+ private:
+  std::uint64_t buckets_[Histogram::kNumBuckets] = {};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = ~std::uint64_t{0};
+  std::uint64_t max_ = 0;
 };
 
 /// One structured event: something that happened at a specific point in the

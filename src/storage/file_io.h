@@ -110,6 +110,13 @@ class FileWriterBase {
     buffer_.insert(buffer_.end(), p, p + n);
   }
 
+  /// Staging bytes that fit before the next flush: a Reserve() of at most
+  /// this many never flushes.
+  std::size_t Room() const {
+    return buffer_.size() < buffer_bytes_ ? buffer_bytes_ - buffer_.size()
+                                          : 0;
+  }
+
   /// Hot-path variant of Append for callers that format records in place:
   /// returns a pointer to `n` writable staging bytes (flushing first if the
   /// buffer is short on room), or nullptr when the writer is closed or in

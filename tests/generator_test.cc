@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/avs_generator.h"
@@ -12,9 +15,13 @@
 #include "core/prefix_tables.h"
 #include "core/scope_dedup.h"
 #include "core/trilliong.h"
+#include "format/adj6.h"
+#include "format/csr6.h"
+#include "format/tsv.h"
 #include "model/edge_probability.h"
 #include "obs/metrics.h"
 #include "rng/lane_rng.h"
+#include "storage/temp_dir.h"
 
 namespace tg::core {
 namespace {
@@ -432,6 +439,83 @@ TEST(PrefixTablesTest, InversionMatchesCdfVectorUnderNoise) {
   }
 }
 
+/// Invert with a plain scan from outcome 0 in every group — no guide, no
+/// branchless steps. The guide only ever starts the scan at or below the
+/// answer, so this must match AvsPrefixTables::Invert bit for bit.
+VertexId PlainScanInvert(const AvsPrefixTables& tables,
+                         const AvsPrefixTables::ScopeView& view, double y) {
+  VertexId v = 0;
+  for (int g = tables.num_groups() - 1; g >= 0; --g) {
+    const double* bound = view.bound[g];
+    unsigned p = 0;
+    while (bound[p + 1] <= y) ++p;
+    v |= static_cast<VertexId>(p) << (AvsPrefixTables::kGroupBits * g);
+    y = std::max(std::min((y - bound[p]) * view.invw[g][p],
+                          0x1.fffffffffffffp-1),
+                 0.0);
+  }
+  return v;
+}
+
+TEST(PrefixTablesTest, InvertBlockMatchesInvertForEverySourcePattern) {
+  // Deviates: every group's exact boundaries and their neighbors, the two
+  // ends of [0, 1), and a spread of plain draws. Boundaries in the skewed
+  // tail of a Graph500 table sit many intervals past their guide bucket's
+  // start, so the rarely taken scan tail (3+ steps) is exercised too.
+  std::uint64_t tail_draws = 0;
+  for (int scale = 1; scale <= 12; ++scale) {
+    NoiseVector noise(SeedMatrix::Graph500(), scale);
+    AvsPrefixTables tables(noise);
+    const VertexId n = VertexId{1} << scale;
+    rng::LaneRng lane(static_cast<std::uint64_t>(scale));
+    for (VertexId u = 0; u < n; ++u) {
+      const AvsPrefixTables::ScopeView view = tables.ViewFor(u);
+      std::vector<double> ys = {0.0, std::nextafter(1.0, 0.0)};
+      for (int g = 0; g < tables.num_groups(); ++g) {
+        const int entries =
+            1 << std::min(AvsPrefixTables::kGroupBits,
+                          scale - AvsPrefixTables::kGroupBits * g);
+        for (int p = 0; p < entries; ++p) {
+          const double b = view.bound[g][p];
+          ys.push_back(b);
+          ys.push_back(std::nextafter(b, 1.0));
+          if (b > 0.0) ys.push_back(std::nextafter(b, 0.0));
+        }
+      }
+      std::vector<double> spread(64);
+      lane.FillUnit(spread.data(), spread.size());
+      ys.insert(ys.end(), spread.begin(), spread.end());
+
+      // How far the top group's scan runs past its guide bucket.
+      const int top = tables.num_groups() - 1;
+      const unsigned guide_size =
+          2u << std::min(AvsPrefixTables::kGroupBits,
+                         scale - AvsPrefixTables::kGroupBits * top);
+      std::vector<VertexId> expected(ys.size());
+      for (std::size_t i = 0; i < ys.size(); ++i) {
+        expected[i] = tables.Invert(view, ys[i]);
+        ASSERT_EQ(expected[i], PlainScanInvert(tables, view, ys[i]))
+            << "scale=" << scale << " u=" << u << " y=" << ys[i];
+        unsigned p = view.guide[top][static_cast<unsigned>(ys[i] * guide_size)];
+        const unsigned start = p;
+        while (view.bound[top][p + 1] <= ys[i]) ++p;
+        if (p - start >= 3) ++tail_draws;
+      }
+      for (const std::size_t block : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{64}}) {
+        std::vector<VertexId> got(ys.size());
+        for (std::size_t i = 0; i < ys.size(); i += block) {
+          tables.InvertBlock(view, ys.data() + i, got.data() + i,
+                             std::min(block, ys.size() - i));
+        }
+        ASSERT_EQ(got, expected) << "scale=" << scale << " u=" << u
+                                 << " block=" << block;
+      }
+    }
+  }
+  EXPECT_GT(tail_draws, 0u);
+}
+
 TEST(AvsGeneratorTest, TableKernelIsEngagedByDefault) {
   TrillionGConfig config = SmallConfig(10);
   CountingSink sink;
@@ -511,6 +595,91 @@ TEST(ScopeDedupTest, DenseWipesAreLazy) {
   EXPECT_EQ(dedup.wiped_words(), 4u);
 }
 
+/// Runs one scope through `dedup` and a std::set side by side: every
+/// Insert must report what the set reports, and the sizes must agree.
+void ExpectDedupMatchesSet(ScopeDedup* dedup, std::uint64_t degree,
+                           VertexId universe,
+                           const std::vector<VertexId>& values) {
+  dedup->Reset(degree, universe);
+  std::set<VertexId> reference;
+  for (VertexId v : values) {
+    ASSERT_EQ(dedup->Insert(v), reference.insert(v).second)
+        << "v=" << v << " degree=" << degree;
+  }
+  EXPECT_EQ(dedup->size(), reference.size());
+}
+
+/// `count` draws from `distinct` values spread over [0, universe).
+std::vector<VertexId> DedupDraws(std::size_t count, std::size_t distinct,
+                                 VertexId universe, std::uint64_t seed) {
+  rng::Rng rng(seed, 3);
+  std::vector<VertexId> pool(distinct);
+  for (VertexId& v : pool) v = rng.NextUint64() % universe;
+  std::vector<VertexId> draws(count);
+  for (VertexId& v : draws) v = pool[rng.NextUint64() % distinct];
+  return draws;
+}
+
+TEST(ScopeDedupTest, StampWrapAroundKeepsScopesApart) {
+  // A large scope every 65535 resets lands on the same stamp as the
+  // previous one once the stamp has wrapped, with most of its slots never
+  // touched by the small scopes in between: only the wrap's wipe keeps
+  // those stale slots from reading as duplicates.
+  ScopeDedup dedup;
+  const VertexId universe = VertexId{1} << 40;
+  std::vector<VertexId> large(1000);
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = i * 7919 + 3;
+  for (std::uint64_t scope = 0; scope <= 2 * 65535; ++scope) {
+    if (scope % 65535 == 0) {
+      ExpectDedupMatchesSet(&dedup, large.size(), universe, large);
+      continue;
+    }
+    dedup.Reset(4, universe);
+    ASSERT_TRUE(dedup.Insert(7)) << "scope=" << scope;
+    ASSERT_FALSE(dedup.Insert(7));
+    ASSERT_TRUE(dedup.Insert(scope + 1000));
+    ASSERT_EQ(dedup.size(), 2u);
+  }
+}
+
+TEST(ScopeDedupTest, SmallScopeAfterLargeScope) {
+  // The small scope probes only its own slice of the grown table; ids the
+  // large scope left behind must not read as duplicates.
+  ScopeDedup dedup;
+  const VertexId universe = VertexId{1} << 30;
+  std::vector<VertexId> large(20000);
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = i * 7919 + 1;
+  ExpectDedupMatchesSet(&dedup, large.size(), universe, large);
+  const std::size_t large_bytes = dedup.MemoryBytes();
+  ExpectDedupMatchesSet(&dedup, 3, universe, {large[0], large[1], large[0]});
+  EXPECT_LT(dedup.MemoryBytes(), large_bytes);  // charged by its own size
+  ExpectDedupMatchesSet(&dedup, large.size(), universe, large);
+}
+
+TEST(ScopeDedupTest, SparseDenseAlternationMatchesSet) {
+  ScopeDedup dedup;
+  const VertexId universe = 1 << 12;  // dense above degree 64
+  for (int round = 0; round < 40; ++round) {
+    const bool dense = round % 2 == 0;
+    const std::size_t degree = dense ? 100 + round : 10 + round % 7;
+    ExpectDedupMatchesSet(&dedup, degree, universe,
+                          DedupDraws(4 * degree, degree, universe, round));
+    EXPECT_EQ(dedup.dense(), dense) << "round=" << round;
+  }
+}
+
+TEST(ScopeDedupTest, DuplicateHeavyScopesMatchSet) {
+  // Far more draws than distinct values: most inserts hit an occupied slot
+  // of this scope, some probe past slots stale from earlier scopes.
+  ScopeDedup dedup;
+  const VertexId universe = VertexId{1} << 22;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const std::size_t degree = 1 + seed % 40;
+    ExpectDedupMatchesSet(&dedup, degree, universe,
+                          DedupDraws(50 * degree, degree, 64, seed));
+  }
+}
+
 TEST(AvsGeneratorTest, DedupWipeWorkIsProportionalToEdges) {
   // End-to-end regression: total wiped bitmap words across a run must be
   // bounded by the edges inserted into dense scopes, never by
@@ -524,6 +693,62 @@ TEST(AvsGeneratorTest, DedupWipeWorkIsProportionalToEdges) {
   const std::uint64_t wiped =
       obs::GetCounter("kernel.dedup_wiped_words")->value() - before;
   EXPECT_LE(wiped, stats.num_edges);
+}
+
+/// FNV-1a over the concatenated shards a scale-16, seed-42 run writes in
+/// format `ext` with `workers` workers (shards in worker order).
+std::uint64_t GoldenDigest(const std::string& ext, int workers) {
+  storage::TempDir dir("golden");
+  TrillionGConfig config;
+  config.scale = 16;
+  config.edge_factor = 16;
+  config.rng_seed = 42;
+  config.num_workers = workers;
+  std::vector<std::string> paths(workers);
+  Generate(config,
+           [&](int w, VertexId lo, VertexId hi) -> std::unique_ptr<ScopeSink> {
+             paths[w] = dir.File("g.w" + std::to_string(w) + "." + ext);
+             if (ext == "tsv") {
+               return std::make_unique<format::TsvWriter>(paths[w]);
+             }
+             if (ext == "adj6") {
+               return std::make_unique<format::Adj6Writer>(paths[w]);
+             }
+             return std::make_unique<format::Csr6Writer>(paths[w], lo, hi);
+           });
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+      h ^= static_cast<unsigned char>(*it);
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(GoldenBytesTest, Scale16ShardDigestsArePinned) {
+  // Recorded before the batched table kernel (block inversion, stamped
+  // dedup, per-scope encoder reservations) replaced the per-deviate loop.
+  // A kernel, dedup or encoder change that moves a single output byte in
+  // any format or at any worker count fails here.
+  struct Golden {
+    const char* ext;
+    int workers;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"adj6", 1, 0xe07e41eef6cf166fULL}, {"adj6", 3, 0xe07e41eef6cf166fULL},
+      {"tsv", 1, 0x4b4583ccd2ef06f8ULL},  {"tsv", 3, 0x4b4583ccd2ef06f8ULL},
+      {"csr6", 1, 0xabfbebc75b1ec492ULL}, {"csr6", 3, 0x953824050fedad5aULL},
+  };
+  for (const Golden& g : goldens) {
+    const std::uint64_t digest = GoldenDigest(g.ext, g.workers);
+    EXPECT_EQ(digest, g.digest) << std::hex << "ext=" << g.ext
+                                << " workers=" << g.workers << " digest=0x"
+                                << digest;
+  }
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -352,6 +354,153 @@ TEST(AsyncContractTest, IoCountersCompareExactlyBetweenModes) {
   // transport: bench baselines rely on sync and async agreeing exactly.
   EXPECT_EQ(deltas[0], deltas[1]);
   EXPECT_GT(deltas[0].first, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-scope encoder reservations against the per-value reference path.
+
+/// What one writer run left behind.
+struct WriterRun {
+  std::string bytes;
+  bool ok = false;
+  std::uint64_t flushes = 0;  ///< io.flushes handoffs during the run
+};
+
+/// Runs `write(path)` under `mode`, failing the `fail_at`-th raw write of
+/// the backend (0: none). `write` returns the writer's final status.ok().
+template <typename Fn>
+WriterRun RunWriter(const storage::IoConfig& mode, const std::string& path,
+                    int fail_at, Fn&& write) {
+  IoHookGuard guard;
+  storage::ScopedIoConfig scoped(mode);
+  std::atomic<int> writes{0};
+  if (fail_at > 0) {
+    storage::IoFailureHookRef() = [&writes, fail_at](const std::string&) {
+      return ++writes == fail_at;
+    };
+  }
+  obs::Counter* flushes = obs::GetCounter("io.flushes");
+  const std::uint64_t before = flushes->value();
+  WriterRun run;
+  run.ok = write(path);
+  run.flushes = flushes->value() - before;
+  storage::IoFailureHookRef() = nullptr;
+  run.bytes = ReadFileBytes(path);
+  return run;
+}
+
+/// Small scopes with two scopes larger than the 1 MiB staging buffer in
+/// between, so records straddle flushes in both formats.
+std::vector<std::vector<VertexId>> ScopesWithHugeOnes() {
+  auto scopes = TestScopes(200, 11);
+  std::uint64_t state = 5;
+  for (const int at : {50, 120}) {
+    scopes[at].resize(200000);
+    for (VertexId& v : scopes[at]) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      v = (state >> 16) >> (state & 31);  // ids of every digit count
+    }
+  }
+  return scopes;
+}
+
+void ExpectSameRun(const WriterRun& encoded, const WriterRun& reference,
+                   bool compare_flushes, const std::string& what) {
+  EXPECT_EQ(encoded.bytes.size(), reference.bytes.size()) << what;
+  EXPECT_TRUE(encoded.bytes == reference.bytes) << what;
+  EXPECT_EQ(encoded.ok, reference.ok) << what;
+  if (compare_flushes) {
+    EXPECT_EQ(encoded.flushes, reference.flushes) << what;
+  }
+}
+
+TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
+  storage::TempDir dir;
+  const auto scopes = ScopesWithHugeOnes();
+  auto encoded = [&](const std::string& path) {
+    format::Adj6Writer writer(path);
+    for (std::size_t u = 0; u < scopes.size(); ++u) {
+      writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
+    }
+    writer.Finish();
+    return writer.status().ok();
+  };
+  auto per_value = [&](const std::string& path) {
+    std::unique_ptr<storage::FileWriterBase> writer = storage::MakeFileWriter();
+    writer->Open(path);
+    for (std::size_t u = 0; u < scopes.size(); ++u) {
+      if (scopes[u].empty()) continue;
+      writer->Append48(u);
+      writer->Append48(scopes[u].size());
+      for (VertexId v : scopes[u]) writer->Append48(v);
+    }
+    writer->Close();
+    return writer->status().ok();
+  };
+  for (const storage::IoConfig& mode :
+       {storage::IoConfig{storage::IoMode::kSync, true},
+        storage::IoConfig{storage::IoMode::kAsync, true}}) {
+    for (const int fail_at : {0, 2}) {
+      const std::string what = storage::IoSpecString(mode) +
+                               " fail_at=" + std::to_string(fail_at);
+      const WriterRun enc = RunWriter(mode, dir.File("enc.adj6"), fail_at,
+                                      encoded);
+      const WriterRun ref = RunWriter(mode, dir.File("ref.adj6"), fail_at,
+                                      per_value);
+      EXPECT_EQ(enc.ok, fail_at == 0) << what;
+      // After an injected failure the async producer notices it at a
+      // timing-dependent handoff; the bytes on disk are still exact.
+      ExpectSameRun(enc, ref,
+                    fail_at == 0 || mode.mode == storage::IoMode::kSync, what);
+    }
+  }
+}
+
+TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
+  storage::TempDir dir;
+  const auto scopes = ScopesWithHugeOnes();
+  for (const bool transposed : {false, true}) {
+    auto encoded = [&](const std::string& path) {
+      format::TsvWriter writer(path, transposed);
+      for (std::size_t u = 0; u < scopes.size(); ++u) {
+        writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
+      }
+      writer.Finish();
+      return writer.status().ok();
+    };
+    auto per_edge = [&](const std::string& path) {
+      format::TsvWriter writer(path);
+      for (std::size_t u = 0; u < scopes.size(); ++u) {
+        for (VertexId v : scopes[u]) {
+          if (transposed) {
+            writer.WriteEdge(v, u);
+          } else {
+            writer.WriteEdge(u, v);
+          }
+        }
+      }
+      writer.Finish();
+      return writer.status().ok();
+    };
+    for (const storage::IoConfig& mode :
+         {storage::IoConfig{storage::IoMode::kSync, true},
+          storage::IoConfig{storage::IoMode::kAsync, true}}) {
+      for (const int fail_at : {0, 2}) {
+        const std::string what =
+            storage::IoSpecString(mode) + " fail_at=" +
+            std::to_string(fail_at) + " transposed=" +
+            std::to_string(transposed);
+        const WriterRun enc = RunWriter(mode, dir.File("enc.tsv"), fail_at,
+                                        encoded);
+        const WriterRun ref = RunWriter(mode, dir.File("ref.tsv"), fail_at,
+                                        per_edge);
+        EXPECT_EQ(enc.ok, fail_at == 0) << what;
+        ExpectSameRun(
+            enc, ref, fail_at == 0 || mode.mode == storage::IoMode::kSync,
+            what);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -97,6 +97,35 @@ TEST_F(ObsTest, HistogramObserveAndSnapshot) {
   EXPECT_TRUE(h->Snapshot().buckets.empty());
 }
 
+TEST_F(ObsTest, HistogramBatchFlushEqualsDirectObserves) {
+  // The generator publishes avs.scope_degree in batches; after each flush
+  // the histogram must hold exactly what per-value observes produce.
+  Histogram* direct = GetHistogram("test.hist_direct");
+  Histogram* batched = GetHistogram("test.hist_batched");
+  HistogramBatch batch;
+  std::uint64_t v = 12345;
+  for (int flush = 0; flush < 3; ++flush) {
+    for (int i = 0; i < 1000; ++i) {
+      v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint64_t x = (v >> 40) >> (v & 15);
+      direct->Observe(x);
+      batch.Observe(x);
+    }
+    EXPECT_EQ(batch.count(), 1000u);
+    batch.FlushTo(batched);
+    EXPECT_EQ(batch.count(), 0u);
+    const HistogramSnapshot a = direct->Snapshot();
+    const HistogramSnapshot b = batched->Snapshot();
+    EXPECT_EQ(b.count, a.count);
+    EXPECT_EQ(b.sum, a.sum);
+    EXPECT_EQ(b.min, a.min);
+    EXPECT_EQ(b.max, a.max);
+    EXPECT_EQ(b.buckets, a.buckets);
+  }
+  batch.FlushTo(batched);  // an empty batch changes nothing
+  EXPECT_EQ(batched->count(), 3000u);
+}
+
 TEST_F(ObsTest, ConcurrentIncrementsAreLossless) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;

@@ -287,7 +287,9 @@ TEST(SchedulerTest, BuildChunkQueuesCoversRangesExactly) {
       EXPECT_EQ(c.range, r);
       EXPECT_EQ(c.seq, i);
       EXPECT_LE(c.lo, c.hi);
-      if (i > 0) EXPECT_EQ(c.lo, queues[r][i - 1].hi);
+      if (i > 0) {
+        EXPECT_EQ(c.lo, queues[r][i - 1].hi);
+      }
     }
   }
 }
