@@ -1,9 +1,9 @@
 // Writer micro-benchmark behind the I/O fast path (docs/PERFORMANCE.md,
 // "The I/O path"). Three measurements:
 //   1. transport: the same byte stream through the sync stdio writer and the
-//      double-buffered async writer (pwrite fallback and io_uring). The
-//      overlap win needs >= 2 cores — producer and writer thread timeshare
-//      one CPU otherwise, so the table prints the core count alongside.
+//      double-buffered async writer. The overlap win needs >= 2 cores —
+//      producer and writer thread timeshare one CPU otherwise, so the table
+//      prints the core count alongside.
 //   2. TSV writer: branchless two-digits-at-a-time formatting vs the legacy
 //      per-digit divide loop it replaced. Expected >= 1.5x on any host —
 //      this leg carries the writer-throughput acceptance bar.
@@ -22,7 +22,6 @@
 #include "storage/async_writer.h"
 #include "storage/file_io.h"
 #include "storage/temp_dir.h"
-#include "storage/uring.h"
 #include "util/common.h"
 #include "util/stopwatch.h"
 
@@ -119,39 +118,26 @@ int main() {
               cores < 2 ? "  (async transport cannot overlap: producer and "
                           "writer thread timeshare one CPU)"
                         : "");
-  std::printf("io_uring: compiled %s, kernel %s\n",
-              tg::storage::UringCompiledIn() ? "in" : "out",
-              tg::storage::UringAvailable() ? "accepts it" : "lacks it");
   std::printf("streaming %s in %s appends, best of %d runs\n\n",
               tg::bench::HumanBytes(kTotalBytes).c_str(),
               tg::bench::HumanBytes(kChunkBytes).c_str(), kRepetitions);
 
-  // The uring leg always runs: without a usable ring the writer thread falls
-  // back to pwrite internally, and the io.* counters are unchanged either
-  // way, so the baseline stays comparable across kernels.
-  struct Mode {
-    const char* label;
-    tg::storage::IoConfig config;
-  };
-  const Mode modes[] = {
-      {"sync", {tg::storage::IoMode::kSync, false}},
-      {"async,nouring", {tg::storage::IoMode::kAsync, false}},
-      {"async,uring", {tg::storage::IoMode::kAsync, true}},
-  };
   double sync_mibps = 0.0;
-  double best_async_mibps = 0.0;
+  double async_mibps = 0.0;
   std::printf("%-15s %12s\n", "transport", "MiB/s");
-  for (const Mode& mode : modes) {
-    const double mibps =
-        WriterThroughput(mode.config, temp_dir.File("stream.bin"));
-    std::printf("%-15s %12.0f\n", mode.label, mibps);
-    if (mode.config.mode == tg::storage::IoMode::kSync) {
+  for (const tg::storage::IoMode mode :
+       {tg::storage::IoMode::kSync, tg::storage::IoMode::kAsync}) {
+    const tg::storage::IoConfig config{mode};
+    const double mibps = WriterThroughput(config, temp_dir.File("stream.bin"));
+    std::printf("%-15s %12.0f\n", tg::storage::IoSpecString(config).c_str(),
+                mibps);
+    if (mode == tg::storage::IoMode::kSync) {
       sync_mibps = mibps;
-    } else if (mibps > best_async_mibps) {
-      best_async_mibps = mibps;
+    } else {
+      async_mibps = mibps;
     }
   }
-  std::printf("\nasync/sync speedup: %.2fx\n", best_async_mibps / sync_mibps);
+  std::printf("\nasync/sync speedup: %.2fx\n", async_mibps / sync_mibps);
 
   // The TSV fast path: branchless two-digits-at-a-time formatting on the way
   // out, block parsing (no per-edge fscanf) on the way back in. Both write
@@ -163,7 +149,7 @@ int main() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return (state >> 8) % (std::uint64_t{1} << 48);
   };
-  tg::storage::ScopedIoConfig sync_io({tg::storage::IoMode::kSync, false});
+  tg::storage::ScopedIoConfig sync_io({tg::storage::IoMode::kSync});
   tg::Stopwatch format_watch;
   {
     tg::format::TsvWriter writer(tsv_path);

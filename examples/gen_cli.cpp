@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
         "usage: %s --out=PREFIX [--scale=N] [--edge_factor=N] "
         "[--format=tsv|adj6|csr6] [--workers=N] [--noise=X] [--seed=N]\n"
         "       [--precision=double|dd] [--direction=out|in]\n"
-        "       [--chunks_per_worker=N] [--io=sync|async[,uring|,nouring]]\n"
+        "       [--chunks_per_worker=N] [--io=sync|async]\n"
         "       [--portable_kernel] [--no_prefix_tables]\n"
         "       [--a=0.57 --b=0.19 --c=0.19 --d=0.05]\n"
         "       [--metrics_json=PATH] [--metrics_prom=PATH] "
@@ -153,10 +153,9 @@ int main(int argc, char** argv) {
         "bit-identical with it on or off.\n"
         "--io selects the writer transport (docs/PERFORMANCE.md \"The I/O\n"
         "path\"): 'sync' is the blocking stdio writer, 'async' (the default)\n"
-        "double-buffers flushes onto a writer thread, with io_uring\n"
-        "submission when the kernel supports it ('async,nouring' forces the\n"
-        "pwrite fallback). Output files are bit-identical in every mode;\n"
-        "TG_IO in the environment is honored when the flag is absent.\n"
+        "double-buffers flushes onto a pwrite writer thread. Output files are\n"
+        "bit-identical in both modes; TG_IO in the environment is honored\n"
+        "when the flag is absent.\n"
         "--chunks_per_worker sets the work-stealing granularity (default "
         "16;\n1 = static one-range-per-worker schedule; output is "
         "bit-identical\nfor any value; TG_CHUNKS_PER_WORKER in the "

@@ -275,13 +275,11 @@ void PreregisterCanonicalMetrics() {
   // Storage I/O transport (storage/file_io.h, storage/async_writer.h).
   // bytes_written/flushes count producer->backend handoffs, so they compare
   // exactly between --io=sync and --io=async runs; writer_stall_ms is
-  // wall-clock (skipped by DiffOptions::Defaults); uring_active reports
-  // whether any writer thread actually ran on an io_uring.
+  // wall-clock (skipped by DiffOptions::Defaults).
   r.GetCounter("io.bytes_written");
   r.GetCounter("io.flushes");
   r.GetCounter("io.writer_stall_ms");
   r.GetGauge("io.inflight_bytes");
-  r.GetGauge("io.uring_active");
   // Live progress + tracing (obs/sampler.h, obs/trace.h).
   r.GetCounter("progress.edges");
   r.GetCounter("trace.dropped_events");

@@ -1,12 +1,11 @@
 #include "obs/run_report.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "obs/mem.h"
 #include "storage/file_io.h"
@@ -73,192 +72,41 @@ void AppendDouble(double v, std::string* out) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parsing — just enough to read ToJson() output back (and any JSON
-// whose values fit the schema; unknown keys are skipped structurally).
+// JSON reading: typed views of a json::Parse document. A value whose JSON
+// type does not fit the schema fails the whole read; unknown keys are
+// ignored.
 
-struct Cursor {
-  const char* p;
-  const char* end;
+struct SchemaReader {
   bool failed = false;
 
-  void Fail() { failed = true; }
-
-  void SkipWs() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
+  const std::map<std::string, json::Value>& Object(const json::Value& v) {
+    if (!v.is_object()) failed = true;
+    return v.object;  // empty unless an object
   }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (failed || p >= end || *p != c) return false;
-    ++p;
-    return true;
+  const std::vector<json::Value>& Array(const json::Value& v) {
+    if (!v.is_array()) failed = true;
+    return v.array;
   }
-
-  char Peek() {
-    SkipWs();
-    return (failed || p >= end) ? '\0' : *p;
+  std::string String(const json::Value& v) {
+    if (!v.is_string()) failed = true;
+    return v.str;
   }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      Fail();
-      return false;
-    }
-    out->clear();
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c == '\\' && p < end) {
-        char esc = *p++;
-        switch (esc) {
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'u':
-            // Shared with util/json: full UTF-8 decode incl. surrogate pairs,
-            // so multi-byte meta values round-trip through ToJson/FromJson.
-            if (!json::DecodeUnicodeEscape(&p, end, out)) {
-              Fail();
-              return false;
-            }
-            break;
-          default:
-            out->push_back(esc);  // covers \" \\ \/
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (p >= end) {
-      Fail();
-      return false;
-    }
-    ++p;  // closing quote
-    return true;
+  double Double(const json::Value& v) {
+    if (!v.is_number()) failed = true;
+    return v.number;
   }
-
-  /// Parses a number; exact for 64-bit unsigned integers.
-  bool ParseNumber(double* as_double, std::uint64_t* as_u64, bool* integral) {
-    SkipWs();
-    const char* start = p;
-    if (p < end && (*p == '-' || *p == '+')) ++p;
-    bool is_int = true;
-    while (p < end && (std::isdigit(static_cast<unsigned char>(*p)) ||
-                       *p == '.' || *p == 'e' || *p == 'E' || *p == '-' ||
-                       *p == '+')) {
-      if (*p == '.' || *p == 'e' || *p == 'E') is_int = false;
-      ++p;
+  int Int(const json::Value& v) {
+    const double d = Double(v);
+    if (!(d >= INT_MIN && d <= INT_MAX)) {
+      failed = true;  // the cast would be undefined
+      return 0;
     }
-    if (p == start) {
-      Fail();
-      return false;
-    }
-    std::string text(start, p);
-    *as_double = std::strtod(text.c_str(), nullptr);
-    *as_u64 = is_int && text[0] != '-'
-                  ? std::strtoull(text.c_str(), nullptr, 10)
-                  : static_cast<std::uint64_t>(*as_double);
-    *integral = is_int;
-    return true;
+    return static_cast<int>(d);
   }
-
-  /// Skips any JSON value (for unknown keys).
-  void SkipValue() {
-    char c = Peek();
-    if (failed) return;
-    if (c == '{' || c == '[') {
-      char open = c;
-      char close = (c == '{') ? '}' : ']';
-      ++p;
-      int depth = 1;
-      while (p < end && depth > 0) {
-        if (*p == '"') {
-          std::string ignored;
-          ParseString(&ignored);
-          continue;
-        }
-        if (*p == open) ++depth;
-        if (*p == close) --depth;
-        ++p;
-      }
-      if (depth != 0) Fail();
-    } else if (c == '"') {
-      std::string ignored;
-      ParseString(&ignored);
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (p < end && std::isalpha(static_cast<unsigned char>(*p))) ++p;
-    } else {
-      double d;
-      std::uint64_t u;
-      bool i;
-      ParseNumber(&d, &u, &i);
-    }
-  }
-
-  /// Iterates "key": value pairs of an object; calls fn(key) positioned at
-  /// the value, which fn must fully consume.
-  template <typename Fn>
-  bool ParseObject(const Fn& fn) {
-    if (!Consume('{')) {
-      Fail();
-      return false;
-    }
-    if (Consume('}')) return true;
-    do {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) {
-        Fail();
-        return false;
-      }
-      fn(key);
-      if (failed) return false;
-    } while (Consume(','));
-    if (!Consume('}')) {
-      Fail();
-      return false;
-    }
-    return true;
-  }
-
-  /// Iterates array elements; fn is called positioned at each element.
-  template <typename Fn>
-  bool ParseArray(const Fn& fn) {
-    if (!Consume('[')) {
-      Fail();
-      return false;
-    }
-    if (Consume(']')) return true;
-    do {
-      fn();
-      if (failed) return false;
-    } while (Consume(','));
-    if (!Consume(']')) {
-      Fail();
-      return false;
-    }
-    return true;
-  }
-
-  double ParseDouble() {
-    double d = 0;
-    std::uint64_t u;
-    bool i;
-    ParseNumber(&d, &u, &i);
-    return d;
-  }
-
-  std::uint64_t ParseU64() {
-    double d;
-    std::uint64_t u = 0;
-    bool i;
-    ParseNumber(&d, &u, &i);
-    return u;
+  /// Exact up to 2^64-1 (json::Value keeps integer literals exactly).
+  std::uint64_t U64(const json::Value& v) {
+    if (!v.is_number()) failed = true;
+    return v.U64Or(0);
   }
 };
 
@@ -315,45 +163,45 @@ void AppendOomReport(const OomReport& report, const std::string& pad,
   *out += "]\n" + pad + "}";
 }
 
-void ParseOomReport(Cursor& cur, OomReport* report) {
-  cur.ParseObject([&](const std::string& field) {
+void ReadOomReport(const json::Value& doc, SchemaReader& r,
+                   OomReport* report) {
+  for (const auto& [field, v] : r.Object(doc)) {
     if (field == "machine") {
-      report->machine = static_cast<int>(cur.ParseDouble());
+      report->machine = r.Int(v);
     } else if (field == "tag") {
-      cur.ParseString(&report->tag);
+      report->tag = r.String(v);
     } else if (field == "requested_bytes") {
-      report->requested_bytes = cur.ParseU64();
+      report->requested_bytes = r.U64(v);
     } else if (field == "used_bytes") {
-      report->used_bytes = cur.ParseU64();
+      report->used_bytes = r.U64(v);
     } else if (field == "limit_bytes") {
-      report->limit_bytes = cur.ParseU64();
+      report->limit_bytes = r.U64(v);
     } else if (field == "span_stack") {
-      cur.ParseString(&report->span_stack);
+      report->span_stack = r.String(v);
     } else if (field == "breakdown") {
-      cur.ParseArray([&] {
+      for (const json::Value& row : r.Array(v)) {
         OomReport::TagUsage usage;
-        cur.ParseObject([&](const std::string& key) {
+        for (const auto& [key, u] : r.Object(row)) {
           if (key == "tag") {
-            cur.ParseString(&usage.tag);
+            usage.tag = r.String(u);
           } else if (key == "used_bytes") {
-            usage.used_bytes = cur.ParseU64();
+            usage.used_bytes = r.U64(u);
           } else if (key == "peak_bytes") {
-            usage.peak_bytes = cur.ParseU64();
-          } else {
-            cur.SkipValue();
+            usage.peak_bytes = r.U64(u);
           }
-        });
+        }
         report->breakdown.push_back(std::move(usage));
-      });
+      }
     } else if (field == "headroom_t") {
-      cur.ParseArray([&] { report->headroom_t.push_back(cur.ParseDouble()); });
+      for (const json::Value& t : r.Array(v)) {
+        report->headroom_t.push_back(r.Double(t));
+      }
     } else if (field == "headroom_pct") {
-      cur.ParseArray(
-          [&] { report->headroom_pct.push_back(cur.ParseDouble()); });
-    } else {
-      cur.SkipValue();
+      for (const json::Value& pct : r.Array(v)) {
+        report->headroom_pct.push_back(r.Double(pct));
+      }
     }
-  });
+  }
 }
 
 }  // namespace
@@ -550,152 +398,144 @@ std::string RunReport::ToJson() const {
 
 Status RunReport::FromJson(const std::string& json, RunReport* out) {
   *out = RunReport();
-  Cursor cur{json.data(), json.data() + json.size()};
-
-  cur.ParseObject([&](const std::string& section) {
+  json::Value doc;
+  const Status parsed = json::Parse(json, &doc);
+  if (!parsed.ok()) {
+    return Status::Corruption("malformed run report JSON: " +
+                              parsed.message());
+  }
+  SchemaReader r;
+  for (const auto& [section, value] : r.Object(doc)) {
     if (section == "meta") {
-      cur.ParseObject([&](const std::string& key) {
-        std::string value;
-        cur.ParseString(&value);
-        out->meta[key] = value;
-      });
+      for (const auto& [key, v] : r.Object(value)) {
+        out->meta[key] = r.String(v);
+      }
     } else if (section == "counters") {
-      cur.ParseObject(
-          [&](const std::string& key) { out->counters[key] = cur.ParseU64(); });
+      for (const auto& [key, v] : r.Object(value)) {
+        out->counters[key] = r.U64(v);
+      }
     } else if (section == "gauges") {
-      cur.ParseObject(
-          [&](const std::string& key) { out->gauges[key] = cur.ParseDouble(); });
+      for (const auto& [key, v] : r.Object(value)) {
+        out->gauges[key] = r.Double(v);
+      }
     } else if (section == "histograms") {
-      cur.ParseObject([&](const std::string& name) {
-        HistogramSnapshot h;
-        cur.ParseObject([&](const std::string& field) {
+      for (const auto& [name, v] : r.Object(value)) {
+        HistogramSnapshot& h = out->histograms[name];
+        for (const auto& [field, f] : r.Object(v)) {
           if (field == "count") {
-            h.count = cur.ParseU64();
+            h.count = r.U64(f);
           } else if (field == "sum") {
-            h.sum = cur.ParseU64();
+            h.sum = r.U64(f);
           } else if (field == "min") {
-            h.min = cur.ParseU64();
+            h.min = r.U64(f);
           } else if (field == "max") {
-            h.max = cur.ParseU64();
+            h.max = r.U64(f);
           } else if (field == "buckets") {
-            cur.ParseArray([&] { h.buckets.push_back(cur.ParseU64()); });
-          } else {
-            cur.SkipValue();
+            for (const json::Value& b : r.Array(f)) {
+              h.buckets.push_back(r.U64(b));
+            }
           }
-        });
-        out->histograms[name] = std::move(h);
-      });
+        }
+      }
     } else if (section == "spans") {
-      cur.ParseArray([&] {
+      for (const json::Value& v : r.Array(value)) {
         SpanRow row;
-        cur.ParseObject([&](const std::string& field) {
+        for (const auto& [field, f] : r.Object(v)) {
           if (field == "path") {
-            cur.ParseString(&row.path);
+            row.path = r.String(f);
           } else if (field == "machine") {
-            row.machine = static_cast<int>(cur.ParseDouble());
+            row.machine = r.Int(f);
           } else if (field == "count") {
-            row.count = cur.ParseU64();
+            row.count = r.U64(f);
           } else if (field == "wall_seconds") {
-            row.wall_seconds = cur.ParseDouble();
+            row.wall_seconds = r.Double(f);
           } else if (field == "cpu_seconds") {
-            row.cpu_seconds = cur.ParseDouble();
-          } else {
-            cur.SkipValue();
+            row.cpu_seconds = r.Double(f);
           }
-        });
+        }
         out->spans.push_back(std::move(row));
-      });
+      }
     } else if (section == "machines") {
-      cur.ParseArray([&] {
+      for (const json::Value& v : r.Array(value)) {
         int machine = -1;
         std::map<std::string, double> stats;
-        cur.ParseObject([&](const std::string& field) {
+        for (const auto& [field, f] : r.Object(v)) {
           if (field == "machine") {
-            machine = static_cast<int>(cur.ParseDouble());
+            machine = r.Int(f);
           } else {
-            stats[field] = cur.ParseDouble();
+            stats[field] = r.Double(f);
           }
-        });
+        }
         out->machines[machine] = std::move(stats);
-      });
+      }
     } else if (section == "series") {
-      cur.ParseObject([&](const std::string& name) {
-        TimeSeries ts;
-        cur.ParseObject([&](const std::string& field) {
+      for (const auto& [name, v] : r.Object(value)) {
+        TimeSeries& ts = out->series[name];
+        for (const auto& [field, f] : r.Object(v)) {
           if (field == "interval_seconds") {
-            ts.interval_seconds = cur.ParseDouble();
+            ts.interval_seconds = r.Double(f);
           } else if (field == "t") {
-            cur.ParseArray([&] { ts.t.push_back(cur.ParseDouble()); });
+            for (const json::Value& t : r.Array(f)) {
+              ts.t.push_back(r.Double(t));
+            }
           } else if (field == "v") {
-            cur.ParseArray([&] { ts.v.push_back(cur.ParseDouble()); });
-          } else {
-            cur.SkipValue();
+            for (const json::Value& x : r.Array(f)) {
+              ts.v.push_back(r.Double(x));
+            }
           }
-        });
-        out->series[name] = std::move(ts);
-      });
+        }
+      }
     } else if (section == "mem.oom") {
       OomReport report;
-      ParseOomReport(cur, &report);
+      ReadOomReport(value, r, &report);
       out->oom = std::move(report);
     } else if (section == "prof") {
       ProfSection prof_section;
-      cur.ParseObject([&](const std::string& field) {
+      for (const auto& [field, f] : r.Object(value)) {
         if (field == "samples") {
-          prof_section.samples = cur.ParseU64();
+          prof_section.samples = r.U64(f);
         } else if (field == "dropped") {
-          prof_section.dropped = cur.ParseU64();
+          prof_section.dropped = r.U64(f);
         } else if (field == "hz") {
-          prof_section.hz = static_cast<int>(cur.ParseDouble());
+          prof_section.hz = r.Int(f);
         } else if (field == "frames") {
-          cur.ParseArray([&] {
+          for (const json::Value& v : r.Array(f)) {
             ProfFrameRow row;
-            cur.ParseObject([&](const std::string& key) {
+            for (const auto& [key, x] : r.Object(v)) {
               if (key == "phase") {
-                cur.ParseString(&row.phase);
+                row.phase = r.String(x);
               } else if (key == "frame") {
-                cur.ParseString(&row.frame);
+                row.frame = r.String(x);
               } else if (key == "self") {
-                row.self = cur.ParseU64();
+                row.self = r.U64(x);
               } else if (key == "total") {
-                row.total = cur.ParseU64();
-              } else {
-                cur.SkipValue();
+                row.total = r.U64(x);
               }
-            });
+            }
             prof_section.frames.push_back(std::move(row));
-          });
-        } else {
-          cur.SkipValue();
+          }
         }
-      });
+      }
       out->prof = std::move(prof_section);
     } else if (section == "fault") {
-      cur.ParseArray([&] {
+      for (const json::Value& v : r.Array(value)) {
         Event event;
-        cur.ParseObject([&](const std::string& field) {
+        for (const auto& [field, f] : r.Object(v)) {
           if (field == "kind") {
-            cur.ParseString(&event.kind);
+            event.kind = r.String(f);
           } else if (field == "machine") {
-            event.machine = static_cast<int>(cur.ParseDouble());
+            event.machine = r.Int(f);
           } else if (field == "ordinal") {
-            event.ordinal = cur.ParseU64();
+            event.ordinal = r.U64(f);
           } else if (field == "detail") {
-            cur.ParseString(&event.detail);
-          } else {
-            cur.SkipValue();
+            event.detail = r.String(f);
           }
-        });
+        }
         out->fault.push_back(std::move(event));
-      });
-    } else {
-      cur.SkipValue();
+      }
     }
-  });
-
-  if (cur.failed) {
-    return Status::Corruption("malformed run report JSON");
   }
+  if (r.failed) return Status::Corruption("malformed run report JSON");
   return Status::Ok();
 }
 

@@ -94,7 +94,9 @@ struct RunReport {
   /// Stable, pretty-printed JSON (schema in docs/OBSERVABILITY.md).
   std::string ToJson() const;
 
-  /// Parses ToJson() output back into a report (unknown keys are skipped).
+  /// Parses ToJson() output back into a report via json::Parse (unknown
+  /// keys are skipped; counters stay exact up to 2^64-1). Corruption when
+  /// the text is not JSON or a known key holds a value of the wrong type.
   static Status FromJson(const std::string& json, RunReport* out);
 
   /// Human-readable multi-section table for terminal output. Histograms are

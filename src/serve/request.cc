@@ -89,8 +89,10 @@ Status ParseGenRequest(const std::string& json_body,
                        const RequestLimits& limits, GenRequest* out) {
   json::Value doc;
   Status parsed = json::Parse(json_body, &doc);
-  if (!parsed.ok()) return Invalid("request body is not valid JSON: " +
-                                   parsed.message());
+  if (!parsed.ok()) {
+    return Status::Corruption("request body is not valid JSON: " +
+                              parsed.message());
+  }
   if (!doc.is_object()) return Invalid("request body must be a JSON object");
 
   static const std::set<std::string> kKnownKeys = {

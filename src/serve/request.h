@@ -54,9 +54,11 @@ struct RequestLimits {
   std::uint64_t max_edges = std::uint64_t{1} << 32;
 };
 
-/// Parses and validates a JSON request body. On error the returned status
-/// message is safe to echo to the client (it names fields and bounds, never
-/// server state).
+/// Parses and validates a JSON request body: Corruption when the body is not
+/// JSON (json::Parse's error, nesting depth included), InvalidArgument when
+/// it breaks the request schema. On error the returned status message is
+/// safe to echo to the client (it names fields and bounds, never server
+/// state).
 Status ParseGenRequest(const std::string& json_body,
                        const RequestLimits& limits, GenRequest* out);
 

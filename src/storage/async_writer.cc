@@ -13,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "prof/profiler.h"
-#include "storage/uring.h"
 
 namespace tg::storage {
 
@@ -29,9 +28,17 @@ obs::Gauge* InflightGauge() {
   return gauge;
 }
 
-obs::Gauge* UringActiveGauge() {
-  static obs::Gauge* const gauge = obs::GetGauge("io.uring_active");
-  return gauge;
+/// pwrite(2) of the whole range, retrying short writes and EINTR.
+bool PwriteAll(int fd, const char* data, std::size_t n, std::uint64_t offset) {
+  while (n > 0) {
+    const ssize_t wrote = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) return false;
+    data += wrote;
+    offset += static_cast<std::uint64_t>(wrote);
+    n -= static_cast<std::size_t>(wrote);
+  }
+  return true;
 }
 
 }  // namespace
@@ -40,24 +47,18 @@ Status ParseIoSpec(const std::string& spec, IoConfig* config) {
   IoConfig parsed;
   if (spec == "sync") {
     parsed.mode = IoMode::kSync;
-  } else if (spec == "async" || spec == "async,uring") {
+  } else if (spec == "async") {
     parsed.mode = IoMode::kAsync;
-    parsed.use_uring = true;
-  } else if (spec == "async,nouring") {
-    parsed.mode = IoMode::kAsync;
-    parsed.use_uring = false;
   } else {
-    return Status::InvalidArgument(
-        "unknown I/O spec \"" + spec +
-        "\" (expected sync | async | async,uring | async,nouring)");
+    return Status::InvalidArgument("unknown I/O spec \"" + spec +
+                                   "\" (expected sync | async)");
   }
   *config = parsed;
   return Status::Ok();
 }
 
 std::string IoSpecString(const IoConfig& config) {
-  if (config.mode == IoMode::kSync) return "sync";
-  return config.use_uring ? "async,uring" : "async,nouring";
+  return config.mode == IoMode::kSync ? "sync" : "async";
 }
 
 IoConfig& GlobalIoConfig() {
@@ -84,8 +85,7 @@ std::unique_ptr<FileWriterBase> MakeFileWriter(std::size_t buffer_bytes,
   if (config.mode == IoMode::kSync) {
     return std::make_unique<FileWriter>(buffer_bytes);
   }
-  return std::make_unique<AsyncFileWriter>(
-      buffer_bytes, config.use_uring && UringCompiledIn());
+  return std::make_unique<AsyncFileWriter>(buffer_bytes);
 }
 
 std::unique_ptr<FileWriterBase> MakeFileWriter(std::size_t buffer_bytes) {
@@ -190,27 +190,7 @@ void AsyncFileWriter::BackendRewriteAt(std::uint64_t offset, const char* data,
                                        std::size_t n) {
   // Only reached between BackendBarrier() and the next append: the writer
   // thread is idle, so a producer-side pwrite cannot interleave with it.
-  if (backend_failed() || fd_ < 0) return;
-  const IoFailureHook& hook = IoFailureHookRef();
-  if (hook && hook(path())) {
-    RecordBackendError(Status::IoError("injected I/O failure: " + path()));
-    return;
-  }
-  while (n > 0) {
-    const ssize_t wrote = ::pwrite(fd_, data, n, static_cast<off_t>(offset));
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      RecordBackendError(Status::IoError("write failed: " + path()));
-      return;
-    }
-    if (wrote == 0) {
-      RecordBackendError(Status::IoError("write failed: " + path()));
-      return;
-    }
-    data += wrote;
-    offset += static_cast<std::uint64_t>(wrote);
-    n -= static_cast<std::size_t>(wrote);
-  }
+  if (fd_ >= 0) WriteAt(data, n, offset);
 }
 
 void AsyncFileWriter::BackendClose() {
@@ -231,14 +211,17 @@ void AsyncFileWriter::BackendClose() {
   }
 }
 
-bool AsyncFileWriter::WriteBlockSync(const Block& block) {
-  if (backend_failed()) return false;
+void AsyncFileWriter::WriteAt(const char* data, std::size_t n,
+                              std::uint64_t offset) {
+  if (backend_failed()) return;
   const IoFailureHook& hook = IoFailureHookRef();
   if (hook && hook(path())) {
     RecordBackendError(Status::IoError("injected I/O failure: " + path()));
-    return false;
+    return;
   }
-  return PwriteRange(block.data.data(), block.data.size(), block.offset);
+  if (!PwriteAll(fd_, data, n, offset)) {
+    RecordBackendError(Status::IoError("write failed: " + path()));
+  }
 }
 
 void AsyncFileWriter::RetireBlock(Block& block) {
@@ -255,151 +238,16 @@ void AsyncFileWriter::RetireBlock(Block& block) {
 void AsyncFileWriter::WriterLoop() {
   prof::EnsureThreadRegistered();
   std::unique_lock<std::mutex> lock(mutex_);
-  if (use_uring_) {
-    WriterLoopUring(lock);
-  } else {
-    WriterLoopPwrite(lock);
-  }
-}
-
-void AsyncFileWriter::WriterLoopPwrite(std::unique_lock<std::mutex>& lock) {
   for (;;) {
     writer_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
+    if (queue_.empty()) return;  // stop_ with nothing left to write
     Block block = std::move(queue_.front());
     queue_.pop_front();
     lock.unlock();
-    WriteBlockSync(block);
+    WriteAt(block.data.data(), block.data.size(), block.offset);
     lock.lock();
     RetireBlock(block);
   }
-}
-
-void AsyncFileWriter::WriterLoopUring(std::unique_lock<std::mutex>& lock) {
-  UringQueue ring;
-  lock.unlock();
-  const bool ring_ready = ring.Init(kQueueDepth);
-  lock.lock();
-  if (!ring_ready) {
-    WriterLoopPwrite(lock);
-    return;
-  }
-  UringActiveGauge()->Set(1.0);
-
-  std::vector<Block> slots(kQueueDepth);
-  std::vector<bool> slot_used(kQueueDepth, false);
-  std::size_t used_count = 0;
-
-  for (;;) {
-    if (queue_.empty() && used_count == 0) {
-      if (stop_) return;
-      writer_cv_.wait(lock);
-      continue;
-    }
-
-    // Move queued blocks into free slots and submit them; a block the kernel
-    // refuses (ring pressure, unsupported SQE) is written synchronously so
-    // ordering and the error contract never depend on uring health.
-    while (!queue_.empty() && used_count < kQueueDepth) {
-      std::size_t s = 0;
-      while (slot_used[s]) ++s;
-      slots[s] = std::move(queue_.front());
-      queue_.pop_front();
-      slot_used[s] = true;
-      ++used_count;
-      Block& block = slots[s];
-      lock.unlock();
-      bool submitted = false;
-      if (!backend_failed()) {
-        const IoFailureHook& hook = IoFailureHookRef();
-        if (hook && hook(path())) {
-          RecordBackendError(
-              Status::IoError("injected I/O failure: " + path()));
-        } else if (ring.SubmitWrite(fd_, block.data.data(), block.data.size(),
-                                    block.offset, s)) {
-          submitted = true;
-        } else {
-          PwriteRange(block.data.data(), block.data.size(), block.offset);
-        }
-      }
-      lock.lock();
-      if (!submitted) {
-        RetireBlock(slots[s]);
-        slot_used[s] = false;
-        --used_count;
-      }
-    }
-
-    if (ring.inflight() == 0) continue;
-
-    lock.unlock();
-    UringCompletion completions[kQueueDepth];
-    const int reaped =
-        ring.Wait(completions, static_cast<int>(kQueueDepth));
-    if (reaped < 0) {
-      // The ring itself died (io_uring_enter failure). Completions for the
-      // in-flight slots will never arrive; fail the writer and fall back to
-      // pwrite for whatever is still queued.
-      RecordBackendError(Status::IoError("write failed: " + path()));
-      lock.lock();
-      for (std::size_t s = 0; s < kQueueDepth; ++s) {
-        if (!slot_used[s]) continue;
-        RetireBlock(slots[s]);
-        slot_used[s] = false;
-        --used_count;
-      }
-      ring.Shutdown();
-      WriterLoopPwrite(lock);
-      return;
-    }
-    for (int i = 0; i < reaped; ++i) {
-      const std::size_t s = static_cast<std::size_t>(completions[i].user_data);
-      Block& block = slots[s];
-      const std::int64_t result = completions[i].result;
-      if (result < 0) {
-        // Per-op failure (e.g. EINVAL from a kernel without IORING_OP_WRITE
-        // at this offset shape): retry the whole block synchronously.
-        if (!backend_failed()) {
-          PwriteRange(block.data.data(), block.data.size(), block.offset);
-        }
-      } else if (static_cast<std::size_t>(result) < block.data.size()) {
-        PwriteRange(block.data.data() + result, block.data.size() - result,
-                    block.offset + static_cast<std::uint64_t>(result));
-      }
-      completions[i].user_data = s;  // slot retired below, under the lock
-    }
-    lock.lock();
-    for (int i = 0; i < reaped; ++i) {
-      const std::size_t s = static_cast<std::size_t>(completions[i].user_data);
-      RetireBlock(slots[s]);
-      slot_used[s] = false;
-      --used_count;
-    }
-  }
-}
-
-bool AsyncFileWriter::PwriteRange(const char* data, std::size_t n,
-                                  std::uint64_t offset) {
-  if (backend_failed()) return false;
-  while (n > 0) {
-    const ssize_t wrote = ::pwrite(fd_, data, n, static_cast<off_t>(offset));
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      RecordBackendError(Status::IoError("write failed: " + path()));
-      return false;
-    }
-    if (wrote == 0) {
-      RecordBackendError(Status::IoError("write failed: " + path()));
-      return false;
-    }
-    data += wrote;
-    offset += static_cast<std::uint64_t>(wrote);
-    n -= static_cast<std::size_t>(wrote);
-  }
-  return true;
 }
 
 }  // namespace tg::storage

@@ -3,9 +3,8 @@
 //
 // AsyncFileWriter moves the kernel copy off the producer thread: Append()
 // fills a buffer as before, but a full buffer is handed (one pointer swap,
-// no copy) to a dedicated writer thread that issues positional writes —
-// io_uring submission when the build and kernel support it, plain pwrite(2)
-// otherwise. Up to kQueueDepth blocks ride in flight; the producer only
+// no copy) to a dedicated writer thread that issues positional pwrite(2)
+// calls. Up to kQueueDepth blocks ride in flight; the producer only
 // stalls when all are taken (counted in io.writer_stall_ms). Buffers are
 // recycled through a free list, so steady state allocates nothing.
 //
@@ -39,21 +38,18 @@ enum class IoMode {
   kAsync,  // AsyncFileWriter: flushes hop to a writer thread
 };
 
-/// Process-wide I/O configuration. Defaults to the async path with io_uring
-/// auto-probed (silently falling back to pwrite when the kernel lacks it);
-/// overridden by the TG_IO environment variable at first use and by the
-/// gen_cli --io flag.
+/// Process-wide I/O configuration. Defaults to the async path; overridden by
+/// the TG_IO environment variable at first use and by the gen_cli --io flag.
 struct IoConfig {
   IoMode mode = IoMode::kAsync;
-  bool use_uring = true;
 };
 
-/// Parses an I/O spec — "sync", "async", "async,uring", "async,nouring" —
-/// into `config`. InvalidArgument on anything else.
+/// Parses an I/O spec — "sync" or "async" — into `config`. InvalidArgument
+/// on anything else.
 Status ParseIoSpec(const std::string& spec, IoConfig* config);
 
-/// Canonical spec string for a config ("sync", "async,uring", ...), as
-/// recorded in RunReport meta.
+/// Canonical spec string for a config ("sync" or "async"), as recorded in
+/// RunReport meta.
 std::string IoSpecString(const IoConfig& config);
 
 /// The mutable process-wide config. Initialized from TG_IO on first call;
@@ -86,9 +82,8 @@ class ScopedIoConfig {
 /// FileWriterBase; one writer thread per open file performs the writes.
 class AsyncFileWriter final : public FileWriterBase {
  public:
-  explicit AsyncFileWriter(std::size_t buffer_bytes = 1 << 20,
-                           bool use_uring = true)
-      : FileWriterBase(buffer_bytes), use_uring_(use_uring) {}
+  explicit AsyncFileWriter(std::size_t buffer_bytes = 1 << 20)
+      : FileWriterBase(buffer_bytes) {}
 
   ~AsyncFileWriter() override;
 
@@ -115,13 +110,11 @@ class AsyncFileWriter final : public FileWriterBase {
   void EnqueueBlock(std::vector<char>&& data);
   std::vector<char> TakeSpareBuffer();  // caller holds mutex_
   void WriterLoop();
-  void WriterLoopPwrite(std::unique_lock<std::mutex>& lock);
-  void WriterLoopUring(std::unique_lock<std::mutex>& lock);
-  bool WriteBlockSync(const Block& block);
-  bool PwriteRange(const char* data, std::size_t n, std::uint64_t offset);
+  // Positional write on the open fd (hook check, short-write/EINTR retry);
+  // failures are recorded as the sticky backend error.
+  void WriteAt(const char* data, std::size_t n, std::uint64_t offset);
   void RetireBlock(Block& block);  // caller holds mutex_
 
-  bool use_uring_ = true;
   int fd_ = -1;
   std::uint64_t next_offset_ = 0;  // producer-side append cursor
 

@@ -6,7 +6,7 @@
 // contracts; concrete backends plug in at flush granularity:
 //
 //   FileWriter       synchronous stdio backend (this header)
-//   AsyncFileWriter  double-buffered writer thread, io_uring-capable
+//   AsyncFileWriter  double-buffered pwrite writer thread
 //                    (storage/async_writer.h)
 //
 // Three contracts every backend must preserve (fault_test.cc pins them):

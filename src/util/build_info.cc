@@ -23,9 +23,6 @@
 #ifndef TG_BUILD_SIMD
 #define TG_BUILD_SIMD "unknown"
 #endif
-#ifndef TG_BUILD_IO_URING
-#define TG_BUILD_IO_URING "unknown"
-#endif
 
 namespace tg::util {
 
@@ -38,7 +35,6 @@ std::map<std::string, std::string> MakeBuildInfo() {
   info["build.compiler"] = TG_BUILD_COMPILER;
   info["build.flags"] = TG_BUILD_CXX_FLAGS;
   info["build.simd"] = TG_BUILD_SIMD;
-  info["build.io_uring"] = TG_BUILD_IO_URING;
   info["build.cxx_standard"] = std::to_string(__cplusplus / 100 % 100);
   return info;
 }

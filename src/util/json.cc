@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 
@@ -46,9 +47,41 @@ void AppendUtf8(std::uint32_t cp, std::string* out) {
   }
 }
 
+/// Decodes one \uXXXX escape whose four hex digits start at *p (just past
+/// the 'u'), appends the code point UTF-8-encoded to `out`, and advances *p
+/// past the consumed digits. A UTF-16 high surrogate followed by a `\uXXXX`
+/// low surrogate consumes both and yields the combined code point; unpaired
+/// surrogates yield U+FFFD. False when fewer than four hex digits follow.
+bool DecodeUnicodeEscape(const char** p, const char* end, std::string* out) {
+  const char* cur = *p;
+  std::uint32_t cp = 0;
+  if (end - cur < 4 || !ReadHex4(cur, &cp)) return false;
+  cur += 4;
+  if (cp >= 0xD800 && cp <= 0xDBFF) {
+    // High surrogate: combine with a following \uDC00..\uDFFF low surrogate;
+    // when it is absent or out of range, substitute U+FFFD and leave the
+    // following escape (if any) to be decoded on its own.
+    std::uint32_t lo = 0;
+    if (end - cur >= 6 && cur[0] == '\\' && cur[1] == 'u' &&
+        ReadHex4(cur + 2, &lo) && lo >= 0xDC00 && lo <= 0xDFFF) {
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+      cur += 6;
+    } else {
+      cp = 0xFFFD;
+    }
+  } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    cp = 0xFFFD;  // lone low surrogate
+  }
+  AppendUtf8(cp, out);
+  *p = cur;
+  return true;
+}
+
 struct Parser {
   const char* p;
   const char* end;
+  int depth = 0;  // containers currently open
+  bool too_deep = false;
 
   void SkipWs() {
     while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
@@ -114,30 +147,43 @@ struct Parser {
     return true;
   }
 
+  bool ParseObject(Value* out) {
+    ++p;
+    out->type = Value::Type::kObject;
+    if (Consume('}')) return true;
+    do {
+      std::string key;
+      if (!ParseString(&key) || !Consume(':')) return false;
+      if (!ParseValue(&out->object[key])) return false;
+    } while (Consume(','));
+    return Consume('}');
+  }
+
+  bool ParseArray(Value* out) {
+    ++p;
+    out->type = Value::Type::kArray;
+    if (Consume(']')) return true;
+    do {
+      out->array.emplace_back();
+      if (!ParseValue(&out->array.back())) return false;
+    } while (Consume(','));
+    return Consume(']');
+  }
+
   bool ParseValue(Value* out) {
     SkipWs();
     if (p >= end) return false;
     switch (*p) {
-      case '{': {
-        ++p;
-        out->type = Value::Type::kObject;
-        if (Consume('}')) return true;
-        do {
-          std::string key;
-          if (!ParseString(&key) || !Consume(':')) return false;
-          if (!ParseValue(&out->object[key])) return false;
-        } while (Consume(','));
-        return Consume('}');
-      }
+      case '{':
       case '[': {
-        ++p;
-        out->type = Value::Type::kArray;
-        if (Consume(']')) return true;
-        do {
-          out->array.emplace_back();
-          if (!ParseValue(&out->array.back())) return false;
-        } while (Consume(','));
-        return Consume(']');
+        if (depth == kMaxNestingDepth) {
+          too_deep = true;
+          return false;
+        }
+        ++depth;
+        const bool ok = *p == '{' ? ParseObject(out) : ParseArray(out);
+        --depth;
+        return ok;
       }
       case '"':
         out->type = Value::Type::kString;
@@ -162,8 +208,14 @@ struct Parser {
           ++p;
         }
         if (p == start) return false;
+        const std::string text(start, p);
         out->type = Value::Type::kNumber;
-        out->number = std::strtod(std::string(start, p).c_str(), nullptr);
+        out->number = std::strtod(text.c_str(), nullptr);
+        if (text.find_first_not_of("0123456789") == std::string::npos) {
+          errno = 0;
+          out->u64 = std::strtoull(text.c_str(), nullptr, 10);
+          out->is_u64 = errno != ERANGE;
+        }
         return true;
       }
     }
@@ -172,35 +224,22 @@ struct Parser {
 
 }  // namespace
 
-bool DecodeUnicodeEscape(const char** p, const char* end, std::string* out) {
-  const char* cur = *p;
-  std::uint32_t cp = 0;
-  if (end - cur < 4 || !ReadHex4(cur, &cp)) return false;
-  cur += 4;
-  if (cp >= 0xD800 && cp <= 0xDBFF) {
-    // High surrogate: combine with a following \uDC00..\uDFFF low surrogate;
-    // when it is absent or out of range, substitute U+FFFD and leave the
-    // following escape (if any) to be decoded on its own.
-    std::uint32_t lo = 0;
-    if (end - cur >= 6 && cur[0] == '\\' && cur[1] == 'u' &&
-        ReadHex4(cur + 2, &lo) && lo >= 0xDC00 && lo <= 0xDFFF) {
-      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-      cur += 6;
-    } else {
-      cp = 0xFFFD;
-    }
-  } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-    cp = 0xFFFD;  // lone low surrogate
-  }
-  AppendUtf8(cp, out);
-  *p = cur;
-  return true;
+std::uint64_t Value::U64Or(std::uint64_t fallback) const {
+  if (!is_number()) return fallback;
+  if (is_u64) return u64;
+  if (!(number > 0.0)) return 0;  // negatives and NaN
+  if (number >= 18446744073709551616.0) return UINT64_MAX;
+  return static_cast<std::uint64_t>(number);
 }
 
 Status Parse(const std::string& text, Value* out) {
   *out = Value();
   Parser parser{text.data(), text.data() + text.size()};
   if (!parser.ParseValue(out)) {
+    if (parser.too_deep) {
+      return Status::Corruption("JSON nesting deeper than " +
+                                std::to_string(kMaxNestingDepth) + " levels");
+    }
     return Status::Corruption("malformed JSON");
   }
   parser.SkipWs();

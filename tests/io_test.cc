@@ -1,7 +1,6 @@
 // Tests for the I/O fast path: the double-buffered async writer
 // (storage/async_writer.h) against the three FileWriterBase contracts, the
-// raw-syscall io_uring submission queue (storage/uring.h), the zero-copy
-// mmap'd CSR6 reader (format/csr6_mapped.h), and the branchless TSV
+// zero-copy mmap'd CSR6 reader (format/csr6_mapped.h), and the branchless TSV
 // formatter/parser (format/tsv.cc). The recurring theme is bit-identity:
 // whatever transport moves the bytes, the files must match the synchronous
 // stdio writer byte for byte.
@@ -29,7 +28,6 @@
 #include "storage/async_writer.h"
 #include "storage/file_io.h"
 #include "storage/temp_dir.h"
-#include "storage/uring.h"
 
 namespace tg {
 namespace {
@@ -71,31 +69,28 @@ std::vector<std::vector<VertexId>> TestScopes(int count, std::uint64_t seed) {
 // I/O spec parsing and writer selection.
 
 TEST(IoSpecTest, ParseRoundTripsEveryMode) {
-  for (const char* spec : {"sync", "async,uring", "async,nouring"}) {
+  for (const char* spec : {"sync", "async"}) {
     storage::IoConfig config;
     ASSERT_TRUE(storage::ParseIoSpec(spec, &config).ok()) << spec;
     EXPECT_EQ(storage::IoSpecString(config), spec);
   }
-  storage::IoConfig config;
-  ASSERT_TRUE(storage::ParseIoSpec("async", &config).ok());
-  EXPECT_EQ(storage::IoSpecString(config), "async,uring");
 }
 
 TEST(IoSpecTest, RejectsUnknownSpecs) {
   storage::IoConfig config;
-  for (const char* spec : {"", "fast", "async,", "sync,uring", "uring"}) {
+  for (const char* spec : {"", "fast", "async,", "async,pwrite", "Sync"}) {
     EXPECT_FALSE(storage::ParseIoSpec(spec, &config).ok()) << spec;
   }
 }
 
 TEST(IoSpecTest, MakeFileWriterHonorsScopedConfig) {
   {
-    storage::ScopedIoConfig scoped({storage::IoMode::kSync, true});
+    storage::ScopedIoConfig scoped({storage::IoMode::kSync});
     auto writer = storage::MakeFileWriter();
     EXPECT_NE(dynamic_cast<storage::FileWriter*>(writer.get()), nullptr);
   }
   {
-    storage::ScopedIoConfig scoped({storage::IoMode::kAsync, false});
+    storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
     auto writer = storage::MakeFileWriter();
     EXPECT_NE(dynamic_cast<storage::AsyncFileWriter*>(writer.get()), nullptr);
   }
@@ -128,8 +123,7 @@ TEST(TransportIdentityTest, RawWritersProduceIdenticalBytes) {
   for (const std::size_t buffer_bytes : {std::size_t{64}, std::size_t{4096},
                                          std::size_t{1} << 20}) {
     storage::FileWriter sync_writer(buffer_bytes);
-    storage::AsyncFileWriter async_uring(buffer_bytes, true);
-    storage::AsyncFileWriter async_pwrite(buffer_bytes, false);
+    storage::AsyncFileWriter async_writer(buffer_bytes);
     struct Case {
       storage::FileWriterBase* writer;
       std::string path;
@@ -137,8 +131,7 @@ TEST(TransportIdentityTest, RawWritersProduceIdenticalBytes) {
     const std::string tag = std::to_string(buffer_bytes);
     std::vector<Case> cases = {
         {&sync_writer, dir.File("sync." + tag)},
-        {&async_uring, dir.File("uring." + tag)},
-        {&async_pwrite, dir.File("pwrite." + tag)},
+        {&async_writer, dir.File("async." + tag)},
     };
     for (Case& c : cases) {
       ASSERT_TRUE(c.writer->Open(c.path).ok());
@@ -157,9 +150,8 @@ TEST(TransportIdentityTest, RawWritersProduceIdenticalBytes) {
 TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
   storage::TempDir dir;
   const auto scopes = TestScopes(500, 7);
-  const storage::IoConfig modes[] = {{storage::IoMode::kSync, true},
-                                     {storage::IoMode::kAsync, true},
-                                     {storage::IoMode::kAsync, false}};
+  const storage::IoConfig modes[] = {{storage::IoMode::kSync},
+                                     {storage::IoMode::kAsync}};
   std::vector<std::string> tsv_bytes, adj6_bytes, csr6_bytes;
   for (const storage::IoConfig& mode : modes) {
     storage::ScopedIoConfig scoped(mode);
@@ -199,24 +191,6 @@ TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
   }
 }
 
-TEST(TransportIdentityTest, UringSubmissionMatchesPwriteFallback) {
-  if (!storage::UringAvailable()) {
-    GTEST_SKIP() << "io_uring not available in this build/kernel";
-  }
-  storage::TempDir dir;
-  storage::AsyncFileWriter with_uring(256, true);
-  storage::AsyncFileWriter without_uring(256, false);
-  ASSERT_TRUE(with_uring.Open(dir.File("uring")).ok());
-  ASSERT_TRUE(without_uring.Open(dir.File("pwrite")).ok());
-  WriteMixedWorkload(&with_uring, 256);
-  WriteMixedWorkload(&without_uring, 256);
-  ASSERT_TRUE(with_uring.Close().ok());
-  ASSERT_TRUE(without_uring.Close().ok());
-  EXPECT_EQ(ReadFileBytes(dir.File("uring")), ReadFileBytes(dir.File("pwrite")));
-  // A ring actually ran, and the gauge recorded it.
-  EXPECT_EQ(obs::GetGauge("io.uring_active")->value(), 1.0);
-}
-
 // ---------------------------------------------------------------------------
 // The three FileWriterBase contracts across the thread hop.
 
@@ -250,7 +224,7 @@ TEST(AsyncContractTest, InjectedFailureIsStickyAndFreezesBytes) {
 TEST(AsyncContractTest, CommitStateFailureLeavesTokenUntouched) {
   IoHookGuard guard;
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync, true});
+  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   format::Adj6Writer writer(dir.File("commit.adj6"));
   const VertexId adj[3] = {4, 5, 6};
   writer.ConsumeScope(0, adj, 3);
@@ -335,7 +309,7 @@ TEST(AsyncContractTest, IoCountersCompareExactlyBetweenModes) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> deltas;
   for (const storage::IoMode mode :
        {storage::IoMode::kSync, storage::IoMode::kAsync}) {
-    storage::ScopedIoConfig scoped({mode, true});
+    storage::ScopedIoConfig scoped({mode});
     obs::Counter* bytes = obs::GetCounter("io.bytes_written");
     obs::Counter* flushes = obs::GetCounter("io.flushes");
     const std::uint64_t bytes_before = bytes->value();
@@ -438,8 +412,8 @@ TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
     return writer->status().ok();
   };
   for (const storage::IoConfig& mode :
-       {storage::IoConfig{storage::IoMode::kSync, true},
-        storage::IoConfig{storage::IoMode::kAsync, true}}) {
+       {storage::IoConfig{storage::IoMode::kSync},
+        storage::IoConfig{storage::IoMode::kAsync}}) {
     for (const int fail_at : {0, 2}) {
       const std::string what = storage::IoSpecString(mode) +
                                " fail_at=" + std::to_string(fail_at);
@@ -483,8 +457,8 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
       return writer.status().ok();
     };
     for (const storage::IoConfig& mode :
-         {storage::IoConfig{storage::IoMode::kSync, true},
-          storage::IoConfig{storage::IoMode::kAsync, true}}) {
+         {storage::IoConfig{storage::IoMode::kSync},
+          storage::IoConfig{storage::IoMode::kAsync}}) {
       for (const int fail_at : {0, 2}) {
         const std::string what =
             storage::IoSpecString(mode) + " fail_at=" +
@@ -508,7 +482,7 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
 
 TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync, true});
+  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 11);
   const std::string ref_path = dir.File("ref.tsv");
   {
@@ -546,7 +520,7 @@ TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
 
 TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync, true});
+  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 13);
   const std::string ref_path = dir.File("ref.adj6");
   {
@@ -582,7 +556,7 @@ TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
 
 TEST(AsyncResumeTest, Csr6ResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync, true});
+  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 17);
   const VertexId lo = 0, hi = scopes.size();
   const std::string ref_path = dir.File("ref.csr6");
@@ -865,7 +839,7 @@ TEST(HandoffStressTest, ConcurrentWritersRecycleBuffersSafely) {
     threads.emplace_back([&dir, t, &content] {
       // A 64-byte buffer makes the producer hand off (and stall on the
       // kQueueDepth limit) thousands of times.
-      storage::AsyncFileWriter writer(64, t % 2 == 0);
+      storage::AsyncFileWriter writer(64);
       ASSERT_TRUE(writer.Open(dir.File("t" + std::to_string(t))).ok());
       std::size_t pos = 0;
       std::uint64_t state = 7777 + t;

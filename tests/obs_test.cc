@@ -190,6 +190,9 @@ TEST_F(ObsTest, ScopedMachineTagsSpans) {
 TEST_F(ObsTest, JsonRoundTrip) {
   SetEnabled(true);
   GetCounter("rt.counter")->Add(12345678901234ULL);
+  // Above 2^53 a double rounds; the parser must keep the integers exact.
+  GetCounter("rt.counter_2p53_plus_1")->Add((std::uint64_t{1} << 53) + 1);
+  GetCounter("rt.counter_u64_max")->Add(UINT64_MAX);
   GetGauge("rt.gauge")->Set(0.125);
   Histogram* h = GetHistogram("rt.hist");
   h->Observe(7);
@@ -206,6 +209,9 @@ TEST_F(ObsTest, JsonRoundTrip) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(parsed.meta, report.meta);
   EXPECT_EQ(parsed.counters, report.counters);
+  EXPECT_EQ(parsed.counters.at("rt.counter_2p53_plus_1"),
+            (std::uint64_t{1} << 53) + 1);
+  EXPECT_EQ(parsed.counters.at("rt.counter_u64_max"), UINT64_MAX);
   EXPECT_EQ(parsed.gauges, report.gauges);
   EXPECT_EQ(parsed.machines, report.machines);
   ASSERT_EQ(parsed.histograms.size(), report.histograms.size());
@@ -225,6 +231,9 @@ TEST_F(ObsTest, FromJsonRejectsGarbage) {
   RunReport parsed;
   EXPECT_FALSE(RunReport::FromJson("not json", &parsed).ok());
   EXPECT_FALSE(RunReport::FromJson("{\"counters\": [1,2]}", &parsed).ok());
+  EXPECT_FALSE(
+      RunReport::FromJson("{\"spans\": [{\"machine\": 1e300}]}", &parsed)
+          .ok());
 }
 
 TEST_F(ObsTest, SimClusterShuffleMatchesNetworkModelCharges) {

@@ -132,6 +132,8 @@ TEST_F(DaemonFixture, RejectsInvalidRequests) {
   EXPECT_EQ(Post("{\"a\": 0.9, \"b\": 0.9, \"c\": 0.1, \"d\": 0.1}").status,
             400);
   EXPECT_EQ(Post("{\"scale\": 10.5}").status, 400);
+  // Nesting far past json::kMaxNestingDepth, still under max_body_bytes.
+  EXPECT_EQ(Post(std::string(60000, '[')).status, 400);
   EXPECT_EQ(Post("{\"noise\": 2.0}").status, 400);
   ClientResponse bad = Post("{\"workers\": 99}");
   EXPECT_EQ(bad.status, 400);
@@ -141,6 +143,13 @@ TEST_F(DaemonFixture, RejectsInvalidRequests) {
   ClientResponse got = HttpGet("127.0.0.1", port_, "/generate");
   EXPECT_EQ(got.status, 405);
   EXPECT_EQ(got.headers["allow"], "POST");
+}
+
+TEST(GenRequestTest, DeeplyNestedBodyIsCorruptionNotACrash) {
+  GenRequest request;
+  const Status s = serve::ParseGenRequest(std::string(60000, '['),
+                                          serve::RequestLimits{}, &request);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
 }
 
 TEST_F(DaemonFixture, BodyPolicyErrorsSurviveOnDaemonPort) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -398,6 +399,57 @@ TEST(JsonUnicodeTest, MalformedEscapesAreRejected) {
   json::Value doc;
   EXPECT_FALSE(json::Parse("\"\\u12\"", &doc).ok());    // too short
   EXPECT_FALSE(json::Parse("\"\\uzzzz\"", &doc).ok());  // not hex
+}
+
+// --- Nesting bound: the parser recurses once per open container, so an
+// untrusted document (a serve request body) must not choose the depth.
+
+TEST(JsonDepthTest, DeepNestingIsRejectedWithoutCrashing) {
+  json::Value doc;
+  const Status s = json::Parse(std::string(60000, '['), &doc);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  const std::string objects = [] {
+    std::string text;
+    for (int i = 0; i < 60000; ++i) text += "{\"k\":";
+    return text;
+  }();
+  EXPECT_EQ(json::Parse(objects, &doc).code(), Status::Code::kCorruption);
+}
+
+TEST(JsonDepthTest, DocumentAtTheLimitParses) {
+  const int depth = json::kMaxNestingDepth;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(std::string(depth, '[') + "7" +
+                              std::string(depth, ']'),
+                          &doc)
+                  .ok());
+  const json::Value* v = &doc;
+  for (int i = 0; i < depth; ++i) {
+    ASSERT_TRUE(v->is_array() && v->array.size() == 1u) << i;
+    v = &v->array[0];
+  }
+  EXPECT_EQ(v->U64Or(0), 7u);
+  // One level more is refused.
+  EXPECT_FALSE(json::Parse(std::string(depth + 1, '[') +
+                               std::string(depth + 1, ']'),
+                           &doc)
+                   .ok());
+}
+
+TEST(JsonNumberTest, NonNegativeIntegersAreExact) {
+  json::Value doc;
+  ASSERT_TRUE(json::Parse("[18446744073709551615, 9007199254740993, "
+                          "18446744073709551616, -1, 2.5]",
+                          &doc)
+                  .ok());
+  ASSERT_EQ(doc.array.size(), 5u);
+  EXPECT_EQ(doc.array[0].U64Or(0), UINT64_MAX);
+  EXPECT_EQ(doc.array[1].U64Or(0), (std::uint64_t{1} << 53) + 1);
+  EXPECT_FALSE(doc.array[2].is_u64);  // out of range: double only
+  EXPECT_EQ(doc.array[2].U64Or(0), UINT64_MAX);
+  EXPECT_EQ(doc.array[3].U64Or(9), 0u);
+  EXPECT_EQ(doc.array[4].U64Or(0), 2u);
+  EXPECT_DOUBLE_EQ(doc.array[4].number, 2.5);
 }
 
 TEST(JsonUnicodeTest, RunReportMetaRoundTripsMultiByteContent) {
