@@ -80,10 +80,8 @@ inline std::uint64_t BudgetBytesFromEnv(std::uint64_t default_bytes) {
 ///   TG_METRICS_JSON=/tmp/{name}.json   write a RunReport on destruction
 ///   TG_TRACE_JSON=/tmp/{name}.trace.json  enable timeline tracing, write a
 ///                                      Chrome Trace Event file on exit
-///   TG_SAMPLE_MS=50                    sample time series at this interval,
+///   TG_SAMPLE_INTERVAL_MS=50           sample time series at this interval,
 ///                                      embedded in the RunReport
-///                                      (TG_SAMPLE_INTERVAL_MS is honored
-///                                      as an alias, TG_SAMPLE_MS winning)
 ///   TG_ADMIN_PORT=9900                 serve the live admin endpoints
 ///                                      (/metrics, /healthz, /report.json,
 ///                                      /events, /trace) for the duration
@@ -120,12 +118,9 @@ class ObsSession {
         profile_path_.clear();
       }
     }
-    const char* sample_ms = std::getenv("TG_SAMPLE_MS");
-    const bool have_sample_ms = sample_ms != nullptr && sample_ms[0] != '\0';
     const int interval_from_env = obs::SamplerIntervalFromEnv(-1);
     const int admin_port = obs::serve::AdminServer::PortFromEnv();
-    const bool want_sampler =
-        have_sample_ms || interval_from_env > 0 || admin_port >= 0;
+    const bool want_sampler = interval_from_env > 0 || admin_port >= 0;
     if (path_.empty() && trace_path_.empty() && !want_sampler) {
       return;
     }
@@ -135,7 +130,6 @@ class ObsSession {
     if (want_sampler) {
       obs::SamplerOptions options;
       if (interval_from_env > 0) options.interval_ms = interval_from_env;
-      if (have_sample_ms) options.interval_ms = std::atoi(sample_ms);
       sampler_ = std::make_unique<obs::Sampler>(options);
       sampler_->Start();
     }

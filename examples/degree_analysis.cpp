@@ -11,7 +11,7 @@
 
 #include "analysis/degree_dist.h"
 #include "format/adj6.h"
-#include "format/csr6.h"
+#include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "util/flags.h"
 
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else if (format == "csr6") {
-    tg::format::Csr6Reader reader(path);
+    tg::format::Csr6MappedReader reader(path);
     if (!reader.status().ok()) {
       std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
       return 1;

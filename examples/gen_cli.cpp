@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
         "       [--a=0.57 --b=0.19 --c=0.19 --d=0.05]\n"
         "       [--metrics_json=PATH] [--metrics_prom=PATH] "
         "[--metrics_table]\n"
-        "       [--trace_json=PATH] [--progress] [--sample_ms=N]\n"
+        "       [--trace_json=PATH] [--progress]\n"
         "       [--sample_interval_ms=N] [--admin_port=N]\n"
         "       [--profile=PATH] [--profile_hz=N]\n"
         "       [--mem_budget=SIZE] [--oom_report=PATH]\n"
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
         "human-readable.\n"
         "--trace_json writes a Chrome Trace Event file (open in Perfetto or\n"
         "chrome://tracing); --progress prints a live edges/sec + ETA line;\n"
-        "--sample_ms / --sample_interval_ms set the sampling interval\n"
+        "--sample_interval_ms sets the sampling interval\n"
         "(default 20 ms; TG_SAMPLE_INTERVAL_MS in the environment is the\n"
         "fallback) for the time series embedded in the run report.\n"
         "--admin_port starts the live admin server (docs/OBSERVABILITY.md\n"
@@ -190,8 +190,7 @@ int main(int argc, char** argv) {
   // scalar-unrolled lane fills at runtime (one binary proves SIMD-on and
   // SIMD-off bit-identical); --no_prefix_tables falls back to the per-edge
   // descent kernel.
-  if (flags.GetBool("portable_kernel",
-                    std::getenv("TG_PORTABLE_KERNEL") != nullptr)) {
+  if (flags.GetBool("portable_kernel", false)) {
     tg::rng::SetLaneForcePortable(true);
   }
   config.determiner.use_prefix_tables =
@@ -329,8 +328,8 @@ int main(int argc, char** argv) {
   const bool metrics_table = flags.GetBool("metrics_table", false);
   const bool progress = flags.GetBool("progress", false);
   const bool want_admin = flags.Has("admin_port");
-  const bool want_sampler = progress || flags.Has("sample_ms") ||
-                            flags.Has("sample_interval_ms") || want_admin;
+  const bool want_sampler =
+      progress || flags.Has("sample_interval_ms") || want_admin;
   const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty() ||
                             metrics_table || !trace_json.empty() ||
                             want_sampler;
@@ -343,17 +342,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<tg::obs::Sampler> sampler;
   if (want_sampler || !metrics_json.empty()) {
     tg::obs::SamplerOptions sampler_options;
-    // Interval precedence: --sample_interval_ms, then the legacy
-    // --sample_ms spelling, then TG_SAMPLE_INTERVAL_MS, then 20 ms.
-    int interval_ms = tg::obs::SamplerIntervalFromEnv(20);
-    if (flags.Has("sample_ms")) {
-      interval_ms = static_cast<int>(flags.GetInt("sample_ms", interval_ms));
-    }
-    if (flags.Has("sample_interval_ms")) {
-      interval_ms =
-          static_cast<int>(flags.GetInt("sample_interval_ms", interval_ms));
-    }
-    sampler_options.interval_ms = interval_ms;
+    // Interval precedence: --sample_interval_ms, then
+    // TG_SAMPLE_INTERVAL_MS, then 20 ms.
+    sampler_options.interval_ms = static_cast<int>(flags.GetInt(
+        "sample_interval_ms", tg::obs::SamplerIntervalFromEnv(20)));
     sampler_options.print_progress = progress;
     sampler_options.progress_target_edges = config.NumEdges();
     if (resume && !config.resume_next_seq.empty()) {
@@ -426,6 +418,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.NumVertices()),
               static_cast<unsigned long long>(config.NumEdges()),
               format.c_str(), out.c_str());
+  // The admin server and profiler are up: a driver watching stdout for this
+  // line (tests/equivalence_matrix.py) may scrape them now.
+  std::fflush(stdout);
 
   InstallStopSignalHandlers();
   config.cancel_flag = &g_interrupted;

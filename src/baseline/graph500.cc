@@ -1,7 +1,6 @@
 #include "baseline/graph500.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "baseline/rmat.h"
 #include "obs/metrics.h"
@@ -47,9 +46,7 @@ Graph500Stats RunGraph500(cluster::SimCluster* cluster,
 
   // Shared read-only prefix tables (Sample is const); per-worker RNG
   // streams are unchanged.
-  const std::optional<RmatPrefixTables> tables =
-      options.use_prefix_tables ? std::optional<RmatPrefixTables>(noise)
-                                : std::nullopt;
+  const RmatPrefixTables tables(noise);
 
   Graph500Stats stats;
 
@@ -69,7 +66,7 @@ Graph500Stats RunGraph500(cluster::SimCluster* cluster,
     std::uint64_t end = std::min(begin + per_worker, total_edges);
     std::uint64_t registered = 0;
     for (std::uint64_t i = begin; i < end; ++i) {
-      Edge e = tables ? tables->Sample(&rng) : RmatEdge(noise, &rng);
+      Edge e = tables.Sample(&rng);
       e.src = ScrambleVertex(e.src, options.scale, scramble_key);
       e.dst = ScrambleVertex(e.dst, options.scale, scramble_key);
       // Route to the machine owning the source block; spread across that

@@ -31,9 +31,6 @@ struct Graph500Options {
   std::uint64_t edge_factor = 16;
   double noise = 0.1;  ///< the benchmark generates noisy SKG (Figure 9(c))
   std::uint64_t rng_seed = 42;
-  /// Draw edges through RmatPrefixTables instead of the per-level descent
-  /// (see RmatOptions::use_prefix_tables).
-  bool use_prefix_tables = true;
 
   std::uint64_t NumVertices() const { return std::uint64_t{1} << scale; }
   std::uint64_t NumEdges() const { return edge_factor << scale; }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -88,7 +87,6 @@ struct KroneckerPrefixTables {
 WesStats FastKronecker(const FastKroneckerOptions& options,
                        const EdgeConsumer& consume) {
   const model::SeedMatrixN& seed = options.seed;
-  const int n = seed.n();
   const int levels = seed.LevelsFor(options.num_vertices);
   TG_CHECK_MSG(
       options.num_edges <= options.num_vertices * options.num_vertices / 2,
@@ -106,28 +104,12 @@ WesStats FastKronecker(const FastKroneckerOptions& options,
   TG_CHECK_MSG(options.num_vertices <= (VertexId{1} << 31),
                "FastKronecker dedup key overflows past |V| = 2^31");
 
-  const std::optional<KroneckerPrefixTables> tables =
-      options.use_prefix_tables
-          ? std::optional<KroneckerPrefixTables>(std::in_place, seed, levels)
-          : std::nullopt;
+  const KroneckerPrefixTables tables(seed, levels);
   while (dedup.size() < options.num_edges) {
-    VertexId u, v;
-    if (tables) {
-      const Edge e = tables->Sample(&rng);
-      u = e.src;
-      v = e.dst;
-    } else {
-      u = 0;
-      v = 0;
-      for (int level = 0; level < levels; ++level) {
-        int cell = seed.SelectCell(rng.NextDouble());
-        u = u * n + static_cast<VertexId>(cell / n);
-        v = v * n + static_cast<VertexId>(cell % n);
-      }
-    }
+    const Edge e = tables.Sample(&rng);
     ++stats.num_generated;
-    if (dedup.Insert(u * options.num_vertices + v)) {
-      consume(Edge{u, v});
+    if (dedup.Insert(e.src * options.num_vertices + e.dst)) {
+      consume(e);
       ++stats.num_edges;
       if (dedup.MemoryBytes() > dedup_mem.bytes()) {
         dedup_mem.ResizeTo(dedup.MemoryBytes());

@@ -19,10 +19,6 @@ struct FastKroneckerOptions {
   std::uint64_t num_edges = 16ULL << 20;
   std::uint64_t rng_seed = 42;
   MemoryBudget* budget = nullptr;
-  /// Group levels into joint-outcome PackedAliasTables (n^2 cells per level,
-  /// as many levels per group as fit 256 outcomes) instead of one binary
-  /// search per level. Same distribution, different RNG stream.
-  bool use_prefix_tables = true;
 };
 WesStats FastKronecker(const FastKroneckerOptions& options,
                        const EdgeConsumer& consume);

@@ -1,7 +1,6 @@
 #include "baseline/rmat.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "storage/external_sorter.h"
 #include "util/flat_set64.h"
@@ -20,8 +19,8 @@ RmatPrefixTables::RmatPrefixTables(const model::NoiseVector& noise) {
     std::vector<double> weights(outcomes);
     for (int p = 0; p < outcomes; ++p) {
       // Outcome encoding: two bits per level (row bit high), first level of
-      // the group in the most significant position — matching the MSB-first
-      // descent order of RmatEdge.
+      // the group in the most significant position: the MSB-first order of
+      // the recursive descent.
       double w = 1.0;
       std::uint8_t ub = 0, vb = 0;
       for (int j = 0; j < m; ++j) {
@@ -47,35 +46,6 @@ Edge RmatPrefixTables::Sample(rng::Rng* rng) const {
     const std::uint32_t p = group.table.Sample(rng->NextUint64());
     u = (u << group.levels) | group.u_bits[p];
     v = (v << group.levels) | group.v_bits[p];
-  }
-  return Edge{u, v};
-}
-
-Edge RmatEdge(const model::NoiseVector& noise, rng::Rng* rng) {
-  VertexId u = 0, v = 0;
-  const int levels = noise.levels();
-  for (int level = 0; level < levels; ++level) {
-    double x = rng->NextDouble();
-    // Quadrant cumulative: a, a+b, a+b+c, 1.
-    double a = noise.Entry(level, 0, 0);
-    double b = noise.Entry(level, 0, 1);
-    double c = noise.Entry(level, 1, 0);
-    int row, col;
-    if (x < a) {
-      row = 0;
-      col = 0;
-    } else if (x < a + b) {
-      row = 0;
-      col = 1;
-    } else if (x < a + b + c) {
-      row = 1;
-      col = 0;
-    } else {
-      row = 1;
-      col = 1;
-    }
-    u = (u << 1) | static_cast<VertexId>(row);
-    v = (v << 1) | static_cast<VertexId>(col);
   }
   return Edge{u, v};
 }
@@ -113,11 +83,9 @@ WesStats RmatMem(const RmatOptions& options, const EdgeConsumer& consume) {
                              "baseline.rmat.edge_set");
   stats.peak_bytes = dedup_mem.bytes();
 
-  const std::optional<RmatPrefixTables> tables =
-      options.use_prefix_tables ? std::optional<RmatPrefixTables>(noise)
-                                : std::nullopt;
+  const RmatPrefixTables tables(noise);
   while (dedup.size() < target) {
-    Edge e = tables ? tables->Sample(&rng) : RmatEdge(noise, &rng);
+    Edge e = tables.Sample(&rng);
     ++stats.num_generated;
     if (dedup.Insert(PackEdge(e, options.scale))) {
       consume(e);
@@ -145,11 +113,9 @@ WesStats RmatDisk(const RmatDiskOptions& options, const EdgeConsumer& consume) {
        options.budget});
   stats.peak_bytes = sorter.buffer_bytes();
 
-  const std::optional<RmatPrefixTables> tables =
-      options.use_prefix_tables ? std::optional<RmatPrefixTables>(noise)
-                                : std::nullopt;
+  const RmatPrefixTables tables(noise);
   for (std::uint64_t i = 0; i < raw_target; ++i) {
-    sorter.Add(tables ? tables->Sample(&rng) : RmatEdge(noise, &rng));
+    sorter.Add(tables.Sample(&rng));
   }
   stats.num_generated = raw_target;
 

@@ -18,21 +18,15 @@ namespace tg::baseline {
 /// Per-edge consumer used by the edge-at-a-time baselines.
 using EdgeConsumer = std::function<void(const Edge&)>;
 
-/// Generates one edge by recursive quadrant selection on the adjacency
-/// matrix (Section 2.1, Figure 1(b)): one uniform deviate and one quadrant
-/// choice per level, MSB first. The per-level matrices come from a
-/// NoiseVector, so the same kernel serves RMAT, SKG and NSKG (Graph500)
-/// generation.
-Edge RmatEdge(const model::NoiseVector& noise, rng::Rng* rng);
-
-/// Path-prefix probability tables for the R-MAT quadrant descent (the
-/// arXiv 1905.03525 trick, mirrored on the AVS side by
-/// core/prefix_tables.h): levels are grouped four at a time, the 4^m joint
-/// quadrant choices of a group form one PackedAliasTable, and each sampled
-/// outcome decodes into m source bits and m destination bits. One raw
-/// 64-bit draw per group — ceil(levels/4) draws per edge — instead of one
-/// deviate plus up to three compares per level. Per-level NSKG noise is
-/// baked into the group weights, so noisy seeds work unchanged. Build once
+/// The edge kernel of every R-MAT-style baseline: recursive quadrant
+/// selection on the adjacency matrix (Section 2.1, Figure 1(b)), sampled
+/// through path-prefix probability tables (the arXiv 1905.03525 trick,
+/// mirrored on the AVS side by core/prefix_tables.h). Levels are grouped
+/// four at a time, the 4^m joint quadrant choices of a group form one
+/// PackedAliasTable, and each sampled outcome decodes into m source bits
+/// and m destination bits: one raw 64-bit draw per group, ceil(levels/4)
+/// draws per edge. The per-level matrices come from a NoiseVector, so the
+/// same kernel serves RMAT, SKG and NSKG (Graph500) generation. Build once
 /// per NoiseVector; Sample is const and thread-safe.
 class RmatPrefixTables {
  public:
@@ -40,9 +34,7 @@ class RmatPrefixTables {
 
   explicit RmatPrefixTables(const model::NoiseVector& noise);
 
-  /// Draws one edge; consumes exactly one NextUint64 per level group (a
-  /// different — still deterministic — stream than RmatEdge's NextDouble
-  /// descent).
+  /// Draws one edge; consumes exactly one NextUint64 per level group.
   Edge Sample(rng::Rng* rng) const;
 
  private:
@@ -72,10 +64,6 @@ struct RmatOptions {
   /// Per-machine memory cap (nullptr = unlimited). RMAT-mem registers its
   /// O(|E|) dedup set here, which is what reproduces the paper's O.O.M rows.
   MemoryBudget* budget = nullptr;
-  /// Draw edges through RmatPrefixTables (one table draw per 4 levels)
-  /// instead of the per-level descent. Same distribution, different RNG
-  /// stream; false restores the pre-table kernel for A/B comparisons.
-  bool use_prefix_tables = true;
 
   std::uint64_t NumVertices() const { return std::uint64_t{1} << scale; }
   std::uint64_t NumEdges() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -34,9 +33,7 @@ WespStats RunWesp(cluster::SimCluster* cluster, const WespOptions& options,
 
   // Shared read-only prefix tables (Sample is const); each worker keeps its
   // own RNG stream exactly as before.
-  const std::optional<RmatPrefixTables> tables =
-      options.use_prefix_tables ? std::optional<RmatPrefixTables>(noise)
-                                : std::nullopt;
+  const RmatPrefixTables tables(noise);
 
   WespStats stats;
 
@@ -56,7 +53,7 @@ WespStats RunWesp(cluster::SimCluster* cluster, const WespOptions& options,
     MemoryBudget::TagStats* shuffle_tag = budget->Tag("cluster.shuffle_buf");
     std::uint64_t registered = 0;
     for (std::uint64_t i = 0; i < per_worker_raw; ++i) {
-      Edge e = tables ? tables->Sample(&rng) : RmatEdge(noise, &rng);
+      Edge e = tables.Sample(&rng);
       int owner = static_cast<int>(e.src / block);
       buckets[owner].push_back(e);
       // Register outbox growth in coarse chunks to keep the hot loop cheap.

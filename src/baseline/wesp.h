@@ -27,9 +27,6 @@ struct WespOptions {
   bool disk = false;
   std::string temp_dir = ".";
   std::size_t sort_buffer_items = 1 << 20;
-  /// Draw edges through RmatPrefixTables instead of the per-level descent
-  /// (see RmatOptions::use_prefix_tables).
-  bool use_prefix_tables = true;
 
   std::uint64_t NumVertices() const { return std::uint64_t{1} << scale; }
   std::uint64_t NumEdges() const {

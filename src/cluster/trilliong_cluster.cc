@@ -22,17 +22,6 @@ struct Bin {
   double mass = 0.0;
 };
 
-model::NoiseVector MakeNoise(const core::TrillionGConfig& config) {
-  model::SeedMatrix seed = config.direction == core::Direction::kOut
-                               ? config.seed
-                               : config.seed.Transposed();
-  if (config.noise <= 0.0) {
-    return model::NoiseVector(seed, config.scale);
-  }
-  rng::Rng noise_rng(config.rng_seed, /*stream=*/0xA015E1ULL);
-  return model::NoiseVector(seed, config.scale, config.noise, &noise_rng);
-}
-
 }  // namespace
 
 ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
@@ -41,7 +30,7 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   const int workers = cluster->num_workers();
   const VertexId num_vertices = config.NumVertices();
   const std::uint64_t num_edges = config.NumEdges();
-  const model::NoiseVector noise = MakeNoise(config);
+  const model::NoiseVector noise = core::MakeRunNoise(config);
   const int scale = config.scale;
 
   ClusterGenerateStats stats;

@@ -61,7 +61,7 @@ struct TrillionGConfig {
   /// see src/fault/. Setting it forces the work-stealing scheduler path even
   /// for num_workers == 1, because recovery and resume live there. When left
   /// null, Generate() arms one from TG_FAULT_PLAN if that variable is set —
-  /// the chaos CI hook, mirroring TG_CHUNKS_PER_WORKER.
+  /// the hook CI's TSan job arms, mirroring TG_CHUNKS_PER_WORKER.
   fault::FaultInjector* fault_injector = nullptr;
   /// Resume support: per worker range, the next chunk seq still to commit
   /// (all earlier chunks were journaled as durable by an interrupted

@@ -1,6 +1,6 @@
 // fault/fault_plan.h — the declarative description of the faults a run must
 // survive. A FaultPlan is parsed from `gen_cli --fault_plan` (or the
-// TG_FAULT_PLAN environment hook used by the chaos CI job) and interpreted
+// TG_FAULT_PLAN environment hook used by CI's TSan job) and interpreted
 // at runtime by fault::FaultInjector. The grammar is deliberately tiny:
 //
 //   plan    := clause (',' clause)*
@@ -40,8 +40,9 @@
 namespace tg::fault {
 
 /// Exit code used by `die` clauses (a hard std::_Exit, as close to kill -9
-/// as a single process can simulate). Distinctive so tests and the chaos CI
-/// job can assert the run died by injection, not by accident.
+/// as a single process can simulate). Distinctive so tests and the
+/// chaos.resume.* equivalence rows can assert the run died by injection,
+/// not by accident.
 inline constexpr int kKilledExitCode = 86;
 
 enum class FaultAction {

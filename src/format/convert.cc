@@ -7,6 +7,7 @@
 
 #include "format/adj6.h"
 #include "format/csr6.h"
+#include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "storage/external_sorter.h"
 
@@ -55,9 +56,9 @@ Status Adj6ToTsv(const std::string& adj6_path, const std::string& tsv_path) {
 Status MergeCsr6Shards(const std::vector<std::string>& shard_paths,
                        const std::string& out_path) {
   // Open all shards, order by range, verify tiling.
-  std::vector<std::unique_ptr<Csr6Reader>> shards;
+  std::vector<std::unique_ptr<Csr6MappedReader>> shards;
   for (const std::string& path : shard_paths) {
-    auto reader = std::make_unique<Csr6Reader>(path);
+    auto reader = std::make_unique<Csr6MappedReader>(path);
     if (!reader->status().ok()) return reader->status();
     shards.push_back(std::move(reader));
   }
@@ -73,10 +74,12 @@ Status MergeCsr6Shards(const std::vector<std::string>& shard_paths,
   }
 
   Csr6Writer writer(out_path, 0, expected);
+  std::vector<VertexId> nbrs;
   for (const auto& shard : shards) {
     for (VertexId u = shard->lo(); u < shard->hi(); ++u) {
-      auto nbrs = shard->Neighbors(u);
+      nbrs.resize(shard->Degree(u));
       if (!nbrs.empty()) {
+        shard->CopyNeighbors(u, nbrs.data());
         writer.ConsumeScope(u, nbrs.data(), nbrs.size());
       }
     }

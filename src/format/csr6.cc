@@ -211,37 +211,4 @@ void Csr6Writer::Finish() {
   obs::GetCounter("format.csr6.bytes_written")->Add(writer_->bytes_written());
 }
 
-Csr6Reader::Csr6Reader(const std::string& path) {
-  storage::FileReader reader;
-  status_ = reader.Open(path);
-  if (!status_.ok()) return;
-
-  char magic[8];
-  if (!reader.Read(magic, 8) ||
-      std::memcmp(magic, Csr6Writer::kMagic, 8) != 0) {
-    status_ = Status::Corruption("bad CSR6 magic: " + path);
-    return;
-  }
-  std::uint64_t version, lo, hi, num_edges;
-  TG_CHECK(reader.Read64(&version));
-  if (version != Csr6Writer::kVersion) {
-    status_ = Status::Corruption("unsupported CSR6 version");
-    return;
-  }
-  TG_CHECK(reader.Read64(&lo));
-  TG_CHECK(reader.Read64(&hi));
-  TG_CHECK(reader.Read64(&num_edges));
-  lo_ = lo;
-  hi_ = hi;
-  offsets_.resize(hi - lo + 1);
-  for (std::uint64_t& off : offsets_) {
-    TG_CHECK_MSG(reader.Read64(&off), "truncated CSR6 offsets");
-  }
-  TG_CHECK_MSG(offsets_.back() == num_edges, "CSR6 offsets/edge-count mismatch");
-  edges_.resize(num_edges);
-  for (VertexId& v : edges_) {
-    TG_CHECK_MSG(reader.Read48(&v), "truncated CSR6 edges");
-  }
-}
-
 }  // namespace tg::format

@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -80,35 +79,6 @@ class Csr6Writer : public core::ResumableSink {
   std::vector<VertexId> sorted_;
   bool finished_ = false;
   bool resumable_ = false;  ///< CommitState was used (or resume constructor)
-};
-
-/// Loads a CSR6 shard fully into memory.
-class Csr6Reader {
- public:
-  explicit Csr6Reader(const std::string& path);
-
-  const Status& status() const { return status_; }
-  VertexId lo() const { return lo_; }
-  VertexId hi() const { return hi_; }
-  std::uint64_t num_edges() const { return edges_.size(); }
-
-  std::uint64_t Degree(VertexId u) const {
-    TG_CHECK(u >= lo_ && u < hi_);
-    return offsets_[u - lo_ + 1] - offsets_[u - lo_];
-  }
-
-  std::span<const VertexId> Neighbors(VertexId u) const {
-    TG_CHECK(u >= lo_ && u < hi_);
-    return std::span<const VertexId>(edges_.data() + offsets_[u - lo_],
-                                     Degree(u));
-  }
-
- private:
-  Status status_;
-  VertexId lo_ = 0;
-  VertexId hi_ = 0;
-  std::vector<std::uint64_t> offsets_;
-  std::vector<VertexId> edges_;
 };
 
 }  // namespace tg::format

@@ -74,15 +74,16 @@ Csr6MappedReader::Csr6MappedReader(const std::string& path) {
     status_ = Status::Corruption("CSR6 vertex range inverted: " + path);
     return;
   }
-  const std::uint64_t offsets_bytes = (hi_ - lo_ + 1) * 8;
-  const std::uint64_t expected =
-      kFixedHeaderBytes + offsets_bytes + 6 * num_edges_;
-  if (file_bytes != expected) {
+  // Bound both counts by the file before multiplying: a header claiming
+  // ~2^61 vertices must not wrap the size equation and pass it.
+  const std::uint64_t body_bytes = file_bytes - kFixedHeaderBytes;
+  if (hi_ - lo_ >= body_bytes / 8 || num_edges_ > body_bytes / 6 ||
+      (hi_ - lo_ + 1) * 8 + 6 * num_edges_ != body_bytes) {
     status_ = Status::Corruption("CSR6 file size mismatch: " + path);
     return;
   }
   offsets_ = base + kFixedHeaderBytes;
-  neighbors_ = offsets_ + offsets_bytes;
+  neighbors_ = offsets_ + (hi_ - lo_ + 1) * 8;
   if (EdgeOffset(hi_) != num_edges_) {
     status_ = Status::Corruption("CSR6 offsets/edge-count mismatch: " + path);
     offsets_ = nullptr;

@@ -1,16 +1,17 @@
-// format/csr6_mapped.h — zero-copy CSR6 shard reader. Instead of streaming
-// the file through FileReader into freshly allocated vectors (Csr6Reader),
-// the whole shard is mmap'd read-only: the 8-byte offset table is used in
-// place (it starts at byte 40, so it is naturally 8-aligned) and the 6-byte
-// packed neighbors are decoded on the fly. Loading a shard costs one mmap
-// regardless of size; pages fault in as the query traverses them. This is
-// how tg::query loads graphs (query/csr_graph.cc).
+// format/csr6_mapped.h — the CSR6 shard reader. The whole shard is mmap'd
+// read-only: the 8-byte offset table is used in place (it starts at byte
+// 40, so it is naturally 8-aligned) and the 6-byte packed neighbors are
+// decoded on the fly. Loading a shard costs one mmap regardless of size;
+// pages fault in as the reader traverses them. tg::query loads graphs
+// through it (query/csr_graph.cc), and so do MergeCsr6Shards and the
+// degree_analysis example.
 #ifndef TRILLIONG_FORMAT_CSR6_MAPPED_H_
 #define TRILLIONG_FORMAT_CSR6_MAPPED_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "util/common.h"
 #include "util/status.h"
@@ -25,9 +26,9 @@ class Csr6MappedReader {
   Csr6MappedReader(const Csr6MappedReader&) = delete;
   Csr6MappedReader& operator=(const Csr6MappedReader&) = delete;
 
-  /// Unlike Csr6Reader's TG_CHECK aborts, structural problems (bad magic,
-  /// size mismatch, truncated offsets) surface as a Corruption status — a
-  /// query tool should report a broken shard, not crash on it.
+  /// Structural problems (bad magic, inverted vertex range, size mismatch,
+  /// offsets that disagree with the edge count) surface as a Corruption
+  /// status: a tool should report a broken shard, not crash on it.
   const Status& status() const { return status_; }
 
   VertexId lo() const { return lo_; }
@@ -57,6 +58,13 @@ class Csr6MappedReader {
 
   /// Widens u's 6-byte neighbors into `out` (Degree(u) entries).
   void CopyNeighbors(VertexId u, VertexId* out) const;
+
+  /// u's neighbors as a fresh vector (sorted, as the writer stored them).
+  std::vector<VertexId> Neighbors(VertexId u) const {
+    std::vector<VertexId> out(Degree(u));
+    CopyNeighbors(u, out.data());
+    return out;
+  }
 
   /// Widens the whole shard's neighbor array into `out` (num_edges entries),
   /// in file order — the bulk-load path of query::CsrGraph.

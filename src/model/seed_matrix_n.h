@@ -10,8 +10,7 @@
 namespace tg::model {
 
 /// General n x n seed probability matrix for SKG / FastKronecker
-/// (Section 2.2: RMAT is the special case n = 2). Precomputes the flattened
-/// cumulative distribution used by the recursive cell selection.
+/// (Section 2.2: RMAT is the special case n = 2).
 class SeedMatrixN {
  public:
   SeedMatrixN(int n, std::vector<double> entries)
@@ -25,13 +24,6 @@ class SeedMatrixN {
       total += e;
     }
     TG_CHECK_MSG(std::abs(total - 1.0) < 1e-9, "seed entries must sum to 1");
-    cumulative_.resize(entries_.size());
-    double cum = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      cum += entries_[i];
-      cumulative_[i] = cum;
-    }
-    cumulative_.back() = 1.0;
   }
 
   static SeedMatrixN FromSeedMatrix(const SeedMatrix& k) {
@@ -54,21 +46,6 @@ class SeedMatrixN {
     return s;
   }
 
-  /// Selects a cell from a uniform deviate in [0, 1): returns row * n + col.
-  /// Binary search over the cumulative entries.
-  int SelectCell(double x) const {
-    int lo = 0, hi = static_cast<int>(cumulative_.size()) - 1;
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (cumulative_[mid] <= x) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
   /// Number of recursion levels for |V| vertices (requires |V| = n^levels).
   int LevelsFor(VertexId num_vertices) const {
     int levels = 0;
@@ -85,7 +62,6 @@ class SeedMatrixN {
  private:
   int n_;
   std::vector<double> entries_;
-  std::vector<double> cumulative_;
 };
 
 }  // namespace tg::model

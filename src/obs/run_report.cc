@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -18,56 +18,13 @@ namespace tg::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// JSON writing. The report is the only producer, so the writer is a handful
-// of append helpers rather than a general serializer.
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+// JSON writing: strings and doubles go through json::AppendString /
+// json::AppendDouble; the layout is a handful of append calls rather than a
+// general serializer.
 
 void AppendU64(std::uint64_t v, std::string* out) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
-
-void AppendDouble(double v, std::string* out) {
-  char buf[40];
-  // %.17g round-trips IEEE doubles exactly.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // JSON has no inf/nan; clamp to null-free sentinels.
-  if (std::strstr(buf, "inf") != nullptr || std::strstr(buf, "nan") != nullptr) {
-    *out += "0";
-    return;
-  }
   *out += buf;
 }
 
@@ -91,7 +48,9 @@ struct SchemaReader {
     if (!v.is_string()) failed = true;
     return v.str;
   }
+  /// `null` is how ToJson writes a non-finite value; it reads back as NaN.
   double Double(const json::Value& v) {
+    if (v.is_null()) return std::numeric_limits<double>::quiet_NaN();
     if (!v.is_number()) failed = true;
     return v.number;
   }
@@ -127,7 +86,7 @@ void AppendOomReport(const OomReport& report, const std::string& pad,
   std::snprintf(buf, sizeof(buf), "%d", report.machine);
   *out += buf;
   *out += ",\n" + field_pad + "\"tag\": ";
-  AppendEscaped(report.tag, out);
+  json::AppendString(report.tag, out);
   *out += ",\n" + field_pad + "\"requested_bytes\": ";
   AppendU64(report.requested_bytes, out);
   *out += ",\n" + field_pad + "\"used_bytes\": ";
@@ -135,14 +94,14 @@ void AppendOomReport(const OomReport& report, const std::string& pad,
   *out += ",\n" + field_pad + "\"limit_bytes\": ";
   AppendU64(report.limit_bytes, out);
   *out += ",\n" + field_pad + "\"span_stack\": ";
-  AppendEscaped(report.span_stack, out);
+  json::AppendString(report.span_stack, out);
   *out += ",\n" + field_pad + "\"breakdown\": [";
   bool first = true;
   for (const OomReport::TagUsage& usage : report.breakdown) {
     *out += first ? "\n" : ",\n";
     first = false;
     *out += field_pad + "  {\"tag\": ";
-    AppendEscaped(usage.tag, out);
+    json::AppendString(usage.tag, out);
     *out += ", \"used_bytes\": ";
     AppendU64(usage.used_bytes, out);
     *out += ", \"peak_bytes\": ";
@@ -153,12 +112,12 @@ void AppendOomReport(const OomReport& report, const std::string& pad,
   *out += "],\n" + field_pad + "\"headroom_t\": [";
   for (std::size_t i = 0; i < report.headroom_t.size(); ++i) {
     if (i != 0) *out += ", ";
-    AppendDouble(report.headroom_t[i], out);
+    json::AppendDouble(report.headroom_t[i], out);
   }
   *out += "],\n" + field_pad + "\"headroom_pct\": [";
   for (std::size_t i = 0; i < report.headroom_pct.size(); ++i) {
     if (i != 0) *out += ", ";
-    AppendDouble(report.headroom_pct[i], out);
+    json::AppendDouble(report.headroom_pct[i], out);
   }
   *out += "]\n" + pad + "}";
 }
@@ -241,16 +200,16 @@ std::string RunReport::ToJson() const {
   for (const auto& [key, value] : meta) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendEscaped(key, &out);
+    json::AppendString(key, &out);
     out += ": ";
-    AppendEscaped(value, &out);
+    json::AppendString(value, &out);
   }
   out += "\n  },\n  \"counters\": {";
   first = true;
   for (const auto& [name, value] : counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendEscaped(name, &out);
+    json::AppendString(name, &out);
     out += ": ";
     AppendU64(value, &out);
   }
@@ -259,16 +218,16 @@ std::string RunReport::ToJson() const {
   for (const auto& [name, value] : gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendEscaped(name, &out);
+    json::AppendString(name, &out);
     out += ": ";
-    AppendDouble(value, &out);
+    json::AppendDouble(value, &out);
   }
   out += "\n  },\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendEscaped(name, &out);
+    json::AppendString(name, &out);
     out += ": {\"count\": ";
     AppendU64(h.count, &out);
     out += ", \"sum\": ";
@@ -290,7 +249,7 @@ std::string RunReport::ToJson() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     out += "{\"path\": ";
-    AppendEscaped(row.path, &out);
+    json::AppendString(row.path, &out);
     out += ", \"machine\": ";
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%d", row.machine);
@@ -298,9 +257,9 @@ std::string RunReport::ToJson() const {
     out += ", \"count\": ";
     AppendU64(row.count, &out);
     out += ", \"wall_seconds\": ";
-    AppendDouble(row.wall_seconds, &out);
+    json::AppendDouble(row.wall_seconds, &out);
     out += ", \"cpu_seconds\": ";
-    AppendDouble(row.cpu_seconds, &out);
+    json::AppendDouble(row.cpu_seconds, &out);
     out += "}";
   }
   out += "\n  ],\n  \"machines\": [";
@@ -314,9 +273,9 @@ std::string RunReport::ToJson() const {
     out += buf;
     for (const auto& [key, value] : stats) {
       out += ", ";
-      AppendEscaped(key, &out);
+      json::AppendString(key, &out);
       out += ": ";
-      AppendDouble(value, &out);
+      json::AppendDouble(value, &out);
     }
     out += "}";
   }
@@ -332,7 +291,7 @@ std::string RunReport::ToJson() const {
       out += first ? "\n    " : ",\n    ";
       first = false;
       out += "{\"kind\": ";
-      AppendEscaped(event.kind, &out);
+      json::AppendString(event.kind, &out);
       out += ", \"machine\": ";
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%d", event.machine);
@@ -340,7 +299,7 @@ std::string RunReport::ToJson() const {
       out += ", \"ordinal\": ";
       AppendU64(event.ordinal, &out);
       out += ", \"detail\": ";
-      AppendEscaped(event.detail, &out);
+      json::AppendString(event.detail, &out);
       out += "}";
     }
     out += "\n  ]";
@@ -360,9 +319,9 @@ std::string RunReport::ToJson() const {
       out += first ? "\n      " : ",\n      ";
       first = false;
       out += "{\"phase\": ";
-      AppendEscaped(row.phase, &out);
+      json::AppendString(row.phase, &out);
       out += ", \"frame\": ";
-      AppendEscaped(row.frame, &out);
+      json::AppendString(row.frame, &out);
       out += ", \"self\": ";
       AppendU64(row.self, &out);
       out += ", \"total\": ";
@@ -377,18 +336,18 @@ std::string RunReport::ToJson() const {
   for (const auto& [name, ts] : series) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendEscaped(name, &out);
+    json::AppendString(name, &out);
     out += ": {\"interval_seconds\": ";
-    AppendDouble(ts.interval_seconds, &out);
+    json::AppendDouble(ts.interval_seconds, &out);
     out += ", \"t\": [";
     for (std::size_t i = 0; i < ts.t.size(); ++i) {
       if (i != 0) out += ", ";
-      AppendDouble(ts.t[i], &out);
+      json::AppendDouble(ts.t[i], &out);
     }
     out += "], \"v\": [";
     for (std::size_t i = 0; i < ts.v.size(); ++i) {
       if (i != 0) out += ", ";
-      AppendDouble(ts.v[i], &out);
+      json::AppendDouble(ts.v[i], &out);
     }
     out += "]}";
   }

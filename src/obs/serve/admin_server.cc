@@ -14,34 +14,13 @@
 #include "prof/folded.h"
 #include "prof/profiler.h"
 #include "util/build_info.h"
+#include "util/json.h"
 
 namespace tg::obs::serve {
 
 namespace {
 
 constexpr const char* kEventsChannel = "events";
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':  *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 std::string FormatDouble(double v) {
   char buf[40];
@@ -76,7 +55,7 @@ std::string TickJson(const TickSample& tick) {
   out += ", \"mem_headroom_pct\": " + FormatDouble(tick.mem_headroom_pct);
   out += ", \"drift_ms\": " + FormatDouble(tick.drift_ms);
   out += std::string(", \"phase\": ");
-  AppendJsonString(CurrentPhase(), &out);
+  json::AppendString(CurrentPhase(), &out);
   out += "}";
   return out;
 }
@@ -84,11 +63,11 @@ std::string TickJson(const TickSample& tick) {
 /// data payload of a fault/log SSE event.
 std::string EventJson(const Event& event) {
   std::string out = "{\"kind\": ";
-  AppendJsonString(event.kind, &out);
+  json::AppendString(event.kind, &out);
   out += ", \"machine\": " + std::to_string(event.machine);
   out += ", \"ordinal\": " + std::to_string(event.ordinal);
   out += ", \"detail\": ";
-  AppendJsonString(event.detail, &out);
+  json::AppendString(event.detail, &out);
   out += "}";
   return out;
 }

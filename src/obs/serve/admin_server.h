@@ -25,7 +25,8 @@
 //   GET /pprof/status sampler rate, sample/drop counts, ring occupancy
 //
 // The server only *reads* observability state — generation output is
-// bit-identical with the server on or off (CI's admin-smoke job proves it).
+// bit-identical with the server on or off (the `admin` equivalence row in
+// tests/equivalence_matrix.py proves it).
 #ifndef TRILLIONG_OBS_SERVE_ADMIN_SERVER_H_
 #define TRILLIONG_OBS_SERVE_ADMIN_SERVER_H_
 

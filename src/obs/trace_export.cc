@@ -14,7 +14,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 
@@ -22,6 +21,7 @@
 #include "obs/trace.h"
 #include "storage/file_io.h"
 #include "storage/fs.h"
+#include "util/json.h"
 
 namespace tg::obs {
 
@@ -37,38 +37,9 @@ int PidOf(const TraceEvent& event) {
   return event.machine < 0 ? kDriverPid : kMachinePidBase + event.machine;
 }
 
-void AppendEscaped(const char* s, std::string* out) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendMicros(std::int64_t ns, std::string* out) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
-  *out += buf;
-}
-
-void AppendDouble(double v, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  if (std::strstr(buf, "inf") != nullptr ||
-      std::strstr(buf, "nan") != nullptr) {
-    *out += "0";
-    return;
-  }
   *out += buf;
 }
 
@@ -78,7 +49,7 @@ void AppendMetadata(const char* what, int pid, int tid, bool with_tid,
   *out += *first ? "\n  " : ",\n  ";
   *first = false;
   *out += "{\"name\": ";
-  AppendEscaped(what, out);
+  json::AppendString(what, out);
   *out += ", \"ph\": \"M\", \"pid\": ";
   *out += std::to_string(pid);
   if (with_tid) {
@@ -86,7 +57,7 @@ void AppendMetadata(const char* what, int pid, int tid, bool with_tid,
     *out += std::to_string(tid);
   }
   *out += ", \"args\": {\"name\": ";
-  AppendEscaped(label.c_str(), out);
+  json::AppendString(label, out);
   *out += "}}";
 }
 
@@ -135,7 +106,7 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
     out += first ? "\n  " : ",\n  ";
     first = false;
     out += "{\"name\": ";
-    AppendEscaped(event.name == nullptr ? "?" : event.name, &out);
+    json::AppendString(event.name == nullptr ? "?" : event.name, &out);
     out += ", \"pid\": ";
     out += std::to_string(PidOf(event));
     out += ", \"tid\": ";
@@ -155,7 +126,7 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
         break;
       case TraceEventType::kCounter:
         out += ", \"ph\": \"C\", \"args\": {\"value\": ";
-        AppendDouble(event.value, &out);
+        json::AppendDouble(event.value, &out);
         out += "}}";
         break;
       case TraceEventType::kWire: {
@@ -165,7 +136,7 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
         out += ", \"ph\": \"X\", \"dur\": ";
         AppendMicros(static_cast<std::int64_t>(event.value * 1e9), &out);
         out += ", \"args\": {\"simulated_seconds\": ";
-        AppendDouble(event.value, &out);
+        json::AppendDouble(event.value, &out);
         out += "}}";
         cumulative_wire_seconds += event.value;
         out += ",\n  {\"name\": \"net.simulated_seconds\", \"pid\": ";
@@ -175,7 +146,7 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
         out += ", \"ts\": ";
         AppendMicros(event.ts_ns, &out);
         out += ", \"ph\": \"C\", \"args\": {\"value\": ";
-        AppendDouble(cumulative_wire_seconds, &out);
+        json::AppendDouble(cumulative_wire_seconds, &out);
         out += "}}";
         break;
       }
@@ -193,7 +164,7 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
   out += ", \"ts\": ";
   AppendMicros(last_ts_ns, &out);
   out += ", \"ph\": \"C\", \"args\": {\"value\": ";
-  AppendDouble(GetGauge("net.simulated_seconds")->value(), &out);
+  json::AppendDouble(GetGauge("net.simulated_seconds")->value(), &out);
   out += "}}";
 
   out += "\n],\n\"otherData\": {\"dropped_events\": ";

@@ -15,7 +15,8 @@
 // frames next to the on-CPU stacks.
 //
 // The profiler only *reads* program state — generated output is
-// bit-identical with sampling on or off (CI's prof-smoke job proves it).
+// bit-identical with sampling on or off (the `prof` equivalence row in
+// tests/equivalence_matrix.py proves it).
 // docs/OBSERVABILITY.md "Profiling" documents usage and the output formats.
 #ifndef TRILLIONG_PROF_PROFILER_H_
 #define TRILLIONG_PROF_PROFILER_H_

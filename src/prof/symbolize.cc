@@ -66,6 +66,22 @@ std::string HexName(std::uintptr_t pc) {
   return buf;
 }
 
+/// `ns::Fn(int, char*) const` -> `ns::Fn`; `(anonymous namespace)` stays,
+/// with its space made '_' like every other.
+std::string TidyDemangled(std::string name) {
+  for (std::size_t open = name.find('('); open != std::string::npos;
+       open = name.find('(', open + 1)) {
+    if (name.compare(open, 21, "(anonymous namespace)") != 0) {
+      name.resize(open);
+      break;
+    }
+  }
+  for (char& c : name) {
+    if (c == ' ') c = '_';
+  }
+  return name;
+}
+
 std::string ResolveUncached(std::uintptr_t pc) {
 #if defined(__linux__)
   Dl_info info;
@@ -75,7 +91,7 @@ std::string ResolveUncached(std::uintptr_t pc) {
     char* demangled = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr,
                                           &demangle_status);
     if (demangle_status == 0 && demangled != nullptr) {
-      std::string name(demangled);
+      std::string name = TidyDemangled(demangled);
       std::free(demangled);
       return name;
     }

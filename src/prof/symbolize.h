@@ -15,6 +15,9 @@ namespace tg::prof {
 /// addresses — the instruction after the call — so pass `is_leaf = false`
 /// to symbolize `pc - 1` and land inside the calling function even when
 /// the call is its final instruction. Results are cached per pc.
+/// A demangled name is one token, as in stackcollapse-perf output: the
+/// parameter list is dropped and any remaining space becomes '_', so a
+/// folded line is `frame;frame;... <count>` with no other spaces.
 std::string SymbolizeFrame(std::uintptr_t pc, bool is_leaf);
 
 /// Drops the pc → name cache (tests use this to exercise cold lookups).

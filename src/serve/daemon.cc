@@ -18,6 +18,7 @@
 #include "format/tsv.h"
 #include "obs/metrics.h"
 #include "obs/serve/admin_server.h"
+#include "util/json.h"
 #include "util/memory_budget.h"
 
 namespace tg::serve {
@@ -57,12 +58,9 @@ std::uint64_t DurableBytesFromToken(const std::string& token) {
 }
 
 std::string JsonError(const std::string& message) {
-  std::string out = "{\"error\": \"";
-  for (char ch : message) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) >= 0x20) out.push_back(ch);
-  }
-  out += "\"}\n";
+  std::string out = "{\"error\": ";
+  json::AppendString(message, &out);
+  out += "}\n";
   return out;
 }
 
@@ -603,8 +601,6 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
     RecordServeEvent("serve.cancel", req->id, req->gen.tenant);
   } else {
     obs::GetCounter("serve.completed")->Add(1);
-    obs::GetCounter("serve.tenant." + req->gen.tenant + ".bytes_streamed")
-        ->Add(req->bytes_streamed);
     RecordServeEvent("serve.done", req->id,
                      req->gen.tenant + " bytes=" +
                          std::to_string(req->bytes_streamed));
@@ -624,7 +620,11 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
   const std::string& channel = req->channel;
   const std::size_t block_bytes = std::max<std::size_t>(
       options_.stream_block_bytes, 4 * 1024);
+  // Both counters move before the bytes go out, so a client that has read
+  // the whole stream never sees them short.
   obs::Counter* streamed_counter = obs::GetCounter("serve.bytes_streamed");
+  obs::Counter* tenant_streamed_counter =
+      obs::GetCounter("serve.tenant." + req->gen.tenant + ".bytes_streamed");
 
   auto abort_stream = [&](const char* why) {
     req->cancel.store(true);
@@ -730,10 +730,11 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
         if (std::fseek(file, static_cast<long>(sent), SEEK_SET) != 0) break;
         const std::size_t got = std::fread(block.data(), 1, want, file);
         if (got == 0) break;  // writer mid-flush; retry next round
-        server_.Broadcast(channel, std::string(block.data(), got));
-        sent += got;
         req->bytes_streamed += got;
         streamed_counter->Add(got);
+        tenant_streamed_counter->Add(got);
+        server_.Broadcast(channel, std::string(block.data(), got));
+        sent += got;
       }
       if (done && sent >= target) break;  // shard fully streamed
     }

@@ -6,6 +6,8 @@
 #endif
 #endif
 
+#include "util/json.h"
+
 // Placeholders for builds that bypass CMake (the generated header carries
 // the real values).
 #ifndef TG_BUILD_GIT_DESCRIBE
@@ -39,15 +41,6 @@ std::map<std::string, std::string> MakeBuildInfo() {
   return info;
 }
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 const std::map<std::string, std::string>& BuildInfoMap() {
@@ -56,17 +49,17 @@ const std::map<std::string, std::string>& BuildInfoMap() {
   return *info;
 }
 
-std::string BuildInfoJson() {
+std::string BuildInfoJson(const std::map<std::string, std::string>& info) {
   std::string out = "{";
   bool first = true;
-  for (const auto& [key, value] : BuildInfoMap()) {
+  for (const auto& [key, value] : info) {
     out += first ? "\n  " : ",\n  ";
     first = false;
     // Strip the "build." prefix: the endpoint is already scoped.
-    AppendJsonEscaped(key.rfind("build.", 0) == 0 ? key.substr(6) : key,
-                      &out);
+    json::AppendString(key.rfind("build.", 0) == 0 ? key.substr(6) : key,
+                       &out);
     out += ": ";
-    AppendJsonEscaped(value, &out);
+    json::AppendString(value, &out);
   }
   out += "\n}\n";
   return out;

@@ -19,7 +19,8 @@ const std::map<std::string, std::string>& BuildInfoMap();
 
 /// The same data as a single JSON object (one key per `build.*` entry,
 /// prefix stripped), newline-terminated — the /buildz response body.
-std::string BuildInfoJson();
+std::string BuildInfoJson(
+    const std::map<std::string, std::string>& info = BuildInfoMap());
 
 }  // namespace tg::util
 

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tg::json {
@@ -247,6 +249,49 @@ Status Parse(const std::string& text, Value* out) {
     return Status::Corruption("trailing garbage after JSON document");
   }
   return Status::Ok();
+}
+
+void AppendString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void AppendDouble(double v, std::string* out) {
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  *out += buf;
 }
 
 }  // namespace tg::json

@@ -1,14 +1,19 @@
-// util/json.h — a minimal JSON document model and recursive-descent parser.
+// util/json.h — a minimal JSON document model and recursive-descent parser,
+// plus the two value writers every JSON producer shares.
 // The repository's one JSON reader: obs::RunReport::FromJson, the serve
 // daemon's request bodies, and tests and tooling that inspect Chrome trace
 // files all walk documents parsed here. Input may be untrusted (a POST body),
-// so nesting depth is bounded.
+// so nesting depth is bounded. The run report, Chrome trace export, admin
+// SSE payloads, /buildz and the daemon's error bodies write their strings
+// and doubles through AppendString / AppendDouble, so Parse reads back
+// exactly what they wrote.
 #ifndef TRILLIONG_UTIL_JSON_H_
 #define TRILLIONG_UTIL_JSON_H_
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -70,6 +75,15 @@ struct Value {
 /// strings survives a round trip. Corruption on malformed input or nesting
 /// beyond kMaxNestingDepth.
 Status Parse(const std::string& text, Value* out);
+
+/// Appends `s` as a quoted JSON string literal: `"` and `\` are escaped,
+/// \n \r \t get their short forms, and every other control character
+/// becomes \u00XX. Other bytes (UTF-8 included) pass through.
+void AppendString(std::string_view s, std::string* out);
+
+/// Appends `v` with round-trip precision (%.17g). JSON has no inf or NaN:
+/// a non-finite value is written as `null`.
+void AppendDouble(double v, std::string* out);
 
 }  // namespace tg::json
 

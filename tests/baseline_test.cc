@@ -21,28 +21,33 @@ using model::EdgeProbability;
 using model::NoiseVector;
 using model::SeedMatrix;
 
+// The baselines' edge kernel, RmatPrefixTables::Sample, draws each cell of
+// the adjacency matrix with its Kronecker probability. Scale 5 spans two
+// level groups (4 + 1), so the group boundary is covered too.
 TEST(RmatEdgeTest, EdgeDistributionMatchesCellProbabilities) {
-  const int scale = 3;
+  const int scale = 5;
+  const VertexId nv = VertexId{1} << scale;
   SeedMatrix seed = SeedMatrix::Graph500();
   EdgeProbability prob(seed, scale);
   NoiseVector noise(seed, scale);
+  const RmatPrefixTables tables(noise);
   rng::Rng rng(11);
-  const int n = 200000;
-  std::vector<int> counts(64, 0);
+  const int n = 1 << 24;  // the rarest cell, d^5, still expects 5 hits
+  std::vector<int> counts(nv * nv, 0);
   for (int i = 0; i < n; ++i) {
-    Edge e = RmatEdge(noise, &rng);
-    ++counts[e.src * 8 + e.dst];
+    Edge e = tables.Sample(&rng);
+    ++counts[e.src * nv + e.dst];
   }
   double chi2 = 0;
-  for (VertexId u = 0; u < 8; ++u) {
-    for (VertexId v = 0; v < 8; ++v) {
+  for (VertexId u = 0; u < nv; ++u) {
+    for (VertexId v = 0; v < nv; ++v) {
       double expected = n * prob.CellProbability(u, v);
-      chi2 += (counts[u * 8 + v] - expected) * (counts[u * 8 + v] - expected) /
-              expected;
+      chi2 += (counts[u * nv + v] - expected) *
+              (counts[u * nv + v] - expected) / expected;
     }
   }
-  // 63 dof, 99.9% critical value ~103.4.
-  EXPECT_LT(chi2, 103.4);
+  // 1023 dof, 99.9% critical value ~1168.
+  EXPECT_LT(chi2, 1168.0);
 }
 
 TEST(RmatMemTest, ProducesExactlyTargetUniqueEdges) {

@@ -7,6 +7,7 @@
 #include "format/adj6.h"
 #include "format/convert.h"
 #include "format/csr6.h"
+#include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "storage/temp_dir.h"
 
@@ -80,14 +81,14 @@ TEST(ConvertTest, MergeCsr6ShardsEqualsGeneratedGraph) {
   std::string merged = dir.File("merged.csr6");
   ASSERT_TRUE(MergeCsr6Shards(shards, merged).ok());
 
-  Csr6Reader whole(merged);
+  Csr6MappedReader whole(merged);
   ASSERT_TRUE(whole.status().ok());
   EXPECT_EQ(whole.lo(), 0u);
   EXPECT_EQ(whole.hi(), config.NumVertices());
 
   std::uint64_t shard_edges = 0;
   for (const std::string& path : shards) {
-    Csr6Reader shard(path);
+    Csr6MappedReader shard(path);
     ASSERT_TRUE(shard.status().ok());
     shard_edges += shard.num_edges();
     for (VertexId u = shard.lo(); u < shard.hi(); ++u) {
@@ -124,7 +125,7 @@ TEST(ConvertTest, Adj6ToCsr6SortsAdjacency) {
   }
   std::string csr6 = dir.File("g.csr6");
   ASSERT_TRUE(Adj6ToCsr6(adj6, csr6, 16).ok());
-  Csr6Reader reader(csr6);
+  Csr6MappedReader reader(csr6);
   ASSERT_TRUE(reader.status().ok());
   auto nbrs = reader.Neighbors(2);
   EXPECT_EQ(std::vector<VertexId>(nbrs.begin(), nbrs.end()),
@@ -152,7 +153,7 @@ TEST(ConvertTest, FullPipelineTsvToCsr6ViaAdj6) {
 
   std::vector<Edge> original = TsvReader::ReadAll(tsv);
   std::sort(original.begin(), original.end());
-  Csr6Reader reader(csr6);
+  Csr6MappedReader reader(csr6);
   ASSERT_TRUE(reader.status().ok());
   std::vector<Edge> converted;
   for (VertexId u = 0; u < config.NumVertices(); ++u) {

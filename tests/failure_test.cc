@@ -80,7 +80,10 @@ TEST(FailureTest, TruncatedCsr6OffsetsRejected) {
     w.Append64(0);   // num_edges — but offsets are missing entirely
     ASSERT_TRUE(w.Close().ok());
   }
-  EXPECT_DEATH(format::Csr6Reader reader(path), "truncated CSR6 offsets");
+  const Status s = format::MergeCsr6Shards({path}, dir.File("out.csr6"));
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("size mismatch"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(FailureTest, Csr6OffsetEdgeCountMismatchRejected) {
@@ -96,9 +99,41 @@ TEST(FailureTest, Csr6OffsetEdgeCountMismatchRejected) {
     w.Append64(5);  // claims 5 edges
     w.Append64(0);  // offsets[0]
     w.Append64(2);  // offsets[1] == 2 != 5
+    for (int i = 0; i < 5; ++i) w.Append48(0);  // the file size still adds up
     ASSERT_TRUE(w.Close().ok());
   }
-  EXPECT_DEATH(format::Csr6Reader reader(path), "mismatch");
+  const Status s = format::MergeCsr6Shards({path}, dir.File("out.csr6"));
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("offsets/edge-count mismatch"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(FailureTest, Csr6BadVertexRangeRejected) {
+  storage::TempDir dir;
+  auto write_header = [&](const std::string& name, std::uint64_t lo,
+                          std::uint64_t hi) {
+    const std::string path = dir.File(name);
+    storage::FileWriter w;
+    EXPECT_TRUE(w.Open(path).ok());
+    w.Append("TGCSR6\0\0", 8);
+    w.Append64(1);  // version
+    w.Append64(lo);
+    w.Append64(hi);
+    w.Append64(0);  // num_edges
+    EXPECT_TRUE(w.Close().ok());
+    return path;
+  };
+  // hi < lo: the offset table would span ~2^64 entries.
+  Status s = format::MergeCsr6Shards({write_header("inverted.csr6", 16, 0)},
+                                     dir.File("out.csr6"));
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("inverted"), std::string::npos) << s.ToString();
+  // 2^61 vertices: (hi - lo + 1) * 8 wraps to 0, which must not pass for a
+  // header-only file.
+  s = format::MergeCsr6Shards(
+      {write_header("huge.csr6", 0, (std::uint64_t{1} << 61) - 1)},
+      dir.File("out.csr6"));
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
 }
 
 // The 48-bit range check lives at the format-writer scope level (one check

@@ -8,6 +8,7 @@
 #include "core/trilliong.h"
 #include "format/adj6.h"
 #include "format/csr6.h"
+#include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "storage/temp_dir.h"
 
@@ -144,7 +145,7 @@ TEST(Csr6Test, RoundTripWholeGraph) {
     writer.Finish();
     EXPECT_TRUE(writer.status().ok());
   }
-  Csr6Reader reader(path);
+  Csr6MappedReader reader(path);
   ASSERT_TRUE(reader.status().ok());
   EXPECT_EQ(reader.lo(), 0u);
   EXPECT_EQ(reader.hi(), 8u);
@@ -170,7 +171,7 @@ TEST(Csr6Test, ShardWithNonZeroLow) {
     writer.ConsumeScope(105, adj.data(), adj.size());
     writer.Finish();
   }
-  Csr6Reader reader(path);
+  Csr6MappedReader reader(path);
   ASSERT_TRUE(reader.status().ok());
   EXPECT_EQ(reader.lo(), 100u);
   EXPECT_EQ(reader.hi(), 110u);
@@ -185,7 +186,7 @@ TEST(Csr6Test, RejectsCorruptMagic) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fwrite("NOTCSR00", 1, 8, f);
   std::fclose(f);
-  Csr6Reader reader(path);
+  Csr6MappedReader reader(path);
   EXPECT_FALSE(reader.status().ok());
 }
 
@@ -238,7 +239,7 @@ TEST(FormatIntegrationTest, GeneratorToAllThreeFormatsAgree) {
               }).ok());
   std::sort(adj_edges.begin(), adj_edges.end());
 
-  Csr6Reader csr(csr_path);
+  Csr6MappedReader csr(csr_path);
   ASSERT_TRUE(csr.status().ok());
   std::vector<Edge> csr_edges;
   for (VertexId u = 0; u < config.NumVertices(); ++u) {

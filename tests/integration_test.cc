@@ -16,6 +16,7 @@
 #include "core/trilliong.h"
 #include "format/adj6.h"
 #include "format/csr6.h"
+#include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "storage/temp_dir.h"
 
@@ -96,7 +97,7 @@ TEST(IntegrationTest, Csr6ShardsCoverExactVertexRanges) {
     if (i > 0) {
       EXPECT_EQ(shards[i].lo, shards[i - 1].hi);
     }
-    format::Csr6Reader reader(shards[i].path);
+    format::Csr6MappedReader reader(shards[i].path);
     ASSERT_TRUE(reader.status().ok());
     EXPECT_EQ(reader.lo(), shards[i].lo);
     EXPECT_EQ(reader.hi(), shards[i].hi);

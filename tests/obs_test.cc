@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -225,6 +227,23 @@ TEST_F(ObsTest, JsonRoundTrip) {
   EXPECT_EQ(parsed.spans[0].count, 1u);
   EXPECT_DOUBLE_EQ(parsed.spans[0].wall_seconds, 1.5);
   EXPECT_DOUBLE_EQ(parsed.spans[0].cpu_seconds, 0.75);
+}
+
+TEST_F(ObsTest, NonFiniteGaugesRoundTripAsNonFinite) {
+  // JSON has no inf/NaN: ToJson writes null, FromJson reads null as NaN, so
+  // a broken gauge stays visibly broken instead of reading back as 0.
+  RunReport report;
+  report.gauges["g.nan"] = std::numeric_limits<double>::quiet_NaN();
+  report.gauges["g.inf"] = std::numeric_limits<double>::infinity();
+  report.gauges["g.ok"] = 0.5;
+  const std::string text = report.ToJson();
+  EXPECT_NE(text.find("\"g.nan\": null"), std::string::npos) << text;
+  RunReport parsed;
+  Status status = RunReport::FromJson(text, &parsed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(std::isfinite(parsed.gauges.at("g.nan")));
+  EXPECT_FALSE(std::isfinite(parsed.gauges.at("g.inf")));
+  EXPECT_EQ(parsed.gauges.at("g.ok"), 0.5);
 }
 
 TEST_F(ObsTest, FromJsonRejectsGarbage) {

@@ -247,6 +247,15 @@ TEST(SymbolizeTest, DeterministicAcrossCacheClear) {
   EXPECT_NE(warm.find("CaptureStack"), std::string::npos) << warm;
 }
 
+TEST(SymbolizeTest, DemangledNamesAreOneTokenWithoutParameters) {
+  // CaptureStack(unsigned long*, int): the parameter list and its spaces
+  // would break the `frame;frame <count>` folded line.
+  const std::uintptr_t pc =
+      reinterpret_cast<std::uintptr_t>(&prof::CaptureStack);
+  EXPECT_EQ(prof::SymbolizeFrame(pc, /*is_leaf=*/true),
+            "tg::prof::CaptureStack");
+}
+
 TEST(SymbolizeTest, NonLeafFramesResolveTheCallSite) {
   // A return address that is the first byte *after* a function still lands
   // inside it thanks to the pc-1 adjustment; symbolizing it as a leaf may

@@ -29,6 +29,7 @@
 #include "serve/minihttp_client.h"
 #include "serve/request.h"
 #include "storage/temp_dir.h"
+#include "util/json.h"
 
 namespace tg {
 namespace {
@@ -143,6 +144,16 @@ TEST_F(DaemonFixture, RejectsInvalidRequests) {
   ClientResponse got = HttpGet("127.0.0.1", port_, "/generate");
   EXPECT_EQ(got.status, 405);
   EXPECT_EQ(got.headers["allow"], "POST");
+}
+
+TEST_F(DaemonFixture, ErrorBodyIsJsonNamingTheOffendingKey) {
+  Start(DaemonOptions{});
+  // The unknown key carries a quote, a backslash and \x01 into the message.
+  ClientResponse bad = Post("{\"q\\\"b\\\\\\u0001\": 1}");
+  EXPECT_EQ(bad.status, 400);
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(bad.body, &doc).ok()) << bad.body;
+  EXPECT_EQ(doc.Find("error")->StringOr(""), "unknown field 'q\"b\\\x01'");
 }
 
 TEST(GenRequestTest, DeeplyNestedBodyIsCorruptionNotACrash) {

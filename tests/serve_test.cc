@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,6 +29,7 @@
 #include "obs/sampler.h"
 #include "obs/serve/admin_server.h"
 #include "obs/serve/prometheus.h"
+#include "util/json.h"
 
 namespace tg {
 namespace {
@@ -463,7 +465,7 @@ TEST_F(AdminServerTest, SseStreamsTicksAndFaultEvents) {
       event.kind = "fault.crash";
       event.machine = 1;
       event.ordinal = 3;
-      event.detail = "m1:crash@chunk=3";
+      event.detail = "m1:crash@chunk=3 \"q\"\\\x01";
       obs::Registry::Global().RecordEvent(event);
       event_sent = true;
     }
@@ -475,7 +477,17 @@ TEST_F(AdminServerTest, SseStreamsTicksAndFaultEvents) {
   EXPECT_NE(got.find("event: tick"), std::string::npos) << got;
   EXPECT_NE(got.find("\"edges_per_sec\""), std::string::npos) << got;
   EXPECT_NE(got.find("event: fault"), std::string::npos) << got;
-  EXPECT_NE(got.find("\"m1:crash@chunk=3\""), std::string::npos) << got;
+  // The fault frame's data line is JSON that parses back to the event.
+  EXPECT_EQ(got.find('\x01'), std::string::npos) << got;
+  const std::size_t frame = got.find("event: fault\ndata: ");
+  ASSERT_NE(frame, std::string::npos) << got;
+  const std::size_t data = frame + std::strlen("event: fault\ndata: ");
+  json::Value doc;
+  ASSERT_TRUE(
+      json::Parse(got.substr(data, got.find('\n', data) - data), &doc).ok())
+      << got;
+  EXPECT_EQ(doc.Find("detail")->StringOr(""), "m1:crash@chunk=3 \"q\"\\\x01");
+  EXPECT_EQ(doc.Find("kind")->StringOr(""), "fault.crash");
 }
 
 // The TSan target: scrape every endpoint from several client threads while a

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -205,6 +206,27 @@ TEST_F(TraceTest, ChromeJsonHasRequiredKeysOnEveryEvent) {
                 ph->str == "C" || ph->str == "X" || ph->str == "M")
         << "unexpected ph: " << ph->str;
   }
+}
+
+TEST_F(TraceTest, ChromeJsonEscapesNamesAndWritesNonFiniteAsNull) {
+  static const char kName[] = "q\"b\\s\x01";
+  TraceSnapshot snapshot;
+  TraceSnapshot::Row row;
+  row.event.name = kName;
+  row.event.type = TraceEventType::kCounter;
+  row.event.value = std::numeric_limits<double>::quiet_NaN();
+  snapshot.rows.push_back(row);
+  const std::string text = TraceToChromeJson(snapshot);
+  EXPECT_EQ(text.find('\x01'), std::string::npos) << text;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(text, &doc).ok()) << text;
+  bool found = false;
+  for (const json::Value& event : doc.Find("traceEvents")->array) {
+    if (event.Find("name")->StringOr("") != kName) continue;
+    found = true;
+    EXPECT_TRUE(event.Find("args")->Find("value")->is_null()) << text;
+  }
+  EXPECT_TRUE(found) << text;
 }
 
 TEST_F(TraceTest, ChromeJsonBalancedBeginEndAndMonotonicTimestamps) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -9,6 +12,7 @@
 
 #include "obs/run_report.h"
 #include "rng/random.h"
+#include "util/build_info.h"
 #include "util/common.h"
 #include "util/flags.h"
 #include "util/flat_set64.h"
@@ -470,6 +474,65 @@ TEST(JsonUnicodeTest, RunReportMetaRoundTripsMultiByteContent) {
   ASSERT_NE(meta, nullptr);
   EXPECT_EQ(meta->Find("path")->StringOr(""), "caf\xc3\xa9/run\t1");
   EXPECT_EQ(meta->Find("emoji")->StringOr(""), "\xf0\x9f\x98\x80");
+}
+
+// --- Writers (json::AppendString / json::AppendDouble): every JSON producer
+// writes through them, so what they emit must parse back to the original.
+
+const std::string kAwkward = "q\"b\\s\x01 tab\t nl\n\x1f";
+
+TEST(JsonWriterTest, AppendStringRoundTripsQuotesBackslashesAndControls) {
+  std::string text;
+  json::AppendString(kAwkward, &text);
+  EXPECT_EQ(text.find('\x01'), std::string::npos) << text;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(text, &doc).ok()) << text;
+  EXPECT_EQ(doc.str, kAwkward);
+}
+
+TEST(JsonWriterTest, AppendDoubleRoundTripsAndWritesNonFiniteAsNull) {
+  for (double v : {0.1, -1e300, 5e-324, 123456789.0, 0.0}) {
+    std::string text;
+    json::AppendDouble(v, &text);
+    json::Value doc;
+    ASSERT_TRUE(json::Parse(text, &doc).ok()) << text;
+    EXPECT_EQ(doc.number, v) << text;
+  }
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    std::string text;
+    json::AppendDouble(v, &text);
+    EXPECT_EQ(text, "null");
+  }
+}
+
+TEST(JsonWriterTest, BuildInfoJsonEscapesValues) {
+  // Compiler flags are free text: a control character must be escaped, not
+  // written raw (strict JSON parsers reject raw control characters).
+  const std::string text =
+      util::BuildInfoJson({{"build.flags", kAwkward}, {"build.git", "x"}});
+  EXPECT_EQ(text.find('\x01'), std::string::npos) << text;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(text, &doc).ok()) << text;
+  ASSERT_NE(doc.Find("flags"), nullptr);
+  EXPECT_EQ(doc.Find("flags")->StringOr(""), kAwkward);
+  EXPECT_EQ(doc.Find("git")->StringOr(""), "x");
+}
+
+TEST(JsonWriterTest, RunReportRoundTripsAwkwardStrings) {
+  obs::RunReport report;
+  report.meta[kAwkward] = kAwkward;
+  report.counters[kAwkward] = 3;
+  const std::string text = report.ToJson();
+  EXPECT_EQ(text.find('\x01'), std::string::npos) << text;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(text, &doc).ok());
+  EXPECT_EQ(doc.Find("meta")->Find(kAwkward)->StringOr(""), kAwkward);
+  obs::RunReport back;
+  ASSERT_TRUE(obs::RunReport::FromJson(text, &back).ok());
+  EXPECT_EQ(back.meta, report.meta);
+  EXPECT_EQ(back.counters, report.counters);
 }
 
 }  // namespace
