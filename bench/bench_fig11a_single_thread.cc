@@ -30,7 +30,8 @@ constexpr std::uint64_t kDefaultBudgetBytes = 96ULL << 20;
 }  // namespace
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_fig11a");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_fig11a"));
   const std::uint64_t kBudgetBytes =
       tg::bench::BudgetBytesFromEnv(kDefaultBudgetBytes);
   tg::bench::Banner(

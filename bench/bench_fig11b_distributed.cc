@@ -38,7 +38,8 @@ tg::cluster::SimCluster::Options ClusterOptions() {
 }  // namespace
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_fig11b");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_fig11b"));
   tg::bench::Banner(
       "Figure 11(b): distributed methods, 4 machines, scales 15-19, "
       "48 MiB/machine",

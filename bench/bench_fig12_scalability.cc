@@ -18,7 +18,8 @@
 #include "util/stopwatch.h"
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_fig12");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_fig12"));
   tg::bench::Banner(
       "Figure 12: TrillionG scalability, scales 17-22, ADJ6 output",
       "Park & Kim, SIGMOD'17, Figure 12",

@@ -13,7 +13,8 @@
 #include "util/stopwatch.h"
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_fig13");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_fig13"));
   tg::bench::Banner(
       "Figure 13: breakdown of Ideas #1/#2/#3 (Scale 20)",
       "Park & Kim, SIGMOD'17, Figure 13",

@@ -34,7 +34,8 @@ struct Row {
 }  // namespace
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_fig14");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_fig14"));
   tg::bench::Banner(
       "Figure 14: TrillionG (NSKG, CSR6) vs Graph500-style, 1 GbE vs "
       "InfiniBand",

@@ -104,7 +104,8 @@ double LegacyTsvParseSeconds(const std::string& path, std::uint64_t expect) {
 }  // namespace
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_io_throughput");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_io_throughput"));
   tg::bench::Banner(
       "I/O throughput: writer transports and the TSV fast path",
       "wall-clock substrate of Figures 11/14 (docs/PERFORMANCE.md, "

@@ -85,7 +85,8 @@ PhaseResult RunPhase(int port, int clients, std::uint64_t seed_base,
 }  // namespace
 
 int main() {
-  tg::bench::ObsSession obs_session("bench_serve");
+  tg::obs::Session obs_session(
+      tg::obs::SessionOptions::FromEnv("bench_serve"));
   tg::bench::Banner(
       "tg::serve: daemon latency under concurrent tenants, cold vs cached",
       "generation-as-a-service atop the deterministic scheduler "

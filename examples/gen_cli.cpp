@@ -11,7 +11,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,30 +20,19 @@
 #include "core/trilliong.h"
 #include "fault/fault_injector.h"
 #include "fault/journal.h"
-#include "format/adj6.h"
 #include "format/csr6.h"
-#include "format/tsv.h"
+#include "format/shard.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/sampler.h"
-#include "obs/serve/admin_server.h"
-#include "obs/serve/prometheus.h"
-#include "obs/span.h"
-#include "obs/trace.h"
-#include "prof/folded.h"
-#include "prof/profiler.h"
+#include "obs/session.h"
 #include "rng/lane_rng.h"
 #include "storage/async_writer.h"
+#include "storage/fs.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 
 namespace {
-
-std::string ShardPath(const std::string& out, int worker,
-                      const std::string& format) {
-  return out + ".w" + std::to_string(worker) + "." + format;
-}
 
 /// SIGINT/SIGTERM request graceful cancellation: the flag feeds
 /// TrillionGConfig::cancel_flag, generation stops at the next chunk
@@ -60,40 +49,6 @@ void InstallStopSignalHandlers() {
   action.sa_flags = SA_RESTART;
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
-}
-
-std::unique_ptr<tg::core::ScopeSink> MakeSink(const std::string& format,
-                                              const std::string& path,
-                                              tg::VertexId lo,
-                                              tg::VertexId hi,
-                                              bool transposed) {
-  if (format == "tsv") {
-    return std::make_unique<tg::format::TsvWriter>(path, transposed);
-  }
-  if (format == "adj6") {
-    return std::make_unique<tg::format::Adj6Writer>(path);
-  }
-  if (format == "csr6") {
-    return std::make_unique<tg::format::Csr6Writer>(path, lo, hi);
-  }
-  std::fprintf(stderr, "unknown format '%s' (tsv|adj6|csr6)\n",
-               format.c_str());
-  std::exit(1);
-}
-
-/// Resume-constructing counterpart of MakeSink: restores a writer from the
-/// sink-state token the journal recorded for this shard.
-std::unique_ptr<tg::core::ScopeSink> MakeResumedSink(
-    const std::string& format, const std::string& path, tg::VertexId lo,
-    tg::VertexId hi, bool transposed, const std::string& state) {
-  tg::core::ResumeFrom from{state};
-  if (format == "tsv") {
-    return std::make_unique<tg::format::TsvWriter>(path, transposed, from);
-  }
-  if (format == "adj6") {
-    return std::make_unique<tg::format::Adj6Writer>(path, from);
-  }
-  return std::make_unique<tg::format::Csr6Writer>(path, lo, hi, from);
 }
 
 }  // namespace
@@ -135,9 +90,8 @@ int main(int argc, char** argv) {
         "human-readable.\n"
         "--trace_json writes a Chrome Trace Event file (open in Perfetto or\n"
         "chrome://tracing); --progress prints a live edges/sec + ETA line;\n"
-        "--sample_interval_ms sets the sampling interval\n"
-        "(default 20 ms; TG_SAMPLE_INTERVAL_MS in the environment is the\n"
-        "fallback) for the time series embedded in the run report.\n"
+        "--sample_interval_ms sets the sampling interval (default 20 ms)\n"
+        "for the time series embedded in the run report.\n"
         "--admin_port starts the live admin server (docs/OBSERVABILITY.md\n"
         "\"Live endpoints\": /metrics, /healthz, /report.json, /events,\n"
         "/trace) on 127.0.0.1:<N> for the duration of the run; 0 picks an\n"
@@ -147,10 +101,8 @@ int main(int argc, char** argv) {
         "--profile samples the run with the in-process profiler (tg::prof,\n"
         "docs/OBSERVABILITY.md \"Profiling\") and writes flamegraph.pl-\n"
         "compatible folded stacks to PATH; --profile_hz sets the sampling\n"
-        "rate (default 99 Hz of process CPU time). TG_PROFILE /\n"
-        "TG_PROFILE_HZ in the environment are honored when the flags are\n"
-        "absent. The profiler only reads program state: output files are\n"
-        "bit-identical with it on or off.\n"
+        "rate (default 99 Hz of process CPU time). The profiler only reads\n"
+        "program state: output files are bit-identical with it on or off.\n"
         "--io selects the writer transport (docs/PERFORMANCE.md \"The I/O\n"
         "path\"): 'sync' is the blocking stdio writer, 'async' (the default)\n"
         "double-buffers flushes onto a pwrite writer thread. Output files are\n"
@@ -304,48 +256,32 @@ int main(int argc, char** argv) {
   config.budget = &budget;
   const std::string oom_report_path = flags.GetString("oom_report", "");
 
-  // Profiling (docs/OBSERVABILITY.md "Profiling"): flag first, TG_PROFILE /
-  // TG_PROFILE_HZ as the env fallback so benches and CI can arm it without
-  // touching command lines.
-  std::string profile_path = flags.GetString("profile", "");
-  if (profile_path.empty()) {
-    const char* env_profile = std::getenv("TG_PROFILE");
-    if (env_profile != nullptr && env_profile[0] != '\0') {
-      profile_path = env_profile;
+  // Observability (docs/OBSERVABILITY.md): one obs::Session owns the
+  // sampler, admin server, profiler and every report file.
+  tg::obs::SessionOptions obs_options;
+  obs_options.metrics_json = flags.GetString("metrics_json", "");
+  obs_options.metrics_prom = flags.GetString("metrics_prom", "");
+  obs_options.trace_json = flags.GetString("trace_json", "");
+  obs_options.metrics_table = flags.GetBool("metrics_table", false);
+  obs_options.profile = flags.GetString("profile", "");
+  obs_options.profile_hz =
+      static_cast<int>(flags.GetInt("profile_hz", obs_options.profile_hz));
+  const bool progress = flags.GetBool("progress", false);
+  if (flags.Has("admin_port")) {
+    obs_options.admin_port = static_cast<int>(flags.GetInt("admin_port", 0));
+    if (obs_options.admin_port < 0 || obs_options.admin_port > 65535) {
+      std::fprintf(stderr, "--admin_port must be in [0, 65535]\n");
+      return 1;
     }
   }
-  int profile_hz = 99;
-  if (const char* env_hz = std::getenv("TG_PROFILE_HZ");
-      env_hz != nullptr && env_hz[0] != '\0') {
-    profile_hz = std::atoi(env_hz);
-  }
-  profile_hz = static_cast<int>(flags.GetInt("profile_hz", profile_hz));
-  const bool profiling = !profile_path.empty();
-
-  const std::string metrics_json = flags.GetString("metrics_json", "");
-  const std::string metrics_prom = flags.GetString("metrics_prom", "");
-  const std::string trace_json = flags.GetString("trace_json", "");
-  const bool metrics_table = flags.GetBool("metrics_table", false);
-  const bool progress = flags.GetBool("progress", false);
-  const bool want_admin = flags.Has("admin_port");
-  const bool want_sampler =
-      progress || flags.Has("sample_interval_ms") || want_admin;
-  const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty() ||
-                            metrics_table || !trace_json.empty() ||
-                            want_sampler;
-  if (want_metrics) {
-    tg::obs::SetEnabled(true);
-    tg::obs::PreregisterCanonicalMetrics();
-  }
-  if (!trace_json.empty()) tg::obs::SetTraceEnabled(true);
-
-  std::unique_ptr<tg::obs::Sampler> sampler;
-  if (want_sampler || !metrics_json.empty()) {
-    tg::obs::SamplerOptions sampler_options;
-    // Interval precedence: --sample_interval_ms, then
-    // TG_SAMPLE_INTERVAL_MS, then 20 ms.
-    sampler_options.interval_ms = static_cast<int>(flags.GetInt(
-        "sample_interval_ms", tg::obs::SamplerIntervalFromEnv(20)));
+  // The time series ride in every JSON report, and the live views need it.
+  obs_options.sample = progress || flags.Has("sample_interval_ms") ||
+                       obs_options.admin_port >= 0 ||
+                       !obs_options.metrics_json.empty();
+  if (obs_options.sample) {
+    tg::obs::SamplerOptions& sampler_options = obs_options.sampler;
+    sampler_options.interval_ms =
+        static_cast<int>(flags.GetInt("sample_interval_ms", 20));
     sampler_options.print_progress = progress;
     sampler_options.progress_target_edges = config.NumEdges();
     if (resume && !config.resume_next_seq.empty()) {
@@ -368,50 +304,24 @@ int main(int argc, char** argv) {
             static_cast<double>(total_chunks));
       }
     }
-    sampler = std::make_unique<tg::obs::Sampler>(sampler_options);
-    sampler->Start();
   }
-
-  tg::obs::serve::AdminServer admin;
-  if (want_admin) {
-    tg::obs::serve::AdminOptions admin_options;
-    const int admin_port = static_cast<int>(flags.GetInt("admin_port", 0));
-    if (admin_port < 0 || admin_port > 65535) {
-      std::fprintf(stderr, "--admin_port must be in [0, 65535]\n");
-      return 1;
-    }
-    admin_options.port = admin_port;
-    admin_options.meta["tool"] = "gen_cli";
-    admin_options.meta["scale"] = std::to_string(config.scale);
-    admin_options.meta["edge_factor"] = std::to_string(config.edge_factor);
-    admin_options.meta["workers"] = std::to_string(config.num_workers);
-    admin_options.meta["seed"] = std::to_string(config.rng_seed);
-    admin_options.meta["format"] = format;
-    admin_options.meta["io"] =
-        tg::storage::IoSpecString(tg::storage::GlobalIoConfig());
-    admin_options.meta["out"] = out;
-    tg::Status admin_status = admin.Start(admin_options);
-    if (!admin_status.ok()) {
-      std::fprintf(stderr, "cannot start admin server: %s\n",
-                   admin_status.ToString().c_str());
-      return 1;
-    }
-    std::printf("admin server on http://127.0.0.1:%d/ (try /metrics)\n",
-                admin.port());
-  }
-
-  if (profiling) {
-    tg::prof::ProfilerOptions prof_options;
-    prof_options.hz = profile_hz;
-    tg::Status prof_status = tg::prof::StartProfiler(prof_options);
-    if (!prof_status.ok()) {
-      std::fprintf(stderr, "cannot start profiler: %s\n",
-                   prof_status.ToString().c_str());
-      return 1;
-    }
-    std::printf("profiler sampling at %d Hz -> %s\n", profile_hz,
-                profile_path.c_str());
-  }
+  std::map<std::string, std::string>& meta = obs_options.meta;
+  meta["tool"] = "gen_cli";
+  meta["scale"] = std::to_string(config.scale);
+  meta["edge_factor"] = std::to_string(config.edge_factor);
+  meta["workers"] = std::to_string(config.num_workers);
+  meta["chunks_per_worker"] = std::to_string(config.chunks_per_worker);
+  meta["noise"] = std::to_string(config.noise);
+  meta["seed"] = std::to_string(config.rng_seed);
+  meta["format"] = format;
+  meta["io"] = tg::storage::IoSpecString(tg::storage::GlobalIoConfig());
+  meta["precision"] = config.precision == tg::core::Precision::kDoubleDouble
+                          ? "dd"
+                          : "double";
+  meta["direction"] = transposed ? "in" : "out";
+  meta["out"] = out;
+  tg::obs::Session obs_session(std::move(obs_options));
+  if (!obs_session.start_status().ok()) return 1;
 
   std::printf("generating scale %d (|V|=%llu, |E|=%llu) as %s into %s.*\n",
               config.scale,
@@ -434,13 +344,15 @@ int main(int argc, char** argv) {
         config,
         [&](int worker, tg::VertexId lo, tg::VertexId hi)
             -> std::unique_ptr<tg::core::ScopeSink> {
-          const std::string path = ShardPath(out, worker, format);
+          const std::string path = tg::format::ShardPath(out, worker, format);
           const auto committed = journal_state.ranges.find(worker);
           if (resume && committed != journal_state.ranges.end()) {
-            return MakeResumedSink(format, path, lo, hi, transposed,
-                                   committed->second.sink_state);
+            const tg::core::ResumeFrom from{committed->second.sink_state};
+            return tg::format::MakeShardWriter(format, path, lo, hi,
+                                               transposed, &from);
           }
-          return MakeSink(format, path, lo, hi, transposed);
+          return tg::format::MakeShardWriter(format, path, lo, hi,
+                                             transposed);
         });
   } catch (const tg::fault::FaultError& e) {
     faulted = true;
@@ -448,12 +360,12 @@ int main(int argc, char** argv) {
                  watch.ElapsedSeconds(), e.what());
   } catch (const tg::OomError& e) {
     oomed = true;
-    if (want_metrics) tg::obs::RecordOom(e.report());
+    if (tg::obs::Enabled()) tg::obs::RecordOom(e.report());
     std::fprintf(stderr, "O.O.M after %.2f s:\n%s", watch.ElapsedSeconds(),
                  e.report().ToString().c_str());
     if (!oom_report_path.empty()) {
-      tg::Status status =
-          tg::obs::WriteOomReportFile(e.report(), oom_report_path);
+      tg::Status status = tg::storage::WriteFile(
+          oom_report_path, tg::obs::OomReportToJson(e.report()));
       if (status.ok()) {
         std::printf("oom report written to %s\n", oom_report_path.c_str());
       } else {
@@ -510,98 +422,23 @@ int main(int argc, char** argv) {
       // are dead weight now.
       for (int w = 0; w < config.num_workers; ++w) {
         std::remove(tg::format::Csr6Writer::SidecarPath(
-                        ShardPath(out, w, format))
+                        tg::format::ShardPath(out, w, format))
                         .c_str());
       }
     }
   }
 
-  if (sampler != nullptr) sampler->Stop();
-
-  tg::prof::ProfileSnapshot prof_snapshot;
-  if (profiling) {
-    tg::prof::StopProfiler();
-    prof_snapshot = tg::prof::TakeSnapshot();
-    tg::Status prof_write =
-        tg::prof::WriteFoldedFile(prof_snapshot, profile_path);
-    if (!prof_write.ok()) {
-      std::fprintf(stderr, "failed to write profile %s: %s\n",
-                   profile_path.c_str(), prof_write.ToString().c_str());
-      return 1;
-    }
-    std::printf(
-        "profile written to %s (%llu samples, %llu dropped; render with "
-        "flamegraph.pl)\n",
-        profile_path.c_str(),
-        static_cast<unsigned long long>(prof_snapshot.samples),
-        static_cast<unsigned long long>(prof_snapshot.dropped));
+  std::map<std::string, std::string> run_meta;
+  run_meta["wall_seconds"] = std::to_string(watch.ElapsedSeconds());
+  if (config.fault_injector != nullptr && config.fault_injector->armed()) {
+    run_meta["fault_plan"] = config.fault_injector->plan().ToString();
+  } else if (!fault_plan_str.empty()) {
+    run_meta["fault_plan"] = fault_plan_str;
   }
-
-  if (!trace_json.empty()) {
-    tg::Status status = tg::obs::WriteChromeTraceFile(trace_json);
-    if (!status.ok()) {
-      std::fprintf(stderr, "failed to write trace %s: %s\n",
-                   trace_json.c_str(), status.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace written to %s (open in https://ui.perfetto.dev)\n",
-                trace_json.c_str());
-  }
-
-  if (want_metrics) {
-    tg::obs::RunReport report =
-        tg::obs::RunReport::Collect(tg::obs::Registry::Global());
-    report.meta["tool"] = "gen_cli";
-    report.meta["scale"] = std::to_string(config.scale);
-    report.meta["edge_factor"] = std::to_string(config.edge_factor);
-    report.meta["workers"] = std::to_string(config.num_workers);
-    report.meta["chunks_per_worker"] =
-        std::to_string(config.chunks_per_worker);
-    report.meta["noise"] = std::to_string(config.noise);
-    report.meta["seed"] = std::to_string(config.rng_seed);
-    report.meta["format"] = format;
-    report.meta["io"] = tg::storage::IoSpecString(tg::storage::GlobalIoConfig());
-    report.meta["precision"] =
-        config.precision == tg::core::Precision::kDoubleDouble ? "dd"
-                                                               : "double";
-    report.meta["direction"] = transposed ? "in" : "out";
-    report.meta["out"] = out;
-    report.meta["wall_seconds"] = std::to_string(watch.ElapsedSeconds());
-    if (config.fault_injector != nullptr && config.fault_injector->armed()) {
-      report.meta["fault_plan"] = config.fault_injector->plan().ToString();
-    } else if (!fault_plan_str.empty()) {
-      report.meta["fault_plan"] = fault_plan_str;
-    }
-    if (journaling) report.meta["journal"] = journal_path;
-    if (resume) report.meta["resumed"] = "1";
-    if (interrupted) report.meta["interrupted"] = "1";
-    if (sampler != nullptr) sampler->ExportTo(&report);
-    if (profiling) {
-      report.meta["profile"] = profile_path;
-      tg::prof::ExportTo(prof_snapshot, &report);
-    }
-    if (metrics_table) std::fputs(report.ToTable().c_str(), stdout);
-    if (!metrics_json.empty()) {
-      tg::Status status = report.WriteJsonFile(metrics_json);
-      if (!status.ok()) {
-        std::fprintf(stderr, "failed to write %s: %s\n", metrics_json.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
-      std::printf("metrics report written to %s\n", metrics_json.c_str());
-    }
-    if (!metrics_prom.empty()) {
-      tg::Status status = tg::obs::serve::WritePrometheusFile(metrics_prom);
-      if (!status.ok()) {
-        std::fprintf(stderr, "failed to write %s: %s\n", metrics_prom.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
-      std::printf("prometheus exposition written to %s\n",
-                  metrics_prom.c_str());
-    }
-  }
-  admin.Stop();
+  if (journaling) run_meta["journal"] = journal_path;
+  if (resume) run_meta["resumed"] = "1";
+  if (interrupted) run_meta["interrupted"] = "1";
+  if (!obs_session.Finish(run_meta).ok()) return 1;
   if (oomed) return 1;
   return faulted ? 2 : 0;
 }

@@ -14,9 +14,9 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 
-#include "obs/metrics.h"
-#include "obs/run_report.h"
+#include "obs/session.h"
 #include "serve/daemon.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -82,9 +82,13 @@ int main(int argc, char** argv) {
   options.meta["worker_threads"] = std::to_string(options.worker_threads);
   options.meta["max_concurrent"] = std::to_string(options.max_concurrent);
 
-  const std::string metrics_json = flags.GetString("metrics_json", "");
-  tg::obs::SetEnabled(true);
-  tg::obs::PreregisterCanonicalMetrics();
+  // The daemon's live /metrics needs the registry whether or not a final
+  // report is asked for.
+  tg::obs::SessionOptions obs_options;
+  obs_options.meta["tool"] = "serve_cli";
+  obs_options.metrics_json = flags.GetString("metrics_json", "");
+  obs_options.enable_metrics = true;
+  tg::obs::Session obs_session(std::move(obs_options));
 
   InstallStopSignalHandlers();
 
@@ -109,18 +113,10 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   daemon.Drain();
 
-  if (!metrics_json.empty()) {
-    tg::obs::RunReport report =
-        tg::obs::RunReport::Collect(tg::obs::Registry::Global());
-    report.meta["tool"] = "serve_cli";
-    report.meta["wall_seconds"] = std::to_string(watch.ElapsedSeconds());
-    tg::Status status = report.WriteJsonFile(metrics_json);
-    if (!status.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n", metrics_json.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics report written to %s\n", metrics_json.c_str());
+  if (!obs_session.Finish({{"wall_seconds",
+                            std::to_string(watch.ElapsedSeconds())}})
+           .ok()) {
+    return 1;
   }
   std::printf("serve_cli: drained and stopped\n");
   return 0;

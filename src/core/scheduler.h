@@ -183,7 +183,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
                                const SchedulerOptions& options = {});
 
 /// The TG_CHUNKS_PER_WORKER environment hook used by the figure benches
-/// (mirrors the TG_METRICS_JSON-style ObsSession hooks): returns the parsed
+/// (mirrors obs::SessionOptions::FromEnv's TG_* hooks): returns the parsed
 /// value when the variable is set to a positive integer, else `fallback`.
 int ChunksPerWorkerFromEnv(int fallback = kDefaultChunksPerWorker);
 

@@ -273,8 +273,9 @@ void PreregisterCanonicalMetrics() {
   r.GetCounter("format.adj6.bytes_written");
   r.GetCounter("format.csr6.bytes_written");
   // Storage I/O transport (storage/file_io.h, storage/async_writer.h).
-  // bytes_written/flushes count producer->backend handoffs, so they compare
-  // exactly between --io=sync and --io=async runs; writer_stall_ms is
+  // bytes_written/flushes count producer->backend handoffs of graph bytes
+  // (obs files bypass the transport), so they compare exactly between
+  // --io=sync and --io=async runs; writer_stall_ms is
   // wall-clock (skipped by DiffOptions::Defaults).
   r.GetCounter("io.bytes_written");
   r.GetCounter("io.flushes");

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "obs/mem.h"
-#include "storage/file_io.h"
-#include "storage/fs.h"
 #include "util/build_info.h"
 #include "util/json.h"
 
@@ -615,33 +613,11 @@ std::string RunReport::ToTable() const {
   return out.str();
 }
 
-Status RunReport::WriteJsonFile(const std::string& path) const {
-  Status made = storage::EnsureParentDirectory(path);
-  if (!made.ok()) return made;
-  storage::FileWriter writer;
-  Status s = writer.Open(path);
-  if (!s.ok()) return s;
-  std::string json = ToJson();
-  writer.Append(json.data(), json.size());
-  return writer.Close();
-}
-
 std::string OomReportToJson(const OomReport& report) {
   std::string out;
   AppendOomReport(report, "", &out);
   out += "\n";
   return out;
-}
-
-Status WriteOomReportFile(const OomReport& report, const std::string& path) {
-  Status made = storage::EnsureParentDirectory(path);
-  if (!made.ok()) return made;
-  storage::FileWriter writer;
-  Status s = writer.Open(path);
-  if (!s.ok()) return s;
-  std::string json = OomReportToJson(report);
-  writer.Append(json.data(), json.size());
-  return writer.Close();
 }
 
 }  // namespace tg::obs

@@ -102,17 +102,11 @@ struct RunReport {
   /// Human-readable multi-section table for terminal output. Histograms are
   /// summarized with p50/p90/p99 estimated from their log2 buckets.
   std::string ToTable() const;
-
-  /// Serializes to `path`, creating missing parent directories first.
-  Status WriteJsonFile(const std::string& path) const;
 };
 
-/// Standalone JSON for an OomReport (same schema as the "mem.oom" section).
+/// Standalone JSON for an OomReport (same schema as the "mem.oom" section;
+/// `gen_cli --oom_report <path>` writes it).
 std::string OomReportToJson(const OomReport& report);
-
-/// Writes OomReportToJson to `path`, creating parent directories first.
-/// Backs `gen_cli --oom_report <path>`.
-Status WriteOomReportFile(const OomReport& report, const std::string& path);
 
 }  // namespace tg::obs
 

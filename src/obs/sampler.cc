@@ -1,7 +1,6 @@
 #include "obs/sampler.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <unistd.h>
 
 #include "obs/mem.h"
@@ -45,13 +44,6 @@ std::string HumanCount(double v) {
 void SetTickListener(std::function<void(const TickSample&)> listener) {
   std::lock_guard<std::mutex> lock(g_tick_mu);
   g_tick_listener = std::move(listener);
-}
-
-int SamplerIntervalFromEnv(int default_ms) {
-  const char* text = std::getenv("TG_SAMPLE_INTERVAL_MS");
-  if (text == nullptr || text[0] == '\0') return default_ms;
-  const int ms = std::atoi(text);
-  return ms > 0 ? ms : default_ms;
 }
 
 std::uint64_t CurrentRssBytes() {

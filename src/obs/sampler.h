@@ -44,11 +44,6 @@ struct TickSample {
 /// The listener must not call back into the Sampler.
 void SetTickListener(std::function<void(const TickSample&)> listener);
 
-/// The sampler interval to use when the caller did not pass one explicitly:
-/// TG_SAMPLE_INTERVAL_MS when set and positive, else `default_ms`. Shared
-/// by gen_cli and the bench ObsSession so one env var retunes a whole sweep.
-int SamplerIntervalFromEnv(int default_ms);
-
 struct SamplerOptions {
   int interval_ms = 100;
 

@@ -174,15 +174,6 @@ void AdminServer::Stop() {
   server_.Stop();
 }
 
-int AdminServer::PortFromEnv() {
-  const char* text = std::getenv("TG_ADMIN_PORT");
-  if (text == nullptr || text[0] == '\0') return -1;
-  char* end = nullptr;
-  const long port = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || port < 0 || port > 65535) return -1;
-  return static_cast<int>(port);
-}
-
 net::HttpResponse AdminServer::Handle(const net::HttpRequest& request) {
   const double uptime_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -67,10 +67,6 @@ class AdminServer {
   bool running() const { return server_.running(); }
   int port() const { return server_.port(); }
 
-  /// TG_ADMIN_PORT when set to a valid port (0 for ephemeral), else -1.
-  /// The bench ObsSession uses this, mirroring TG_METRICS_JSON et al.
-  static int PortFromEnv();
-
  private:
   net::HttpResponse Handle(const net::HttpRequest& request);
 

@@ -6,8 +6,6 @@
 #include <map>
 #include <vector>
 
-#include "storage/file_io.h"
-#include "storage/fs.h"
 
 namespace tg::obs::serve {
 
@@ -163,17 +161,6 @@ std::string RenderPrometheus(const Registry& registry) {
     AppendHistogram(family, snapshot, &out);
   }
   return out;
-}
-
-Status WritePrometheusFile(const std::string& path, const Registry& registry) {
-  Status made = storage::EnsureParentDirectory(path);
-  if (!made.ok()) return made;
-  storage::FileWriter writer;
-  Status s = writer.Open(path);
-  if (!s.ok()) return s;
-  const std::string text = RenderPrometheus(registry);
-  writer.Append(text.data(), text.size());
-  return writer.Close();
 }
 
 }  // namespace tg::obs::serve

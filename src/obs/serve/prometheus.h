@@ -22,7 +22,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/status.h"
 
 namespace tg::obs::serve {
 
@@ -30,11 +29,6 @@ namespace tg::obs::serve {
 /// as Prometheus text exposition. Deterministic: families and samples are
 /// emitted in sorted order.
 std::string RenderPrometheus(const Registry& registry = Registry::Global());
-
-/// RenderPrometheus + write to `path`, creating parent directories first.
-/// Backs `gen_cli --metrics_prom <path>`.
-Status WritePrometheusFile(const std::string& path,
-                           const Registry& registry = Registry::Global());
 
 /// Escapes a Prometheus label value (backslash, double quote, newline).
 std::string EscapeLabelValue(const std::string& value);

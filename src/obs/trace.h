@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace tg::obs {
 
 enum class TraceEventType : std::int32_t {
@@ -155,10 +153,6 @@ void ResetTraceForTest();
 /// wire event fired (a shuffle-free run shows an empty track, which is the
 /// claim).
 std::string TraceToChromeJson(const TraceSnapshot& snapshot);
-
-/// DrainTrace() + TraceToChromeJson + write, creating missing parent
-/// directories first.
-Status WriteChromeTraceFile(const std::string& path);
 
 }  // namespace tg::obs
 

@@ -19,8 +19,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/file_io.h"
-#include "storage/fs.h"
 #include "util/json.h"
 
 namespace tg::obs {
@@ -173,18 +171,6 @@ std::string TraceToChromeJson(const TraceSnapshot& snapshot) {
   out += buf;
   out += "}\n}\n";
   return out;
-}
-
-Status WriteChromeTraceFile(const std::string& path) {
-  Status made = storage::EnsureParentDirectory(path);
-  if (!made.ok()) return made;
-  TraceSnapshot snapshot = DrainTrace();
-  std::string json = TraceToChromeJson(snapshot);
-  storage::FileWriter writer;
-  Status s = writer.Open(path);
-  if (!s.ok()) return s;
-  writer.Append(json.data(), json.size());
-  return writer.Close();
 }
 
 }  // namespace tg::obs

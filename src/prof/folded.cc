@@ -1,7 +1,6 @@
 #include "prof/folded.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
 #include <tuple>
@@ -154,16 +153,6 @@ void ExportTo(const ProfileSnapshot& snapshot, obs::RunReport* report) {
       section.frames.push_back(std::move(row));
     }
   }
-}
-
-Status WriteFoldedFile(const ProfileSnapshot& snapshot,
-                       const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open profile output: " + path);
-  out << RenderFolded(snapshot);
-  out.flush();
-  if (!out) return Status::IoError("short write to profile output: " + path);
-  return Status::Ok();
 }
 
 }  // namespace tg::prof

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "prof/profiler.h"
-#include "util/status.h"
 
 namespace tg::obs {
 struct RunReport;
@@ -35,10 +34,6 @@ std::string RenderFoldedDiff(const ProfileSnapshot& before,
 /// the frame anywhere on stack, counted once per sample) columns. Stall
 /// rows carry the `[stall:<kind>]` frame name.
 void ExportTo(const ProfileSnapshot& snapshot, obs::RunReport* report);
-
-/// Writes RenderFolded(snapshot) to `path` (truncating).
-Status WriteFoldedFile(const ProfileSnapshot& snapshot,
-                       const std::string& path);
 
 }  // namespace tg::prof
 

@@ -58,7 +58,7 @@ Status StartProfiler(const ProfilerOptions& options = {});
 
 /// Disarms the timer, drains every ring one final time, and joins the
 /// collector. The aggregated profile remains readable (TakeSnapshot,
-/// ExportTo, WriteFoldedFile) until the next StartProfiler. Idempotent.
+/// ExportTo, RenderFolded) until the next StartProfiler. Idempotent.
 void StopProfiler();
 
 bool ProfilerRunning();

@@ -13,9 +13,9 @@
 #include "core/scheduler.h"
 #include "core/trilliong.h"
 #include "fault/fault_injector.h"
-#include "format/adj6.h"
 #include "format/csr6.h"
-#include "format/tsv.h"
+#include "format/resume_token.h"
+#include "format/shard.h"
 #include "obs/metrics.h"
 #include "obs/serve/admin_server.h"
 #include "util/json.h"
@@ -25,36 +25,9 @@ namespace tg::serve {
 
 namespace {
 
-std::string ShardPath(const std::string& prefix, int worker,
-                      const std::string& format) {
-  // Same naming as gen_cli: <prefix>.w<k>.<ext>, so the shard writers and
-  // the byte layout are exactly the offline tool's.
-  return prefix + ".w" + std::to_string(worker) + "." + format;
-}
-
-std::unique_ptr<core::ScopeSink> MakeSink(const std::string& format,
-                                          const std::string& path, VertexId lo,
-                                          VertexId hi, bool transposed) {
-  if (format == "tsv") {
-    return std::make_unique<format::TsvWriter>(path, transposed);
-  }
-  if (format == "adj6") {
-    return std::make_unique<format::Adj6Writer>(path);
-  }
-  return std::make_unique<format::Csr6Writer>(path, lo, hi);
-}
-
 const char* ContentTypeFor(const std::string& format) {
   return format == "tsv" ? "text/tab-separated-values; charset=utf-8"
                          : "application/octet-stream";
-}
-
-/// Extracts the durable byte count from a CommitState token — "bytes=N" for
-/// TSV/ADJ6, "bytes=N,next=...,edges=..." for CSR6.
-std::uint64_t DurableBytesFromToken(const std::string& token) {
-  const std::size_t pos = token.find("bytes=");
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(token.c_str() + pos + 6, nullptr, 10);
 }
 
 std::string JsonError(const std::string& message) {
@@ -500,8 +473,11 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
       auto* resumable = dynamic_cast<core::ResumableSink*>(sink);
       if (resumable == nullptr) return;
       std::string token;
-      if (!resumable->CommitState(&token).ok()) return;
-      const std::uint64_t bytes = DurableBytesFromToken(token);
+      std::uint64_t bytes = 0;
+      if (!resumable->CommitState(&token).ok() ||
+          !format::TokenField(token, "bytes", &bytes)) {
+        return;
+      }
       {
         std::lock_guard<std::mutex> lock(req->mu);
         if (bytes > req->durable[static_cast<std::size_t>(chunk.range)]) {
@@ -521,8 +497,9 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
         config,
         [&](int worker, VertexId lo,
             VertexId hi) -> std::unique_ptr<core::ScopeSink> {
-          return MakeSink(format, ShardPath(prefix, worker, format), lo, hi,
-                          transposed);
+          return format::MakeShardWriter(
+              format, format::ShardPath(prefix, worker, format), lo, hi,
+              transposed);
         });
   } catch (const OomError& e) {
     failed = true;
@@ -540,7 +517,8 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
     std::uint64_t total = 0;
     for (int w = 0; w < req->gen.workers; ++w) {
       std::error_code ec;
-      total += std::filesystem::file_size(ShardPath(prefix, w, format), ec);
+      total +=
+          std::filesystem::file_size(format::ShardPath(prefix, w, format), ec);
       if (ec) total = ~std::uint64_t{0};
     }
     if (total <= cache_->entry_cap()) {
@@ -555,7 +533,7 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
         bool ok = true;
         for (int w = 0; w < req->gen.workers && ok; ++w) {
           std::FILE* f =
-              std::fopen(ShardPath(prefix, w, format).c_str(), "rb");
+              std::fopen(format::ShardPath(prefix, w, format).c_str(), "rb");
           if (f == nullptr) {
             ok = false;
             break;
@@ -607,7 +585,7 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
   }
 
   for (int w = 0; w < req->gen.workers; ++w) {
-    const std::string shard = ShardPath(prefix, w, format);
+    const std::string shard = format::ShardPath(prefix, w, format);
     std::remove(shard.c_str());
     if (format == "csr6") {
       std::remove(format::Csr6Writer::SidecarPath(shard).c_str());
@@ -650,7 +628,7 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
 
   std::vector<char> block(block_bytes);
   for (int shard = 0; shard < req->gen.workers; ++shard) {
-    const std::string path = ShardPath(prefix, shard, req->gen.format);
+    const std::string path = format::ShardPath(prefix, shard, req->gen.format);
     std::FILE* file = nullptr;
     std::uint64_t sent = 0;
     for (;;) {

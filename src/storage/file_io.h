@@ -1,6 +1,8 @@
 // storage/file_io.h — buffered sequential file transport beneath every format
-// writer (TSV/ADJ6/CSR6), the external sorter's run files, and the
-// obs::RunReport JSON output. Returns tg::Status instead of throwing.
+// writer (TSV/ADJ6/CSR6) and the external sorter's run files. Returns
+// tg::Status instead of throwing. Obs files (reports, traces, profiles) do
+// not use it: they go through storage::WriteFile (storage/fs.h), so `io.*`
+// counts graph bytes only.
 //
 // FileWriterBase owns the producer-side buffering and the error/durability
 // contracts; concrete backends plug in at flush granularity:
@@ -297,9 +299,8 @@ class FileWriterBase {
   std::atomic<bool> backend_failed_{false};
 };
 
-/// Synchronous stdio backend — the original FileWriter. Still the right
-/// choice for small metadata files (RunReport JSON, trace export) and the
-/// default when TG_IO=sync.
+/// Synchronous stdio backend — the original FileWriter, selected by
+/// TG_IO=sync.
 class FileWriter final : public FileWriterBase {
  public:
   explicit FileWriter(std::size_t buffer_bytes = 1 << 20)

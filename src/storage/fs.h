@@ -1,5 +1,5 @@
-// storage/fs.h — minimal filesystem helpers for the writers that create
-// files in caller-chosen locations (obs reports, trace exports). POSIX-only,
+// storage/fs.h — minimal filesystem helpers for files written to
+// caller-chosen locations (obs reports, trace exports, profiles). POSIX-only,
 // like the rest of the storage layer.
 #ifndef TRILLIONG_STORAGE_FS_H_
 #define TRILLIONG_STORAGE_FS_H_
@@ -8,6 +8,7 @@
 #include <sys/types.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <string>
 
 #include "util/status.h"
@@ -48,6 +49,24 @@ inline Status EnsureParentDirectory(const std::string& file_path) {
   std::size_t slash = file_path.find_last_of('/');
   if (slash == std::string::npos) return Status::Ok();  // cwd-relative
   return MakeDirectories(file_path.substr(0, slash));
+}
+
+/// Writes `bytes` to `path` (truncating), creating missing parent
+/// directories first. For host-side files only — run reports, traces,
+/// profiles, Prometheus dumps: plain stdio, so nothing here counts toward
+/// the `io.*` graph-transport counters or consults IoFailureHookRef(), and
+/// an injected disk fault never blocks the files that describe it.
+inline Status WriteFile(const std::string& path, const std::string& bytes) {
+  Status made = EnsureParentDirectory(path);
+  if (!made.ok()) return made;
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) return Status::IoError("cannot open for write: " + path);
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  if (std::fclose(file) != 0 || !written) {
+    return Status::IoError("write failed: " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace tg::storage

@@ -480,6 +480,30 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
 // ---------------------------------------------------------------------------
 // Crash / --resume round trips on the async transport.
 
+// OpenForResume must truncate a torn tail even when nothing is appended
+// after it: the async transport pwrite()s at the resume offset, so a resumed
+// run that rewrites the tail would hide a skipped ftruncate.
+TEST(TransportResumeTest, OpenForResumeTruncatesToTheOffset) {
+  storage::TempDir dir;
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    const std::string path =
+        dir.File(mode == storage::IoMode::kSync ? "r.sync" : "r.async");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << std::string(4096, 'x');
+    }
+    storage::ScopedIoConfig scoped({mode});
+    auto writer = storage::MakeFileWriter();
+    ASSERT_TRUE(writer->OpenForResume(path, 1000).ok());
+    EXPECT_EQ(writer->bytes_written(), 1000u);
+    ASSERT_TRUE(writer->Close().ok());
+    EXPECT_EQ(std::filesystem::file_size(path), 1000u)
+        << storage::IoSpecString({mode});
+    EXPECT_TRUE(ReadFileBytes(path) == std::string(1000, 'x'));
+  }
+}
+
 TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
   storage::TempDir dir;
   storage::ScopedIoConfig scoped({storage::IoMode::kAsync});

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
@@ -167,19 +166,6 @@ TEST_F(SamplerTest, RemovedTickListenerIsNotInvoked) {
   sampler.Start();
   sampler.Stop();
   EXPECT_EQ(calls.load(), 0);
-}
-
-TEST_F(SamplerTest, IntervalFromEnvParsesAndValidates) {
-  ::unsetenv("TG_SAMPLE_INTERVAL_MS");
-  EXPECT_EQ(SamplerIntervalFromEnv(20), 20);
-  EXPECT_EQ(SamplerIntervalFromEnv(-1), -1);
-  ::setenv("TG_SAMPLE_INTERVAL_MS", "250", 1);
-  EXPECT_EQ(SamplerIntervalFromEnv(20), 250);
-  ::setenv("TG_SAMPLE_INTERVAL_MS", "0", 1);  // non-positive: fall back
-  EXPECT_EQ(SamplerIntervalFromEnv(20), 20);
-  ::setenv("TG_SAMPLE_INTERVAL_MS", "junk", 1);
-  EXPECT_EQ(SamplerIntervalFromEnv(20), 20);
-  ::unsetenv("TG_SAMPLE_INTERVAL_MS");
 }
 
 TEST_F(SamplerTest, ExportActiveToSnapshotsTheLiveSampler) {

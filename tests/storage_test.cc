@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rng/random.h"
 #include "storage/external_sorter.h"
 #include "storage/file_io.h"
+#include "storage/fs.h"
 #include "storage/temp_dir.h"
 #include "util/common.h"
 
@@ -75,6 +79,34 @@ TEST(FileIoTest, OpenFailureIsStatusNotCrash) {
   EXPECT_FALSE(w.Open("/nonexistent_dir_xyz/file.bin").ok());
   FileReader r;
   EXPECT_FALSE(r.Open("/nonexistent_dir_xyz/file.bin").ok());
+}
+
+// Host-side files (reports, traces, profiles) are not graph I/O: WriteFile
+// creates missing directories, ignores an injected disk fault and leaves
+// the io.* transport counters alone.
+TEST(FsTest, WriteFileCreatesParentsAndBypassesTheIoPath) {
+  TempDir dir;
+  const std::string path = dir.File("not/yet/there/report.json");
+  obs::Counter* bytes = obs::GetCounter("io.bytes_written");
+  obs::Counter* flushes = obs::GetCounter("io.flushes");
+  const std::uint64_t bytes_before = bytes->value();
+  const std::uint64_t flushes_before = flushes->value();
+  IoFailureHookRef() = [](const std::string&) { return true; };
+  const Status status = WriteFile(path, "{\"ok\": true}\n");
+  IoFailureHookRef() = nullptr;
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{\"ok\": true}\n");
+  EXPECT_EQ(bytes->value(), bytes_before);
+  EXPECT_EQ(flushes->value(), flushes_before);
+}
+
+TEST(FsTest, WriteFileReportsAnUnwritablePath) {
+  TempDir dir;
+  ASSERT_TRUE(WriteFile(dir.File("file"), "x").ok());
+  EXPECT_FALSE(WriteFile(dir.File("file/child.json"), "x").ok());
 }
 
 TEST(ExternalSorterTest, InMemoryOnlySort) {

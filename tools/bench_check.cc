@@ -21,7 +21,7 @@
 
 #include "obs/report_diff.h"
 #include "obs/run_report.h"
-#include "storage/file_io.h"
+#include "storage/fs.h"
 #include "util/flags.h"
 #include "util/status.h"
 
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
              stdout);
 
   if (flags.GetBool("update", false)) {
-    s = current.WriteJsonFile(baseline_path);
+    s = tg::storage::WriteFile(baseline_path, current.ToJson());
     if (!s.ok()) {
       std::fprintf(stderr, "bench_check: cannot update %s: %s\n",
                    baseline_path.c_str(), s.ToString().c_str());
