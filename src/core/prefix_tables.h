@@ -237,8 +237,9 @@ class AvsPrefixTables {
       v = (v - bound[p]) * view.invw[g][p];
       // Renormalization guards: y is in [0, ~1+ulp) by construction; clamp
       // the rounding spill so the next group's guide lookup stays in range.
-      // std::min/max keep the exact comparisons and compile to
-      // minsd/maxsd.
+      // std::min/max keep the exact comparisons. GCC 12 at -O2 does not
+      // emit minsd/maxsd here: inlined into InvertBlock, the clamp is two
+      // comisd + branch pairs.
       *y = std::max(std::min(v, 0x1.fffffffffffffp-1), 0.0);
     }
     return p;

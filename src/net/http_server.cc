@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,6 +19,31 @@
 namespace tg::net {
 
 namespace {
+
+/// Chunked bodies go out in chunks of this size.
+constexpr std::size_t kChunkBytes = 64 * 1024;
+/// Slices gathered into one writev call.
+constexpr int kMaxIov = 64;
+
+std::shared_ptr<const std::string> Share(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+std::string ChunkHead(std::size_t length) {
+  char head[24];
+  std::snprintf(head, sizeof(head), "%zx\r\n", length);
+  return head;
+}
+
+const std::shared_ptr<const std::string>& Crlf() {
+  static const auto kCrlf = Share("\r\n");
+  return kCrlf;
+}
+
+const std::shared_ptr<const std::string>& LastChunk() {
+  static const auto kLastChunk = Share("0\r\n\r\n");
+  return kLastChunk;
+}
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -138,16 +164,39 @@ bool ParseRequest(const std::string& text, std::size_t header_end,
 
 }  // namespace
 
-void AppendChunk(const std::string& data, std::string* out) {
-  if (data.empty()) return;
-  char head[24];
-  std::snprintf(head, sizeof(head), "%zx\r\n", data.size());
-  *out += head;
-  *out += data;
-  *out += "\r\n";
+void HttpServer::Connection::Push(Buffer buf, std::size_t offset,
+                                  std::size_t length) {
+  if (length == 0) return;
+  out.push_back(Slice{std::move(buf), offset, length});
+  out_bytes += length;
 }
 
-void AppendLastChunk(std::string* out) { *out += "0\r\n\r\n"; }
+void HttpServer::Connection::Push(Buffer buf) {
+  const std::size_t length = buf->size();
+  Push(std::move(buf), 0, length);
+}
+
+void HttpServer::Connection::PushChunk(const Buffer& buf, std::size_t offset,
+                                       std::size_t length) {
+  static const Buffer kFullChunkHead = Share(ChunkHead(kChunkBytes));
+  Push(length == kChunkBytes ? kFullChunkHead : Share(ChunkHead(length)));
+  Push(buf, offset, length);
+  Push(Crlf());
+}
+
+void HttpServer::Connection::Consume(std::size_t n) {
+  out_bytes -= n;
+  while (n > 0) {
+    Slice& head = out.front();
+    if (n < head.length) {
+      head.offset += n;
+      head.length -= n;
+      return;
+    }
+    n -= head.length;
+    out.pop_front();
+  }
+}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -243,17 +292,19 @@ bool HttpServer::running() const {
 
 int HttpServer::port() const { return port_; }
 
-void HttpServer::Broadcast(const std::string& channel, const std::string& data) {
+void HttpServer::Broadcast(const std::string& channel, std::string data) {
+  // An empty chunk would terminate the stream.
+  if (data.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (!running_) return;
-  bool any = false;
+  Buffer shared;
   for (auto& conn : conns_) {
     if (conn->channel == channel && !conn->broken) {
-      AppendChunk(data, &conn->out);
-      any = true;
+      if (!shared) shared = Share(std::move(data));
+      conn->PushChunk(shared, 0, shared->size());
     }
   }
-  if (any) {
+  if (shared) {
     // The wake pipe is non-blocking, so writing under mu_ cannot stall;
     // holding the lock keeps the fd alive against a concurrent Stop().
     char byte = 'b';
@@ -275,7 +326,7 @@ std::size_t HttpServer::ChannelBacklogBytes(const std::string& channel) const {
   std::size_t backlog = 0;
   for (const auto& conn : conns_) {
     if (conn->channel == channel && !conn->broken) {
-      backlog = std::max(backlog, conn->out.size());
+      backlog = std::max(backlog, conn->out_bytes);
     }
   }
   return backlog;
@@ -287,7 +338,7 @@ void HttpServer::CloseChannel(const std::string& channel, bool graceful) {
   bool any = false;
   for (auto& conn : conns_) {
     if (conn->channel == channel && !conn->broken) {
-      if (graceful) AppendLastChunk(&conn->out);
+      if (graceful) conn->Push(LastChunk());
       conn->close_after_write = true;
       any = true;
     }
@@ -348,8 +399,8 @@ void HttpServer::Loop() {
     }
 
     // Existing connections: read + parse + write outside mu_ (handlers may
-    // take observability locks; Broadcast from other threads only appends
-    // to out buffers under mu_, so we re-acquire it around buffer edits).
+    // take observability locks; Broadcast from other threads only pushes
+    // to send queues under mu_, so we re-acquire it around queue edits).
     for (std::size_t i = 0; i < polled.size(); ++i) {
       Connection* conn = polled[i];
       const short revents = fds[i + 2].revents;
@@ -370,35 +421,10 @@ void HttpServer::Loop() {
         }
         if (!conn->broken && !ServiceInput(conn)) conn->broken = true;
       }
-      if (!conn->broken) {
-        // Snapshot the out buffer under mu_ (Broadcast appends to it from
-        // other threads); never touch conn->out without the lock.
-        std::string pending;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          pending.swap(conn->out);
-        }
-        std::size_t sent = 0;
-        while (sent < pending.size()) {
-          const ssize_t n =
-              ::write(conn->fd, pending.data() + sent, pending.size() - sent);
-          if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          conn->broken = true;
-          break;
-        }
-        if (sent < pending.size() && !conn->broken) {
-          // Put the unsent tail back *in front of* anything broadcast since.
-          std::lock_guard<std::mutex> lock(mu_);
-          conn->out.insert(0, pending, sent, pending.size() - sent);
-        }
-        if (!conn->broken && conn->close_after_write) {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (conn->out.empty()) conn->broken = true;
-        }
+      if (!conn->broken) Send(conn);
+      if (!conn->broken && conn->close_after_write) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (conn->out.empty()) conn->broken = true;
       }
     }
 
@@ -414,6 +440,30 @@ void HttpServer::Loop() {
         }
       }
     }
+  }
+}
+
+void HttpServer::Send(Connection* conn) {
+  iovec iov[kMaxIov];
+  for (;;) {
+    int count = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const Slice& slice : conn->out) {
+        if (count == kMaxIov) break;
+        iov[count++] = {const_cast<char*>(slice.buf->data() + slice.offset),
+                        slice.length};
+      }
+    }
+    if (count == 0) return;
+    const ssize_t n = ::writev(conn->fd, iov, count);
+    if (n > 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      conn->Consume(static_cast<std::size_t>(n));
+      continue;
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK) conn->broken = true;
+    return;
   }
 }
 
@@ -508,7 +558,7 @@ bool HttpServer::ServiceInput(Connection* conn) {
       response.status = 500;
       response.body = std::string("handler error: ") + e.what() + "\n";
     }
-    Respond(conn, request, response);
+    Respond(conn, request, std::move(response));
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (conn->close_after_write || !conn->channel.empty()) {
@@ -523,7 +573,7 @@ bool HttpServer::ServiceInput(Connection* conn) {
 }
 
 void HttpServer::Respond(Connection* conn, const HttpRequest& request,
-                         const HttpResponse& response) {
+                         HttpResponse response) {
   const bool head = request.method == "HEAD";
   const bool streaming = !response.stream_channel.empty() && !head;
   const bool chunked = (response.chunked || streaming) && !head;
@@ -531,6 +581,9 @@ void HttpServer::Respond(Connection* conn, const HttpRequest& request,
   const bool close =
       (it != request.headers.end() && ToLower(it->second) == "close");
 
+  const Buffer body = response.shared_body
+                          ? std::move(response.shared_body)
+                          : Share(std::move(response.body));
   std::string out;
   out += "HTTP/1.1 " + std::to_string(response.status) + " " +
          ReasonPhrase(response.status) + "\r\n";
@@ -545,25 +598,25 @@ void HttpServer::Respond(Connection* conn, const HttpRequest& request,
     out += "Transfer-Encoding: chunked\r\n";
   } else {
     // HEAD advertises the length a GET would return, with no body bytes.
-    out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+    out += "Content-Length: " + std::to_string(body->size()) + "\r\n";
   }
   out += close || streaming ? "Connection: close\r\n" : "Connection: keep-alive\r\n";
   out += "\r\n";
-  if (!head) {
-    if (chunked) {
-      // Large bodies go out in bounded chunks; streams leave the chunk
-      // sequence open for Broadcast.
-      for (std::size_t off = 0; off < response.body.size(); off += 64 * 1024) {
-        AppendChunk(response.body.substr(off, 64 * 1024), &out);
-      }
-      if (!streaming) AppendLastChunk(&out);
-    } else {
-      out += response.body;
-    }
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
-  conn->out += out;
+  conn->Push(Share(std::move(out)));
+  if (!head) {
+    if (chunked) {
+      // Large bodies go out in bounded chunks, each a slice of `body`;
+      // streams leave the chunk sequence open for Broadcast.
+      for (std::size_t off = 0; off < body->size(); off += kChunkBytes) {
+        conn->PushChunk(body, off, std::min(kChunkBytes, body->size() - off));
+      }
+      if (!streaming) conn->Push(LastChunk());
+    } else {
+      conn->Push(body);
+    }
+  }
   if (streaming) conn->channel = response.stream_channel;
   // A subscribed connection outlives this response: it closes when its
   // channel does (CloseChannel sets close_after_write then), not when the
@@ -581,7 +634,7 @@ void HttpServer::RespondError(Connection* conn, int status,
   out += "Connection: close\r\n\r\n";
   out += text;
   std::lock_guard<std::mutex> lock(mu_);
-  conn->out += out;
+  conn->Push(Share(std::move(out)));
   conn->close_after_write = true;
   // Discard the offending input so a later POLLIN cannot re-parse the same
   // prefix and queue a duplicate error response.

@@ -16,11 +16,18 @@
 // fed from other threads (Broadcast) with producer-visible backpressure
 // (ChannelBacklogBytes), and hard limits on request size so a misbehaving
 // client cannot grow server-side buffers.
+//
+// The send path never re-copies a byte: each connection owns one queue of
+// slices over immutable, ref-counted buffers, and the service thread hands
+// the queue head to writev(2). A handler's shared_body and every broadcast
+// block are queued by reference, so a multi-MB payload costs no copy
+// however many partial writes a slow client forces.
 #ifndef TRILLIONG_NET_HTTP_SERVER_H_
 #define TRILLIONG_NET_HTTP_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -46,13 +53,14 @@ struct HttpRequest {
   std::string body;
 };
 
-/// What a handler returns. Plain responses carry `body` and are written with
-/// a Content-Length. `chunked` switches to Transfer-Encoding: chunked (large
-/// downloads). A non-empty `stream_channel` turns the connection into a
-/// long-lived chunked stream: the response headers and `body` (typically an
-/// SSE preamble) are written immediately, the connection is subscribed to
-/// that channel, and every later HttpServer::Broadcast to the channel is
-/// appended as one chunk until the client disconnects.
+/// What a handler returns. Plain responses carry `body` (or `shared_body`)
+/// and are written with a Content-Length. `chunked` switches to
+/// Transfer-Encoding: chunked, in 64 KiB chunks (large downloads). A
+/// non-empty `stream_channel` turns the connection into a long-lived chunked
+/// stream: the response headers and `body` (typically an SSE preamble) are
+/// written immediately, the connection is subscribed to that channel, and
+/// every later HttpServer::Broadcast to the channel is appended as one chunk
+/// until the client disconnects.
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
@@ -60,6 +68,10 @@ struct HttpResponse {
   /// are managed by the server.
   std::map<std::string, std::string> headers;
   std::string body;
+  /// When set, sent instead of `body` and by reference: the connection's
+  /// send queue holds the buffer until its last byte is written, so a cached
+  /// payload is never copied.
+  std::shared_ptr<const std::string> shared_body;
   bool chunked = false;
   std::string stream_channel;
 };
@@ -112,21 +124,23 @@ class HttpServer {
   /// not running.
   int port() const;
 
-  /// Appends `data` as one chunk to every connection streaming `channel`
-  /// and wakes the service thread. Callable from any thread; cheap when the
-  /// channel has no subscribers.
-  void Broadcast(const std::string& channel, const std::string& data);
+  /// Queues `data` as one chunk on every connection streaming `channel` and
+  /// wakes the service thread. Every subscriber shares one buffer, and a
+  /// caller that moves `data` in hands the bytes over without a copy.
+  /// Callable from any thread; cheap when the channel has no subscribers.
+  void Broadcast(const std::string& channel, std::string data);
 
   /// Current number of connections subscribed to `channel`.
   std::size_t SubscriberCount(const std::string& channel) const;
 
-  /// Largest unsent out-buffer among `channel`'s subscribers — the
-  /// producer-side backpressure signal. A producer that pauses while this
-  /// exceeds its watermark bounds per-connection memory: the buffer only
-  /// grows as fast as the slowest client drains it plus one producer burst.
+  /// Largest count of queued, unsent bytes among `channel`'s subscribers
+  /// (including a write in progress) — the producer-side backpressure
+  /// signal. A producer that pauses while this exceeds its watermark bounds
+  /// per-connection memory: the queue only grows as fast as the slowest
+  /// client drains it plus one producer burst.
   std::size_t ChannelBacklogBytes(const std::string& channel) const;
 
-  /// Ends the stream on every connection subscribed to `channel`: appends
+  /// Ends the stream on every connection subscribed to `channel`: queues
   /// the terminating zero-length chunk (unless `graceful` is false — an
   /// abort, letting the client detect truncation by the missing terminator)
   /// and closes each connection once its buffer drains. Callable from any
@@ -134,10 +148,23 @@ class HttpServer {
   void CloseChannel(const std::string& channel, bool graceful = true);
 
  private:
+  using Buffer = std::shared_ptr<const std::string>;
+
+  /// `length` bytes at `offset` of a buffer the slice keeps alive.
+  struct Slice {
+    Buffer buf;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+
   struct Connection {
     int fd = -1;
     std::string in;         ///< bytes received, not yet parsed; guarded by mu_
-    std::string out;        ///< bytes to send; guarded by mu_
+    /// Bytes to send, in order; guarded by mu_. Producers only push to the
+    /// back and only the service thread pops or advances the front, so the
+    /// head slices it hands to writev outside mu_ stay alive meanwhile.
+    std::deque<Slice> out;
+    std::size_t out_bytes = 0;  ///< sum of `out` lengths; guarded by mu_
     std::string channel;    ///< non-empty: streaming subscriber; guarded by mu_
     /// Atomic: the service thread reads it outside mu_ while CloseChannel
     /// sets it from producer threads (under mu_).
@@ -146,14 +173,27 @@ class HttpServer {
     /// mu_ (read/write loops) while Broadcast/SubscriberCount read it under
     /// mu_ from other threads.
     std::atomic<bool> broken{false};
+
+    /// Queues bytes [offset, offset + length) of `buf`. Caller holds mu_.
+    void Push(Buffer buf, std::size_t offset, std::size_t length);
+    void Push(Buffer buf);  ///< the whole buffer
+    /// Queues that byte range as one HTTP/1.1 chunk (hex length, CRLF,
+    /// payload, CRLF). Caller holds mu_; `length` must be non-zero, since
+    /// an empty chunk ends the stream.
+    void PushChunk(const Buffer& buf, std::size_t offset, std::size_t length);
+    /// Drops the first `n` queued bytes. Caller holds mu_.
+    void Consume(std::size_t n);
   };
 
   void Loop();
+  /// Writes the connection's queue head until it is empty or the socket
+  /// would block; marks the connection broken on a write error.
+  void Send(Connection* conn);
   /// Parses and answers every complete request in `conn->in`. Returns false
   /// when the connection must be dropped without further writes.
   bool ServiceInput(Connection* conn);
   void Respond(Connection* conn, const HttpRequest& request,
-               const HttpResponse& response);
+               HttpResponse response);
   void RespondError(Connection* conn, int status, const std::string& text);
 
   Handler handler_;
@@ -167,12 +207,6 @@ class HttpServer {
   bool running_ = false;
   bool stop_requested_ = false;
 };
-
-/// Appends `data` to `out` in HTTP/1.1 chunked framing (hex length, CRLF,
-/// payload, CRLF). Empty `data` is skipped — an empty chunk would terminate
-/// the stream; use AppendLastChunk for that.
-void AppendChunk(const std::string& data, std::string* out);
-void AppendLastChunk(std::string* out);
 
 }  // namespace tg::net
 

@@ -1,5 +1,8 @@
 #include "serve/daemon.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -43,6 +46,17 @@ std::string HexFingerprint(std::uint64_t fingerprint) {
                 static_cast<unsigned long long>(fingerprint));
   return buf;
 }
+
+/// Closes a file descriptor when it goes out of scope.
+struct ScopedFd {
+  ScopedFd() = default;
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int fd = -1;
+  ~ScopedFd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
 void RecordServeEvent(const std::string& kind, std::uint64_t id,
                       const std::string& detail) {
@@ -341,8 +355,8 @@ net::HttpResponse ServeDaemon::HandleGenerate(const net::HttpRequest& http) {
     obs::GetCounter("serve.tenant." + gen.tenant + ".bytes_streamed")
         ->Add(payload->size());
     response.headers["X-TG-Cache"] = "hit";
-    response.body = *payload;
-    response.chunked = response.body.size() > 64 * 1024;
+    response.chunked = payload->size() > 64 * 1024;
+    response.shared_body = std::move(payload);  // sent by reference
     return response;
   }
   obs::GetCounter("serve.cache_misses")->Add(1);
@@ -626,14 +640,12 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  std::vector<char> block(block_bytes);
   for (int shard = 0; shard < req->gen.workers; ++shard) {
     const std::string path = format::ShardPath(prefix, shard, req->gen.format);
-    std::FILE* file = nullptr;
+    ScopedFd file;
     std::uint64_t sent = 0;
     for (;;) {
       if (req->cancel.load()) {
-        if (file != nullptr) std::fclose(file);
         abort_stream("cancelled");
         return;
       }
@@ -655,7 +667,6 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
       if (failed || cancelled) {
         // A cancelled run's shards are committed prefixes, not complete
         // payloads; never close them out as a well-formed stream.
-        if (file != nullptr) std::fclose(file);
         abort_stream(failed ? "generation failed" : "cancelled");
         return;
       }
@@ -666,22 +677,20 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
         std::error_code ec;
         const std::uint64_t size = std::filesystem::file_size(path, ec);
         if (ec) {
-          if (file != nullptr) std::fclose(file);
           abort_stream("shard file missing");
           return;
         }
         target = size;
       }
       if (server_.SubscriberCount(channel) == 0) {
-        if (file != nullptr) std::fclose(file);
         abort_stream("client disconnected");
         return;
       }
 
       while (sent < target) {
-        if (file == nullptr) {
-          file = std::fopen(path.c_str(), "rb");
-          if (file == nullptr) break;  // not created yet; retry next round
+        if (file.fd < 0) {
+          file.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+          if (file.fd < 0) break;  // not created yet; retry next round
         }
         // Per-request backpressure: pause while this channel's backlog is
         // above the watermark. Only this streamer waits — generation keeps
@@ -692,12 +701,10 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
         while (server_.ChannelBacklogBytes(channel) >
                options_.backlog_watermark_bytes) {
           if (req->cancel.load() || server_.SubscriberCount(channel) == 0) {
-            std::fclose(file);
             abort_stream("client disconnected under backpressure");
             return;
           }
           if (std::chrono::steady_clock::now() > stall_deadline) {
-            std::fclose(file);
             abort_stream("client stalled past timeout");
             return;
           }
@@ -705,18 +712,20 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
         }
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(block_bytes, target - sent));
-        if (std::fseek(file, static_cast<long>(sent), SEEK_SET) != 0) break;
-        const std::size_t got = std::fread(block.data(), 1, want, file);
-        if (got == 0) break;  // writer mid-flush; retry next round
-        req->bytes_streamed += got;
-        streamed_counter->Add(got);
-        tenant_streamed_counter->Add(got);
-        server_.Broadcast(channel, std::string(block.data(), got));
-        sent += got;
+        // Read straight into the buffer the server sends by reference.
+        std::string block(want, '\0');
+        const ssize_t got = ::pread(file.fd, block.data(), want,
+                                    static_cast<off_t>(sent));
+        if (got <= 0) break;  // writer mid-flush; retry next round
+        block.resize(static_cast<std::size_t>(got));
+        req->bytes_streamed += block.size();
+        streamed_counter->Add(block.size());
+        tenant_streamed_counter->Add(block.size());
+        sent += block.size();
+        server_.Broadcast(channel, std::move(block));
       }
       if (done && sent >= target) break;  // shard fully streamed
     }
-    if (file != nullptr) std::fclose(file);
   }
 
   req->streamed_all = true;

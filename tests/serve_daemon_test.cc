@@ -84,9 +84,10 @@ std::string OfflineReference(const GenRequest& request) {
 
 std::string RequestJson(const std::string& tenant, int scale,
                         const std::string& format, int workers,
-                        std::uint64_t seed = 42) {
+                        std::uint64_t seed = 42, int edge_factor = 8) {
   return "{\"tenant\": \"" + tenant + "\", \"scale\": " +
-         std::to_string(scale) + ", \"edge_factor\": 8, \"format\": \"" +
+         std::to_string(scale) + ", \"edge_factor\": " +
+         std::to_string(edge_factor) + ", \"format\": \"" +
          format + "\", \"workers\": " + std::to_string(workers) +
          ", \"seed\": " + std::to_string(seed) + "}";
 }
@@ -285,6 +286,34 @@ TEST_F(DaemonFixture, RepeatedRequestHitsCache) {
   ASSERT_EQ(other.status, 200);
   EXPECT_EQ(other.headers["x-tg-cache"], "miss");
   EXPECT_NE(other.body, cold.body);
+}
+
+TEST_F(DaemonFixture, RepeatedScale16RequestHitsCacheThroughSlowReader) {
+  DaemonOptions options;
+  options.cache_bytes = 64ULL << 20;
+  Start(options);
+
+  // A multi-MB payload, as in serve_mix: far more than one socket buffer.
+  const std::string json =
+      RequestJson("erin", 16, "adj6", 2, /*seed=*/7, /*edge_factor=*/16);
+  ClientResponse miss = Post(json);
+  ASSERT_EQ(miss.status, 200);
+  EXPECT_EQ(miss.headers["x-tg-cache"], "miss");
+  ASSERT_GT(miss.body.size(), 4u << 20);
+
+  // A client that pauses after every fragment leaves the server's socket
+  // full, so the cached payload goes out over many partial writes.
+  ClientOptions slow;
+  slow.on_body = [](const char*, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return true;
+  };
+  ClientResponse hit = Post(json, slow);
+  ASSERT_EQ(hit.status, 200);
+  EXPECT_EQ(hit.headers["x-tg-cache"], "hit");
+  EXPECT_FALSE(hit.truncated) << hit.error;
+  ASSERT_EQ(hit.body.size(), miss.body.size());
+  EXPECT_TRUE(hit.body == miss.body) << "cache hit diverged from the miss";
 }
 
 TEST(ArtifactCacheTest, ModelArtifactsAreMemoizedAndGraphLruEvicts) {

@@ -11,8 +11,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -37,12 +40,17 @@ namespace {
 // ---------------------------------------------------------------------------
 // A tiny blocking test client.
 
-/// Connects to 127.0.0.1:port with a receive timeout; -1 on failure.
-int ConnectTo(int port) {
+/// Connects to 127.0.0.1:port with a receive timeout; -1 on failure. A
+/// non-zero `rcvbuf` shrinks the receive buffer (set before connect, so the
+/// advertised window stays small) to make the server's writes partial.
+int ConnectTo(int port, int rcvbuf = 0) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   timeval timeout{/*tv_sec=*/5, /*tv_usec=*/0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -99,6 +107,89 @@ net::HttpResponse EchoHandler(const net::HttpRequest& request) {
   response.body = "path=" + request.path + "\n";
   return response;
 }
+
+/// Reads up to `limit` bytes (or to EOF) in 1 KiB reads, pausing 1 ms every
+/// 64 reads: a slow client that keeps the server's socket full.
+std::string SlowRead(int fd, std::size_t limit = std::string::npos) {
+  std::string got;
+  char buf[1024];
+  for (int reads = 1; got.size() < limit; ++reads) {
+    const ssize_t n =
+        ::read(fd, buf, std::min(sizeof(buf), limit - got.size()));
+    if (n <= 0) break;
+    got.append(buf, static_cast<std::size_t>(n));
+    if (reads % 64 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return got;
+}
+
+/// `n` deterministic pseudo-random bytes.
+std::string Pattern(std::size_t n) {
+  std::string bytes(n, '\0');
+  std::uint32_t x = 12345;
+  for (char& c : bytes) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<char>(x >> 24);
+  }
+  return bytes;
+}
+
+/// `data` framed as one HTTP/1.1 chunk.
+std::string Chunk(const std::string& data) {
+  char head[24];
+  std::snprintf(head, sizeof(head), "%zx\r\n", data.size());
+  return head + data + "\r\n";
+}
+
+/// `body` as the server frames a chunked body: 64 KiB chunks.
+std::string Chunked(const std::string& body) {
+  std::string out;
+  for (std::size_t off = 0; off < body.size(); off += 64 * 1024) {
+    out += Chunk(body.substr(off, 64 * 1024));
+  }
+  return out;
+}
+
+/// Sends the GET for a subscription and waits until `channel` has it.
+int Subscribe(net::HttpServer* server, const std::string& channel,
+              int rcvbuf) {
+  int fd = ConnectTo(server->port(), rcvbuf);
+  if (fd < 0) return -1;
+  const std::string req = "GET /stream HTTP/1.1\r\nHost: t\r\n\r\n";
+  if (::write(fd, req.data(), req.size()) !=
+      static_cast<ssize_t>(req.size())) {
+    ::close(fd);
+    return -1;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server->SubscriberCount(channel) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return fd;
+}
+
+/// Handler opening a stream on "chan" whose first chunks carry `preamble`.
+net::HttpServer::Handler StreamHandler(std::string preamble) {
+  return [preamble](const net::HttpRequest&) {
+    net::HttpResponse response;
+    response.content_type = "application/octet-stream";
+    response.stream_channel = "chan";
+    response.body = preamble;
+    return response;
+  };
+}
+
+/// The response head every StreamHandler subscription starts with.
+const char kStreamHeaders[] =
+    "HTTP/1.1 200 OK\r\n"
+    "Content-Type: application/octet-stream\r\n"
+    "Cache-Control: no-cache\r\n"
+    "Transfer-Encoding: chunked\r\n"
+    "Connection: close\r\n\r\n";
 
 // ---------------------------------------------------------------------------
 // HTTP protocol layer.
@@ -191,29 +282,12 @@ TEST(HttpServerTest, HeadAdvertisesLengthWithoutBody) {
 
 TEST(HttpServerTest, BroadcastReachesStreamSubscribers) {
   net::HttpServer server;
-  ASSERT_TRUE(server
-                  .Start(EphemeralOptions(),
-                         [](const net::HttpRequest&) {
-                           net::HttpResponse response;
-                           response.content_type = "text/event-stream";
-                           response.stream_channel = "chan";
-                           response.body = "event: hello\n\n";
-                           return response;
-                         })
-                  .ok());
-  int fd = ConnectTo(server.port());
-  ASSERT_GE(fd, 0);
-  const std::string req = "GET /events HTTP/1.1\r\nHost: t\r\n\r\n";
-  ASSERT_EQ(::write(fd, req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-
-  // Wait for the subscription to register, then broadcast twice.
+  ASSERT_TRUE(
+      server.Start(EphemeralOptions(), StreamHandler("event: hello\n\n")).ok());
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(5);
-  while (server.SubscriberCount("chan") == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  int fd = Subscribe(&server, "chan", /*rcvbuf=*/0);
+  ASSERT_GE(fd, 0);
   ASSERT_EQ(server.SubscriberCount("chan"), 1u);
   server.Broadcast("chan", "data: one\n\n");
   server.Broadcast("chan", "data: two\n\n");
@@ -235,27 +309,12 @@ TEST(HttpServerTest, BroadcastReachesStreamSubscribers) {
 
 TEST(HttpServerTest, SubscribedStreamIgnoresPipelinedRequests) {
   net::HttpServer server;
-  ASSERT_TRUE(server
-                  .Start(EphemeralOptions(),
-                         [](const net::HttpRequest&) {
-                           net::HttpResponse response;
-                           response.content_type = "text/event-stream";
-                           response.stream_channel = "chan";
-                           response.body = "event: hello\n\n";
-                           return response;
-                         })
-                  .ok());
-  int fd = ConnectTo(server.port());
-  ASSERT_GE(fd, 0);
-  const std::string req = "GET /events HTTP/1.1\r\nHost: t\r\n\r\n";
-  ASSERT_EQ(::write(fd, req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
+  ASSERT_TRUE(
+      server.Start(EphemeralOptions(), StreamHandler("event: hello\n\n")).ok());
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(5);
-  while (server.SubscriberCount("chan") == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  int fd = Subscribe(&server, "chan", /*rcvbuf=*/0);
+  ASSERT_GE(fd, 0);
   ASSERT_EQ(server.SubscriberCount("chan"), 1u);
 
   // A request pipelined after the subscription must be discarded, not
@@ -304,6 +363,113 @@ TEST(HttpServerTest, ErrorResponseIsQueuedOnlyOnce) {
   const std::size_t first = reply.find("HTTP/1.1 400");
   ASSERT_NE(first, std::string::npos) << reply;
   EXPECT_EQ(reply.find("HTTP/1.1 400", first + 1), std::string::npos) << reply;
+}
+
+// ---------------------------------------------------------------------------
+// Send queue: bodies by reference, writev over partial writes, backlog.
+
+TEST(HttpServerTest, LargeSharedBodyReachesSlowReaderByteIdentical) {
+  // 8 MiB plus a partial last chunk, handed to the server by reference.
+  const auto body =
+      std::make_shared<const std::string>(Pattern((8u << 20) + 1000));
+  net::HttpServer server;
+  ASSERT_TRUE(server
+                  .Start(EphemeralOptions(),
+                         [body](const net::HttpRequest&) {
+                           net::HttpResponse response;
+                           response.content_type = "application/octet-stream";
+                           response.shared_body = body;
+                           response.chunked = true;
+                           return response;
+                         })
+                  .ok());
+  int fd = ConnectTo(server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  const std::string req =
+      "GET /graph HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+  ASSERT_EQ(::write(fd, req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
+  const std::string wire = SlowRead(fd);
+  ::close(fd);
+
+  const std::string expected =
+      "HTTP/1.1 200 OK\r\n"
+      "Content-Type: application/octet-stream\r\n"
+      "Transfer-Encoding: chunked\r\n"
+      "Connection: close\r\n\r\n" +
+      Chunked(*body) + "0\r\n\r\n";
+  ASSERT_EQ(wire.size(), expected.size());
+  EXPECT_TRUE(wire == expected) << "wire bytes diverged from the framing";
+}
+
+TEST(HttpServerTest, BroadcastBehindPartialWriteKeepsOrder) {
+  const std::string preamble = Pattern(8u << 20);
+  net::HttpServer server;
+  ASSERT_TRUE(server.Start(EphemeralOptions(), StreamHandler(preamble)).ok());
+  int fd = Subscribe(&server, "chan", /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(server.SubscriberCount("chan"), 1u);
+  // The client has read nothing, so most of the preamble is still queued:
+  // these broadcasts land behind a response the socket took only part of.
+  ASSERT_GT(server.ChannelBacklogBytes("chan"), 0u);
+  const std::string big = Pattern(100000);
+  server.Broadcast("chan", "one");
+  server.Broadcast("chan", big);
+  server.CloseChannel("chan");
+
+  const std::string wire = SlowRead(fd);
+  ::close(fd);
+  const std::string expected = kStreamHeaders + Chunked(preamble) +
+                               Chunk("one") + Chunk(big) + "0\r\n\r\n";
+  ASSERT_EQ(wire.size(), expected.size());
+  EXPECT_TRUE(wire == expected) << "broadcast overtook or tore the response";
+}
+
+TEST(HttpServerTest, ChannelBacklogCountsUnsentBytes) {
+  // "/probe" runs on the service thread, so no write to the subscriber can
+  // land between its two backlog reads: the difference is exactly what its
+  // Broadcast queued.
+  net::HttpServer server;
+  const std::string more = Pattern(1000);
+  std::atomic<std::size_t> before{0};
+  std::atomic<std::size_t> after{0};
+  const net::HttpServer::Handler stream = StreamHandler("");
+  ASSERT_TRUE(server
+                  .Start(EphemeralOptions(),
+                         [&](const net::HttpRequest& request) {
+                           if (request.path != "/probe") return stream(request);
+                           before = server.ChannelBacklogBytes("chan");
+                           server.Broadcast("chan", more);
+                           after = server.ChannelBacklogBytes("chan");
+                           return net::HttpResponse{};
+                         })
+                  .ok());
+  int fd = Subscribe(&server, "chan", /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(server.SubscriberCount("chan"), 1u);
+
+  // The client reads nothing, so most of this stays queued.
+  const std::string blob = Pattern(16u << 20);
+  server.Broadcast("chan", blob);
+  ASSERT_NE(Get(server.port(), "/probe").find("HTTP/1.1 200"),
+            std::string::npos);
+  EXPECT_GT(before.load(), 0u);
+  EXPECT_LE(before.load(), Chunk(blob).size());
+  EXPECT_EQ(after.load(), before.load() + Chunk(more).size());
+
+  // Once the client has drained every byte, nothing is left to count.
+  const std::size_t total =
+      std::strlen(kStreamHeaders) + Chunk(blob).size() + Chunk(more).size();
+  EXPECT_EQ(SlowRead(fd, total).size(), total);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.ChannelBacklogBytes("chan") != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.ChannelBacklogBytes("chan"), 0u);
+  EXPECT_EQ(server.SubscriberCount("chan"), 1u);
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
