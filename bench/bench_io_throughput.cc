@@ -1,9 +1,10 @@
 // Writer micro-benchmark behind the I/O fast path (docs/PERFORMANCE.md,
 // "The I/O path"). Three measurements:
-//   1. transport: the same byte stream through the sync stdio writer and the
-//      double-buffered async writer. The overlap win needs >= 2 cores —
-//      producer and writer thread timeshare one CPU otherwise, so the table
-//      prints the core count alongside.
+//   1. transport: the same byte stream through the one writer's two modes,
+//      sync (the producer pwrite()s each block) and async (a writer thread
+//      does). The overlap win needs >= 2 cores — producer and writer thread
+//      timeshare one CPU otherwise, so the table prints the core count
+//      alongside.
 //   2. TSV writer: branchless two-digits-at-a-time formatting vs the legacy
 //      per-digit divide loop it replaced. Expected >= 1.5x on any host —
 //      this leg carries the writer-throughput acceptance bar.
@@ -19,7 +20,6 @@
 
 #include "bench_util.h"
 #include "format/tsv.h"
-#include "storage/async_writer.h"
 #include "storage/file_io.h"
 #include "storage/temp_dir.h"
 #include "util/common.h"
@@ -32,25 +32,24 @@ constexpr std::size_t kTotalBytes = 96ULL << 20;
 constexpr int kRepetitions = 3;  // best-of to shed scheduler noise
 constexpr std::uint64_t kTsvEdges = 2000000;
 
-/// Streams kTotalBytes of 64 KiB appends through `config`'s transport and
+/// Streams kTotalBytes of 64 KiB appends through a `mode` writer and
 /// returns the best MiB/s over kRepetitions (Open through Close, so the
 /// async drain is inside the clock).
-double WriterThroughput(const tg::storage::IoConfig& config,
-                        const std::string& path) {
+double WriterThroughput(tg::storage::IoMode mode, const std::string& path) {
   std::vector<char> chunk(kChunkBytes);
   for (std::size_t i = 0; i < chunk.size(); ++i) {
     chunk[i] = static_cast<char>('a' + i % 26);
   }
   double best_seconds = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    auto writer = tg::storage::MakeFileWriter(1 << 20, config);
+    tg::storage::FileWriter writer(1 << 20, mode);
     tg::Stopwatch watch;
-    TG_CHECK(writer->Open(path).ok());
+    TG_CHECK(writer.Open(path).ok());
     for (std::size_t written = 0; written < kTotalBytes;
          written += kChunkBytes) {
-      writer->Append(chunk.data(), chunk.size());
+      writer.Append(chunk.data(), chunk.size());
     }
-    TG_CHECK(writer->Close().ok());
+    TG_CHECK(writer.Close().ok());
     const double seconds = watch.ElapsedSeconds();
     if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
   }
@@ -58,7 +57,7 @@ double WriterThroughput(const tg::storage::IoConfig& config,
 }
 
 /// The formatter this PR replaced: one divide per digit plus a reverse,
-/// fed to the synchronous stdio writer. Kept here as the bench's
+/// fed to a sync writer. Kept here as the bench's
 /// before/after reference.
 int LegacyFormatU64(std::uint64_t value, char* buf) {
   char tmp[20];
@@ -74,7 +73,7 @@ int LegacyFormatU64(std::uint64_t value, char* buf) {
 double LegacyTsvWriteSeconds(const std::string& path, std::uint64_t seed) {
   std::uint64_t state = seed;
   tg::Stopwatch watch;
-  tg::storage::FileWriter writer;
+  tg::storage::FileWriter writer(1 << 20, tg::storage::IoMode::kSync);
   TG_CHECK(writer.Open(path).ok());
   for (std::uint64_t i = 0; i < kTsvEdges; ++i) {
     char line[44];
@@ -129,7 +128,7 @@ int main() {
   for (const tg::storage::IoMode mode :
        {tg::storage::IoMode::kSync, tg::storage::IoMode::kAsync}) {
     const tg::storage::IoConfig config{mode};
-    const double mibps = WriterThroughput(config, temp_dir.File("stream.bin"));
+    const double mibps = WriterThroughput(mode, temp_dir.File("stream.bin"));
     std::printf("%-15s %12.0f\n", tg::storage::IoSpecString(config).c_str(),
                 mibps);
     if (mode == tg::storage::IoMode::kSync) {

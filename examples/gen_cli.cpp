@@ -103,11 +103,12 @@ int main(int argc, char** argv) {
         "compatible folded stacks to PATH; --profile_hz sets the sampling\n"
         "rate (default 99 Hz of process CPU time). The profiler only reads\n"
         "program state: output files are bit-identical with it on or off.\n"
-        "--io selects the writer transport (docs/PERFORMANCE.md \"The I/O\n"
-        "path\"): 'sync' is the blocking stdio writer, 'async' (the default)\n"
-        "double-buffers flushes onto a pwrite writer thread. Output files are\n"
-        "bit-identical in both modes; TG_IO in the environment is honored\n"
-        "when the flag is absent.\n"
+        "--io selects who writes each full 1 MiB staging block\n"
+        "(docs/PERFORMANCE.md \"The I/O path\"): 'sync' pwrite()s it on the\n"
+        "generating thread, 'async' (the default) hands it to a writer\n"
+        "thread. Output files are bit-identical in both modes; TG_IO in the\n"
+        "environment is honored when the flag is absent. A failed write\n"
+        "fails the run (exit code 3) and the journal records no completion.\n"
         "--chunks_per_worker sets the work-stealing granularity (default "
         "16;\n1 = static one-range-per-worker schedule; output is "
         "bit-identical\nfor any value; TG_CHUNKS_PER_WORKER in the "
@@ -148,9 +149,9 @@ int main(int argc, char** argv) {
   config.determiner.use_prefix_tables =
       !flags.GetBool("no_prefix_tables", false);
 
-  // Writer transport (docs/PERFORMANCE.md): the flag overrides TG_IO, which
-  // GlobalIoConfig() already consulted; every writer constructed below goes
-  // through MakeFileWriter() and sees this choice.
+  // Writer mode (docs/PERFORMANCE.md): the flag overrides TG_IO, which
+  // GlobalIoConfig() already consulted; every writer constructed below
+  // takes its mode from there.
   if (flags.Has("io")) {
     tg::storage::IoConfig io_config;
     const std::string io_spec = flags.GetString("io", "async");
@@ -376,7 +377,18 @@ int main(int argc, char** argv) {
   }
 
   const bool interrupted = !oomed && !faulted && stats.cancelled;
-  const bool completed = !oomed && !faulted && !stats.cancelled;
+  // A shard writer latched a write error: its bytes stop short of the
+  // graph, so the run is not complete and the journal must not say so.
+  // The journal holds only chunks whose bytes reached the file.
+  const bool write_failed = !oomed && !faulted && !stats.sink_status.ok();
+  const bool completed = !oomed && !faulted && !stats.cancelled &&
+                         !write_failed;
+  if (write_failed) {
+    std::fprintf(stderr, "write failed after %.2f s: %s%s\n",
+                 watch.ElapsedSeconds(),
+                 stats.sink_status.ToString().c_str(),
+                 journal != nullptr ? "; continue with --resume" : "");
+  }
   if (interrupted) {
     // The shards hold a clean committed prefix — exactly what an
     // uninterrupted run would have written up to the last committed chunk.
@@ -440,5 +452,6 @@ int main(int argc, char** argv) {
   if (interrupted) run_meta["interrupted"] = "1";
   if (!obs_session.Finish(run_meta).ok()) return 1;
   if (oomed) return 1;
-  return faulted ? 2 : 0;
+  if (faulted) return 2;
+  return write_failed ? 3 : 0;
 }

@@ -85,6 +85,7 @@ struct RangeCommit {
   std::uint32_t total = 0;     ///< chunks this range was split into
   std::map<std::uint32_t, ParkedChunk> parked;  ///< done but out of order
   ScopeSink* sink = nullptr;
+  Status finish_status;  ///< what sink->Finish() returned
 };
 
 }  // namespace
@@ -132,7 +133,9 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
     }
     // A range with nothing left to commit (no chunks, or fully committed by
     // the interrupted process) will never commit; honor the Finish contract.
-    if (ranges[r].next_seq == ranges[r].total) sinks[r]->Finish();
+    if (ranges[r].next_seq == ranges[r].total) {
+      ranges[r].finish_status = sinks[r]->Finish();
+    }
   }
 
   std::atomic<bool> abort{false};
@@ -215,7 +218,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
       rc.parked.erase(rc.parked.begin());
       ++rc.next_seq;
     }
-    if (rc.next_seq == rc.total) rc.sink->Finish();
+    if (rc.next_seq == rc.total) rc.finish_status = rc.sink->Finish();
   };
 
   // Moves every chunk still queued on worker `w` (whose machine just died)
@@ -400,6 +403,12 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
     stats.max_worker_cpu_seconds = std::max(stats.max_worker_cpu_seconds, c);
   }
   stats.imbalance = CpuImbalance(cpu);
+  for (const RangeCommit& rc : ranges) {
+    if (!rc.finish_status.ok()) {
+      stats.sink_status = rc.finish_status;
+      break;
+    }
+  }
 
   // Phase-boundary recording: a handful of ops per run, always on (like
   // RecordAvsStats). Set (not Max) so one report per bench row reflects the

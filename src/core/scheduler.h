@@ -147,6 +147,9 @@ struct SchedulerStats {
   /// True when SchedulerOptions::cancel stopped the run before every chunk
   /// committed. Unfinished ranges' sinks did not receive Finish().
   bool cancelled = false;
+  /// The first non-ok status a sink's Finish() returned, by range index
+  /// (e.g. a format writer's latched write error); Ok otherwise.
+  Status sink_status;
 };
 
 /// Computes `imbalance` (max/mean, 1.0 when idle) from per-worker CPU times.

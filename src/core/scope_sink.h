@@ -26,8 +26,11 @@ class ScopeSink {
   /// valid for the duration of the call. Neighbors are NOT sorted.
   virtual void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) = 0;
 
-  /// Flushes buffered output. Called exactly once, after the last scope.
-  virtual void Finish() {}
+  /// Flushes buffered output and returns the sink's latched status: a
+  /// format writer reports its first write error here, so a run whose
+  /// bytes did not all reach the file cannot pass as complete. Called
+  /// exactly once, after the last scope.
+  virtual Status Finish() { return Status::Ok(); }
 };
 
 /// A sink whose output can be checkpointed durably and continued by a later

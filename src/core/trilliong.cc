@@ -84,7 +84,7 @@ GenerateStats RunTyped(const TrillionGConfig& config,
     ScopeScratch<Real> scratch;
     generator.GenerateRange(boundaries[0], boundaries[1], root, &scratch,
                             &worker_stats[0], sink.get());
-    sink->Finish();
+    stats.sink_status = sink->Finish();
     worker_cpu[0] = ThreadCpuSeconds() - cpu_start;
   } else {
     // Work-stealing path: split each worker's range into chunks of equal
@@ -130,6 +130,7 @@ GenerateStats RunTyped(const TrillionGConfig& config,
     stats.sched_recovered = sched.num_recovered;
     stats.sched_imbalance = sched.imbalance;
     stats.cancelled = sched.cancelled;
+    stats.sink_status = sched.sink_status;
   }
 
   AvsWorkerStats merged;

@@ -145,6 +145,9 @@ struct GenerateStats {
   /// True when TrillionGConfig::cancel_flag stopped the run early; the
   /// outputs hold a clean committed prefix, not the whole graph.
   bool cancelled = false;
+  /// The first non-ok status a sink's Finish() returned, by worker index:
+  /// a latched write error means the outputs are incomplete. Ok otherwise.
+  Status sink_status;
 };
 
 /// Creates one sink per worker. Called before generation starts, with the

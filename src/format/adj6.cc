@@ -6,7 +6,6 @@
 
 #include "format/resume_token.h"
 #include "obs/metrics.h"
-#include "storage/async_writer.h"
 
 namespace tg::format {
 
@@ -29,32 +28,28 @@ inline void Store48Wide(char* p, std::uint64_t v) {
 
 }  // namespace
 
-Adj6Writer::Adj6Writer(const std::string& path)
-    : writer_(storage::MakeFileWriter()) {
-  writer_->Open(path);
-}
+Adj6Writer::Adj6Writer(const std::string& path) { writer_.Open(path); }
 
 Adj6Writer::Adj6Writer(const std::string& path,
-                       const core::ResumeFrom& resume)
-    : writer_(storage::MakeFileWriter()) {
+                       const core::ResumeFrom& resume) {
   std::uint64_t bytes = 0;
   if (!TokenField(resume.state, "bytes", &bytes)) {
-    writer_->OpenForResume("", 0);  // sticky error: malformed token
+    writer_.OpenForResume("", 0);  // sticky error: malformed token
     return;
   }
-  writer_->OpenForResume(path, bytes);
+  writer_.OpenForResume(path, bytes);
 }
 
 Status Adj6Writer::CommitState(std::string* token) {
-  Status s = writer_->FlushToOs();
+  Status s = writer_.FlushToOs();
   if (!s.ok()) return s;
-  *token = "bytes=" + std::to_string(writer_->bytes_written());
+  *token = "bytes=" + std::to_string(writer_.bytes_written());
   return s;
 }
 
 void Adj6Writer::ConsumeScope(VertexId u, const VertexId* adj,
                               std::size_t n) {
-  if (n == 0 || !writer_->status().ok()) return;
+  if (n == 0 || !writer_.status().ok()) return;
   // The record [u][n][adj...] goes out in as few staging reservations as
   // the buffer allows — one per scope unless the record straddles a flush.
   // Each slice holds exactly the values that fit before the flush point, so
@@ -65,17 +60,17 @@ void Adj6Writer::ConsumeScope(VertexId u, const VertexId* adj,
   VertexId mask = u | n;
   std::size_t done = 0;  // record values written so far
   while (done < total) {
-    const std::size_t fit = std::min(total - done, writer_->Room() / 6);
+    const std::size_t fit = std::min(total - done, writer_.Room() / 6);
     if (fit == 0) {
       // Not one value fits: Append48 flushes first (or, with a staging
       // buffer under 6 bytes, writes the value straight through).
       const VertexId v = done < 2 ? head[done] : adj[done - 2];
       mask |= v;
-      writer_->Append48(v);
+      writer_.Append48(v);
       ++done;
       continue;
     }
-    char* q = writer_->Reserve(fit * 6);
+    char* q = writer_.Reserve(fit * 6);
     if (q == nullptr) return;
     const std::size_t end = done + fit;
     for (; done < 2 && done < end; ++done, q += 6) Store48(q, head[done]);
@@ -101,9 +96,10 @@ void Adj6Writer::ConsumeScope(VertexId u, const VertexId* adj,
                                             "in 6 bytes");
 }
 
-void Adj6Writer::Finish() {
-  writer_->Close();
-  obs::GetCounter("format.adj6.bytes_written")->Add(writer_->bytes_written());
+Status Adj6Writer::Finish() {
+  Status status = writer_.Close();
+  obs::GetCounter("format.adj6.bytes_written")->Add(writer_.bytes_written());
+  return status;
 }
 
 Adj6Reader::Adj6Reader(const std::string& path) {

@@ -2,7 +2,6 @@
 #define TRILLIONG_FORMAT_ADJ6_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,18 +27,18 @@ class Adj6Writer : public core::ResumableSink {
   Adj6Writer(const std::string& path, const core::ResumeFrom& resume);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
-  void Finish() override;
+  Status Finish() override;
 
   /// Durable checkpoint; token is "bytes=<flushed byte count>". ADJ6 is a
   /// pure record stream, so a byte offset at a record boundary is the whole
   /// resume state.
   Status CommitState(std::string* token) override;
 
-  const Status& status() const { return writer_->status(); }
-  std::uint64_t bytes_written() const { return writer_->bytes_written(); }
+  const Status& status() const { return writer_.status(); }
+  std::uint64_t bytes_written() const { return writer_.bytes_written(); }
 
  private:
-  std::unique_ptr<storage::FileWriterBase> writer_;
+  storage::FileWriter writer_;
 };
 
 /// Streaming ADJ6 reader.

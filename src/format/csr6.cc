@@ -5,7 +5,6 @@
 
 #include "format/resume_token.h"
 #include "obs/metrics.h"
-#include "storage/async_writer.h"
 #include "storage/file_io.h"
 
 namespace tg::format {
@@ -33,25 +32,23 @@ void AppendU64(std::vector<unsigned char>* out, std::uint64_t value) {
 }  // namespace
 
 Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi)
-    : writer_(storage::MakeFileWriter()),
-      path_(path),
+    : path_(path),
       lo_(lo),
       hi_(hi),
       next_vertex_(lo),
       sidecar_next_(lo) {
   TG_CHECK(hi >= lo);
   offsets_.assign(hi - lo + 1, 0);
-  if (!writer_->Open(path).ok()) return;
+  if (!writer_.Open(path).ok()) return;
   // Reserve the header + offsets region; it is rewritten in Finish() once
   // the offsets are known, so edges can stream sequentially after it.
   std::vector<char> zeros(HeaderBytes(), 0);
-  writer_->Append(zeros.data(), zeros.size());
+  writer_.Append(zeros.data(), zeros.size());
 }
 
 Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
                        const core::ResumeFrom& resume)
-    : writer_(storage::MakeFileWriter()),
-      path_(path),
+    : path_(path),
       lo_(lo),
       hi_(hi),
       next_vertex_(lo),
@@ -102,7 +99,7 @@ Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
         "CSR6 sidecar degrees do not sum to committed edges: " + sidecar_path);
     return;
   }
-  if (!writer_->OpenForResume(path, bytes).ok()) return;
+  if (!writer_.OpenForResume(path, bytes).ok()) return;
   // Trim uncommitted sidecar entries too, so this process appends from a
   // clean record boundary.
   sidecar_ = std::fopen(sidecar_path.c_str(), "r+b");
@@ -124,7 +121,7 @@ Csr6Writer::~Csr6Writer() {
       // Interrupted mid-run: do NOT finalize — a partial shard with a valid
       // header would masquerade as complete. Flush raw bytes (a resuming
       // process truncates back to the last committed token) and close.
-      writer_->Close();
+      writer_.Close();
     } else {
       Finish();
     }
@@ -138,7 +135,7 @@ Csr6Writer::~Csr6Writer() {
 Status Csr6Writer::CommitState(std::string* token) {
   resumable_ = true;
   if (!status().ok()) return status();
-  Status s = writer_->FlushToOs();
+  Status s = writer_.FlushToOs();
   if (!s.ok()) return s;
   const std::string sidecar_path = SidecarPath(path_);
   if (sidecar_ == nullptr) {
@@ -161,7 +158,7 @@ Status Csr6Writer::CommitState(std::string* token) {
     return status_;
   }
   sidecar_next_ = next_vertex_;
-  *token = "bytes=" + std::to_string(writer_->bytes_written()) +
+  *token = "bytes=" + std::to_string(writer_.bytes_written()) +
            ",next=" + std::to_string(next_vertex_) +
            ",edges=" + std::to_string(num_edges_);
   return status();
@@ -182,14 +179,14 @@ void Csr6Writer::ConsumeScope(VertexId u, const VertexId* adj,
                "CSR6 adjacency of vertex "
                    << u << " holds a value that does not fit in 6 bytes: "
                    << (sorted_.empty() ? 0 : sorted_.back()));
-  for (VertexId v : sorted_) writer_->Append48(v);
+  for (VertexId v : sorted_) writer_.Append48(v);
   num_edges_ += n;
 }
 
-void Csr6Writer::Finish() {
-  if (finished_) return;
+Status Csr6Writer::Finish() {
+  if (finished_) return status();
   finished_ = true;
-  if (!writer_->is_open()) return;  // construction failed; status() has why
+  if (!writer_.is_open()) return status();  // construction failed
   // Degrees -> offsets.
   for (std::size_t i = 1; i < offsets_.size(); ++i) {
     offsets_[i] += offsets_[i - 1];
@@ -205,10 +202,11 @@ void Csr6Writer::Finish() {
     AppendU64(&header, hi_);
     AppendU64(&header, num_edges_);
     for (std::uint64_t off : offsets_) AppendU64(&header, off);
-    writer_->RewriteAt(0, header.data(), header.size());
+    writer_.RewriteAt(0, header.data(), header.size());
   }
-  writer_->Close();
-  obs::GetCounter("format.csr6.bytes_written")->Add(writer_->bytes_written());
+  writer_.Close();
+  obs::GetCounter("format.csr6.bytes_written")->Add(writer_.bytes_written());
+  return status();
 }
 
 }  // namespace tg::format

@@ -2,7 +2,6 @@
 #define TRILLIONG_FORMAT_CSR6_H_
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,7 @@ class Csr6Writer : public core::ResumableSink {
   ~Csr6Writer() override;
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
-  void Finish() override;
+  Status Finish() override;
 
   /// Durable checkpoint: flushes edge bytes, appends the degrees of newly
   /// consumed vertices to the sidecar, and renders the token. The sidecar
@@ -56,9 +55,9 @@ class Csr6Writer : public core::ResumableSink {
   /// Transport errors surface through the writer; token/sidecar problems
   /// through the local status — whichever failed first wins.
   const Status& status() const {
-    return status_.ok() ? writer_->status() : status_;
+    return status_.ok() ? writer_.status() : status_;
   }
-  std::uint64_t bytes_written() const { return writer_->bytes_written(); }
+  std::uint64_t bytes_written() const { return writer_.bytes_written(); }
 
   static constexpr char kMagic[8] = {'T', 'G', 'C', 'S', 'R', '6', 0, 0};
   static constexpr std::uint64_t kVersion = 1;
@@ -66,7 +65,7 @@ class Csr6Writer : public core::ResumableSink {
  private:
   std::uint64_t HeaderBytes() const { return 8 * 5 + offsets_.size() * 8; }
 
-  std::unique_ptr<storage::FileWriterBase> writer_;
+  storage::FileWriter writer_;
   std::FILE* sidecar_ = nullptr;
   std::string path_;
   Status status_;

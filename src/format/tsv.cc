@@ -6,7 +6,6 @@
 
 #include "format/resume_token.h"
 #include "obs/metrics.h"
-#include "storage/async_writer.h"
 
 namespace tg::format {
 
@@ -103,26 +102,26 @@ int FormatU64(std::uint64_t value, char* buf) {
 }  // namespace
 
 TsvWriter::TsvWriter(const std::string& path, bool transposed)
-    : writer_(storage::MakeFileWriter()), transposed_(transposed) {
-  writer_->Open(path);
+    : transposed_(transposed) {
+  writer_.Open(path);
 }
 
 TsvWriter::TsvWriter(const std::string& path, bool transposed,
                      const core::ResumeFrom& resume)
-    : writer_(storage::MakeFileWriter()), transposed_(transposed) {
+    : transposed_(transposed) {
   std::uint64_t bytes = 0;
   if (!TokenField(resume.state, "bytes", &bytes)) {
     // Force the writer into a sticky error state (nothing is open).
-    writer_->OpenForResume("", 0);
+    writer_.OpenForResume("", 0);
     return;
   }
-  writer_->OpenForResume(path, bytes);
+  writer_.OpenForResume(path, bytes);
 }
 
 Status TsvWriter::CommitState(std::string* token) {
-  Status s = writer_->FlushToOs();
+  Status s = writer_.FlushToOs();
   if (!s.ok()) return s;
-  *token = "bytes=" + std::to_string(writer_->bytes_written());
+  *token = "bytes=" + std::to_string(writer_.bytes_written());
   return s;
 }
 
@@ -130,17 +129,17 @@ void TsvWriter::WriteEdge(VertexId src, VertexId dst) {
   // Format straight into the writer's staging buffer — one copy total. A
   // nullptr reservation is the sticky-error signal (dead disk: stop
   // formatting too).
-  char* p = writer_->Reserve(kMaxLine);
+  char* p = writer_.Reserve(kMaxLine);
   if (p == nullptr) return;
   char* q = p + FormatU64(src, p);
   *q++ = '\t';
   q += FormatU64(dst, q);
   *q++ = '\n';
-  writer_->CommitReserved(kMaxLine, static_cast<std::size_t>(q - p));
+  writer_.CommitReserved(kMaxLine, static_cast<std::size_t>(q - p));
 }
 
 void TsvWriter::ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) {
-  if (n == 0 || !writer_->status().ok()) return;
+  if (n == 0 || !writer_.status().ok()) return;
   // The scope's vertex is formatted once and copied into every line. Ids
   // below 10^16 (every id < 2^48) move as one fixed 16-byte copy whose
   // spill the rest of the line overwrites.
@@ -161,8 +160,8 @@ void TsvWriter::ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) {
   std::size_t i = 0;
   while (i < n) {
     const std::size_t want =
-        std::min(std::max(writer_->Room(), kMaxLine), (n - i) * kMaxLine);
-    char* const p = writer_->Reserve(want);
+        std::min(std::max(writer_.Room(), kMaxLine), (n - i) * kMaxLine);
+    char* const p = writer_.Reserve(want);
     if (p == nullptr) return;
     char* q = p;
     char* const limit = p + want - kMaxLine;
@@ -181,13 +180,14 @@ void TsvWriter::ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) {
         *q++ = '\n';
       }
     }
-    writer_->CommitReserved(want, static_cast<std::size_t>(q - p));
+    writer_.CommitReserved(want, static_cast<std::size_t>(q - p));
   }
 }
 
-void TsvWriter::Finish() {
-  writer_->Close();
-  obs::GetCounter("format.tsv.bytes_written")->Add(writer_->bytes_written());
+Status TsvWriter::Finish() {
+  Status status = writer_.Close();
+  obs::GetCounter("format.tsv.bytes_written")->Add(writer_.bytes_written());
+  return status;
 }
 
 TsvReader::TsvReader(const std::string& path, std::size_t buffer_bytes)

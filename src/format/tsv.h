@@ -2,7 +2,6 @@
 #define TRILLIONG_FORMAT_TSV_H_
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@ class TsvWriter : public core::ResumableSink {
             const core::ResumeFrom& resume);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
-  void Finish() override;
+  Status Finish() override;
 
   /// Durable checkpoint; token is "bytes=<flushed byte count>".
   Status CommitState(std::string* token) override;
@@ -35,15 +34,15 @@ class TsvWriter : public core::ResumableSink {
   /// Writes one explicit edge (for edge-at-a-time baselines).
   void WriteEdge(VertexId src, VertexId dst);
 
-  const Status& status() const { return writer_->status(); }
-  std::uint64_t bytes_written() const { return writer_->bytes_written(); }
+  const Status& status() const { return writer_.status(); }
+  std::uint64_t bytes_written() const { return writer_.bytes_written(); }
 
  private:
   /// Staging bytes claimed per line: two 20-digit values plus "\t\n",
   /// with slack.
   static constexpr std::size_t kMaxLine = 44;
 
-  std::unique_ptr<storage::FileWriterBase> writer_;
+  storage::FileWriter writer_;
   bool transposed_;
 };
 

@@ -9,15 +9,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "storage/async_writer.h"
 #include "storage/file_io.h"
 #include "util/common.h"
 #include "util/memory_budget.h"
@@ -61,8 +60,7 @@ class ExternalSorter {
   }
 
   ~ExternalSorter() {
-    if (spill_writer_ != nullptr) spill_writer_->Close();  // best effort
-    spill_writer_.reset();
+    spill_writer_.Close();  // best effort
     for (const std::string& path : run_paths_) RemoveFile(path);
   }
 
@@ -156,14 +154,13 @@ class ExternalSorter {
     std::sort(buffer_.begin(), buffer_.end(), Less());
     std::string path = options_.temp_dir + "/" + options_.name + ".run" +
                        std::to_string(run_paths_.size());
-    // The previous run's writer is closed only now: with the async backend
+    // The previous run's writer is closed only now: under IoMode::kAsync
     // its blocks drained while this run was being built and sorted, so run
     // building overlaps spill I/O (arXiv 1210.0187's overlap discipline).
     FinishPendingSpill();
-    spill_writer_ = MakeFileWriter();
-    TG_CHECK_MSG(spill_writer_->Open(path).ok(),
+    TG_CHECK_MSG(spill_writer_.Open(path).ok(),
                  "cannot create run file " << path);
-    spill_writer_->Append(buffer_.data(), buffer_.size() * sizeof(T));
+    spill_writer_.Append(buffer_.data(), buffer_.size() * sizeof(T));
     bytes_spilled_ += buffer_.size() * sizeof(T);
     obs::GetCounter("sort.runs_spilled")->Increment();
     obs::GetCounter("sort.bytes_spilled")->Add(buffer_.size() * sizeof(T));
@@ -172,10 +169,9 @@ class ExternalSorter {
   }
 
   void FinishPendingSpill() {
-    if (spill_writer_ == nullptr) return;
-    TG_CHECK_MSG(spill_writer_->Close().ok(),
-                 "spill failed for " << spill_writer_->path());
-    spill_writer_.reset();
+    if (!spill_writer_.is_open()) return;
+    TG_CHECK_MSG(spill_writer_.Close().ok(),
+                 "spill failed for " << spill_writer_.path());
   }
 
   Options options_;
@@ -183,7 +179,7 @@ class ExternalSorter {
   std::vector<T> buffer_;
   std::size_t mem_pos_ = 0;
   std::vector<std::string> run_paths_;
-  std::unique_ptr<FileWriterBase> spill_writer_;
+  FileWriter spill_writer_;
   std::uint64_t num_added_ = 0;
   std::uint64_t bytes_spilled_ = 0;
 };

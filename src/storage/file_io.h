@@ -1,84 +1,120 @@
-// storage/file_io.h — buffered sequential file transport beneath every format
-// writer (TSV/ADJ6/CSR6) and the external sorter's run files. Returns
-// tg::Status instead of throwing. Obs files (reports, traces, profiles) do
-// not use it: they go through storage::WriteFile (storage/fs.h), so `io.*`
-// counts graph bytes only.
+// storage/file_io.h — the file transport beneath every format writer
+// (TSV/ADJ6/CSR6) and the external sorter's run files. Returns tg::Status
+// instead of throwing. Obs files (reports, traces, profiles) do not use it:
+// they go through storage::WriteFile (storage/fs.h), so `io.*` counts graph
+// bytes only.
 //
-// FileWriterBase owns the producer-side buffering and the error/durability
-// contracts; concrete backends plug in at flush granularity:
+// One writer, FileWriter: the producer formats into a raw staging block;
+// a full block is handed off and written with pwrite(2) at its offset by
+// one function, WriteAt. The I/O mode only decides who calls WriteAt:
 //
-//   FileWriter       synchronous stdio backend (this header)
-//   AsyncFileWriter  double-buffered pwrite writer thread
-//                    (storage/async_writer.h)
+//   IoMode::kSync   the producer, inline, at every handoff
+//   IoMode::kAsync  one writer thread per open file; the full block is
+//                   swapped for a recycled spare (no copy) and up to
+//                   kQueueDepth blocks ride in flight, so encoding overlaps
+//                   the kernel copy (arXiv 1210.0187's overlap discipline)
 //
-// Three contracts every backend must preserve (fault_test.cc pins them):
+// Three contracts hold in both modes (fault_test.cc, io_test.cc pin them):
 //   1. Errors are sticky: the first failure freezes status()/bytes_written();
 //      later appends are dropped.
-//   2. IoFailureHookRef() is consulted before every raw write, on whatever
-//      thread performs it; the injected error surfaces on the next
+//   2. IoFailureHookRef() is consulted before every raw write, on whichever
+//      thread calls WriteAt; the injected error surfaces on the next
 //      producer-side status()/Append/FlushToOs call.
 //   3. FlushToOs() is the durability barrier of the chunk-commit journal:
 //      after an Ok return every appended byte survives a process kill.
+// Output bytes and the io.* counters do not depend on the mode.
 #ifndef TRILLIONG_STORAGE_FILE_IO_H_
 #define TRILLIONG_STORAGE_FILE_IO_H_
 
-#include <unistd.h>
-
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/common.h"
 #include "util/status.h"
 
 namespace tg::storage {
 
-namespace internal {
-/// One buffer handoff from producer to backend (mode-independent, so the
-/// io.* counters compare exactly between --io=sync and --io=async runs).
-/// Registry pointers are stable for the process lifetime; cache them once.
-inline void NoteIoHandoff(std::size_t bytes) {
-  static obs::Counter* const bytes_written =
-      obs::GetCounter("io.bytes_written");
-  static obs::Counter* const flushes = obs::GetCounter("io.flushes");
-  bytes_written->Add(bytes);
-  flushes->Increment();
-}
-}  // namespace internal
-
 /// Process-wide write-failure hook, consulted on every raw write. Returns
 /// true to make the write fail with a sticky IoError — this is how
 /// fault::FaultInjector simulates a dying disk without touching the real
 /// filesystem. Installed before worker threads start and cleared after they
-/// join; the empty default costs one branch per flushed buffer. With the
-/// async backend the hook fires on the writer thread.
+/// join; the empty default costs one branch per handed-off block. Under
+/// IoMode::kAsync the hook fires on the writer thread.
 using IoFailureHook = std::function<bool(const std::string& path)>;
 inline IoFailureHook& IoFailureHookRef() {
   static IoFailureHook hook;
   return hook;
 }
 
-/// Buffered sequential file writer interface. Errors are sticky: the first
-/// failure is recorded and reported from Close()/status(); subsequent writes
-/// are dropped. Not thread-safe on the producer side; backends may move the
-/// actual write to another thread, reporting failures through
-/// RecordBackendError().
-class FileWriterBase {
+/// Who calls WriteAt for a handed-off block.
+enum class IoMode {
+  kSync,   // the producer, inline
+  kAsync,  // a writer thread per open file
+};
+
+/// Process-wide I/O configuration. Defaults to the async path; overridden by
+/// the TG_IO environment variable at first use and by the gen_cli --io flag.
+struct IoConfig {
+  IoMode mode = IoMode::kAsync;
+};
+
+/// Parses an I/O spec — "sync" or "async" — into `config`. InvalidArgument
+/// on anything else.
+Status ParseIoSpec(const std::string& spec, IoConfig* config);
+
+/// Canonical spec string for a config ("sync" or "async"), as recorded in
+/// RunReport meta.
+std::string IoSpecString(const IoConfig& config);
+
+/// The mutable process-wide config. Initialized from TG_IO on first call;
+/// not thread-safe to mutate once worker threads are constructing writers.
+IoConfig& GlobalIoConfig();
+
+/// RAII override of GlobalIoConfig() for tests.
+class ScopedIoConfig {
  public:
-  explicit FileWriterBase(std::size_t buffer_bytes = 1 << 20)
-      : buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes) {}
+  explicit ScopedIoConfig(const IoConfig& config)
+      : saved_(GlobalIoConfig()) {
+    GlobalIoConfig() = config;
+  }
+  ~ScopedIoConfig() { GlobalIoConfig() = saved_; }
 
-  // Concrete classes call Close() from their own destructor — the backend
-  // virtuals are gone by the time this base destructor runs.
-  virtual ~FileWriterBase() = default;
+  ScopedIoConfig(const ScopedIoConfig&) = delete;
+  ScopedIoConfig& operator=(const ScopedIoConfig&) = delete;
 
-  FileWriterBase(const FileWriterBase&) = delete;
-  FileWriterBase& operator=(const FileWriterBase&) = delete;
+ private:
+  IoConfig saved_;
+};
+
+/// Buffered sequential file writer on an fd. Errors are sticky: the first
+/// failure is recorded and reported from Close()/status(); subsequent writes
+/// are dropped. Not thread-safe on the producer side.
+class FileWriter {
+ public:
+  /// Blocks in flight (queued or being written) before an async producer
+  /// stalls; each is `buffer_bytes`.
+  static constexpr std::size_t kQueueDepth = 4;
+
+  /// The mode is fixed for the writer's lifetime; by default it is the
+  /// process-wide one (GlobalIoConfig).
+  explicit FileWriter(std::size_t buffer_bytes = 1 << 20,
+                      IoMode mode = GlobalIoConfig().mode)
+      : mode_(mode), buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes) {}
+
+  ~FileWriter() { Close(); }
+
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
 
   Status Open(const std::string& path) { return OpenInternal(path, false, 0); }
 
@@ -95,53 +131,50 @@ class FileWriterBase {
     return status_;
   }
   const std::string& path() const { return path_; }
-  std::uint64_t bytes_written() const { return bytes_written_ + buffer_.size(); }
+  std::uint64_t bytes_written() const { return handed_off_ + used_; }
 
   void Append(const void* data, std::size_t n) {
     if (!open_ || !status().ok()) return;
     const char* p = static_cast<const char*>(data);
-    if (buffer_.size() + n > buffer_bytes_) {
-      FlushProducerBuffer();
+    if (used_ + n > buffer_bytes_) {
+      Handoff();
       if (n >= buffer_bytes_) {
-        bytes_written_ += n;
-        internal::NoteIoHandoff(n);
-        BackendWriteDirect(p, n);
+        WriteDirect(p, n);
         return;
       }
     }
-    buffer_.insert(buffer_.end(), p, p + n);
+    std::memcpy(block_.get() + used_, p, n);
+    used_ += n;
   }
 
-  /// Staging bytes that fit before the next flush: a Reserve() of at most
-  /// this many never flushes.
-  std::size_t Room() const {
-    return buffer_.size() < buffer_bytes_ ? buffer_bytes_ - buffer_.size()
-                                          : 0;
-  }
+  /// Staging bytes that fit before the next handoff: a Reserve() of at most
+  /// this many never hands off.
+  std::size_t Room() const { return buffer_bytes_ - used_; }
 
   /// Hot-path variant of Append for callers that format records in place:
-  /// returns a pointer to `n` writable staging bytes (flushing first if the
-  /// buffer is short on room), or nullptr when the writer is closed or in
-  /// its sticky error state. The caller fills at most `n` bytes and then
-  /// calls CommitReserved(n, used) — until then bytes_written() already
-  /// counts the full reservation, so no other writer call may intervene.
+  /// returns a pointer to `n` writable staging bytes (handing the block off
+  /// first if it is short on room), or nullptr when the writer is closed or
+  /// in its sticky error state. The bytes are not initialized. The caller
+  /// fills at most `n` bytes and then calls CommitReserved(n, used) — until
+  /// then bytes_written() already counts the full reservation, so no other
+  /// writer call may intervene.
   char* Reserve(std::size_t n) {
     if (!open_ || !status().ok()) return nullptr;
     TG_DCHECK(n <= buffer_bytes_);
-    if (buffer_.size() + n > buffer_bytes_) {
-      FlushProducerBuffer();
+    if (used_ + n > buffer_bytes_) {
+      Handoff();
       if (!status().ok()) return nullptr;
     }
-    const std::size_t old_size = buffer_.size();
-    buffer_.resize(old_size + n);
-    return buffer_.data() + old_size;
+    char* p = block_.get() + used_;
+    used_ += n;
+    return p;
   }
 
   /// Trims a Reserve(n) down to the `used` bytes actually written.
   void CommitReserved(std::size_t reserved, std::size_t used) {
     TG_DCHECK(used <= reserved);
-    TG_DCHECK(buffer_.size() >= reserved);
-    buffer_.resize(buffer_.size() - (reserved - used));
+    TG_DCHECK(used_ >= reserved);
+    used_ -= reserved - used;
   }
 
   /// Appends a 48-bit little-endian integer (the "6-byte representation"
@@ -164,122 +197,67 @@ class FileWriterBase {
   /// Pushes all appended bytes into the kernel. After an Ok return, the bytes
   /// survive a process kill (not an OS crash — that would need fsync, which
   /// the simulated cluster does not model). This is the durability point of
-  /// the chunk-commit journal (fault/journal.h): the async backend drains its
+  /// the chunk-commit journal (fault/journal.h): an async writer drains its
   /// in-flight queue before returning.
   Status FlushToOs() {
     if (!open_) return status();
-    if (status().ok()) FlushProducerBuffer();
-    BackendBarrier();
+    if (status().ok()) Handoff();
+    Barrier();
     return status();
   }
 
   /// Rewrites `n` bytes in place at absolute `offset` (must lie within bytes
   /// already appended). Used by Csr6Writer to finalize its header without a
-  /// second pass over the file. Implies a FlushToOs() barrier; does not
-  /// advance bytes_written().
-  Status RewriteAt(std::uint64_t offset, const void* data, std::size_t n) {
-    if (!open_) return status();
-    if (status().ok()) FlushProducerBuffer();
-    BackendBarrier();
-    if (status().ok()) {
-      TG_CHECK_MSG(offset + n <= bytes_written_,
-                   "RewriteAt past end of " << path_);
-      BackendRewriteAt(offset, static_cast<const char*>(data), n);
-    }
-    return status();
-  }
+  /// second pass over the file. Implies a FlushToOs() barrier, after which
+  /// the producer calls WriteAt itself in either mode; does not advance
+  /// bytes_written().
+  Status RewriteAt(std::uint64_t offset, const void* data, std::size_t n);
 
-  Status Close() {
-    if (open_) {
-      if (status().ok()) {
-        FlushProducerBuffer();
-      } else {
-        buffer_.clear();
-      }
-      BackendClose();
-      open_ = false;
-    }
-    return status();
-  }
+  Status Close();
 
- protected:
-  /// Opens the backing file. `resume` selects append-at-offset semantics
-  /// (open existing + truncate to `offset`).
-  virtual Status BackendOpen(const std::string& path, bool resume,
-                             std::uint64_t offset) = 0;
+ private:
+  /// One queued async block: the bytes, their count and file offset.
+  struct Block {
+    std::unique_ptr<char[]> data;
+    std::size_t size = 0;
+    std::uint64_t offset = 0;
+  };
 
-  /// Consumes the full producer buffer. Must leave `buffer` empty (capacity
-  /// preserved or replaced with a recycled one); may hand the storage off to
-  /// another thread. Dropped silently after a backend error.
-  virtual void BackendWrite(std::vector<char>& buffer) = 0;
+  Status OpenInternal(const std::string& path, bool resume,
+                      std::uint64_t offset);
 
-  /// Writes a large run that bypasses the producer buffer (which is empty at
-  /// this point).
-  virtual void BackendWriteDirect(const char* data, std::size_t n) = 0;
+  /// Hands the staging block's bytes to WriteAt (kSync) or to the writer
+  /// thread (kAsync) and leaves an empty staging block behind.
+  void Handoff();
 
-  /// Blocks until every byte handed to the backend reached the kernel.
-  virtual void BackendBarrier() = 0;
+  /// A run of at least buffer_bytes_ that skips the (empty) staging block.
+  void WriteDirect(const char* data, std::size_t n);
 
-  /// Positional overwrite; only called between BackendBarrier() and the next
-  /// append, so the backend has no in-flight sequential writes.
-  virtual void BackendRewriteAt(std::uint64_t offset, const char* data,
-                                std::size_t n) = 0;
+  /// Queues `block_` (its first `n` bytes, bound for `offset`) for the
+  /// writer thread, stalling while kQueueDepth blocks are in flight, and
+  /// replaces it with a spare.
+  void Enqueue(std::size_t n, std::uint64_t offset);
 
-  /// Releases the backing file (joins threads, closes descriptors). Buffers
-  /// were flushed or discarded by Close().
-  virtual void BackendClose() = 0;
+  /// The one raw write: checks the hook, then pwrite(2)s the whole range.
+  /// Failures become the sticky backend error.
+  void WriteAt(const char* data, std::size_t n, std::uint64_t offset);
 
-  /// Records a backend failure from any thread; first error wins. The
+  /// Blocks until every handed-off byte reached the kernel.
+  void Barrier();
+
+  void WriterLoop();
+
+  /// Records a write failure from any thread; first error wins. The
   /// producer observes it on its next status() call.
-  void RecordBackendError(const Status& error) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!backend_failed_.load(std::memory_order_relaxed)) {
-      backend_error_ = error;
-      backend_failed_.store(true, std::memory_order_release);
-    }
-  }
+  void RecordBackendError(const Status& error);
 
-  /// Cheap cross-thread check, usable by backends to drop work early after a
-  /// failure.
   bool backend_failed() const {
     return backend_failed_.load(std::memory_order_acquire);
   }
 
-  std::size_t buffer_capacity() const { return buffer_bytes_; }
-
- private:
-  Status OpenInternal(const std::string& path, bool resume,
-                      std::uint64_t offset) {
-    Close();
-    // A writer whose previous Open() failed can still hold buffered bytes —
-    // Close() has no backing file to flush them into. Never leak them into
-    // the next file.
-    buffer_.clear();
-    {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      backend_error_ = Status::Ok();
-      backend_failed_.store(false, std::memory_order_release);
-    }
-    path_ = path;
-    status_ = BackendOpen(path, resume, offset);
-    open_ = status_.ok();
-    if (!open_) return status_;
-    buffer_.reserve(buffer_bytes_);
-    bytes_written_ = offset;
-    return status_;
-  }
-
-  void FlushProducerBuffer() {
-    if (buffer_.empty()) return;
-    bytes_written_ += buffer_.size();
-    internal::NoteIoHandoff(buffer_.size());
-    BackendWrite(buffer_);
-    TG_DCHECK(buffer_.empty());
-  }
-
-  // Pulls a backend-thread failure into the producer-visible status. The
-  // fast path is one relaxed atomic load; `status_` is mutable so that
-  // status() keeps returning a stable reference.
+  // Pulls a writer-thread failure into the producer-visible status. The
+  // fast path is one atomic load; `status_` is mutable so that status()
+  // keeps returning a stable reference.
   void AbsorbBackendError() const {
     if (!status_.ok()) return;
     if (!backend_failed_.load(std::memory_order_acquire)) return;
@@ -287,104 +265,30 @@ class FileWriterBase {
     if (status_.ok()) status_ = backend_error_;
   }
 
+  const IoMode mode_;
+  const std::size_t buffer_bytes_;
   std::string path_;
   mutable Status status_;
   bool open_ = false;
-  std::size_t buffer_bytes_;
-  std::vector<char> buffer_;
-  std::uint64_t bytes_written_ = 0;
+  int fd_ = -1;
+  std::unique_ptr<char[]> block_;  // staging block of buffer_bytes_
+  std::size_t used_ = 0;           // staged bytes in block_
+  std::uint64_t handed_off_ = 0;   // file offset of block_[0]
 
   mutable std::mutex error_mutex_;
   Status backend_error_;
   std::atomic<bool> backend_failed_{false};
-};
 
-/// Synchronous stdio backend — the original FileWriter, selected by
-/// TG_IO=sync.
-class FileWriter final : public FileWriterBase {
- public:
-  explicit FileWriter(std::size_t buffer_bytes = 1 << 20)
-      : FileWriterBase(buffer_bytes) {}
-
-  ~FileWriter() override { Close(); }
-
- protected:
-  Status BackendOpen(const std::string& path, bool resume,
-                     std::uint64_t offset) override {
-    if (!resume) {
-      file_ = std::fopen(path.c_str(), "wb");
-      if (file_ == nullptr) {
-        return Status::IoError("cannot open for write: " + path);
-      }
-      return Status::Ok();
-    }
-    file_ = std::fopen(path.c_str(), "r+b");
-    if (file_ == nullptr) {
-      return Status::IoError("cannot open for resume: " + path);
-    }
-    if (::ftruncate(fileno(file_), static_cast<off_t>(offset)) != 0 ||
-        std::fseek(file_, 0, SEEK_END) != 0) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::IoError("cannot truncate for resume: " + path);
-    }
-    return Status::Ok();
-  }
-
-  void BackendWrite(std::vector<char>& buffer) override {
-    WriteRaw(buffer.data(), buffer.size());
-    buffer.clear();
-  }
-
-  void BackendWriteDirect(const char* data, std::size_t n) override {
-    WriteRaw(data, n);
-  }
-
-  void BackendBarrier() override {
-    if (backend_failed() || file_ == nullptr) return;
-    if (std::fflush(file_) != 0) {
-      RecordBackendError(Status::IoError("flush failed: " + path()));
-    }
-  }
-
-  void BackendRewriteAt(std::uint64_t offset, const char* data,
-                        std::size_t n) override {
-    if (backend_failed() || file_ == nullptr) return;
-    const IoFailureHook& hook = IoFailureHookRef();
-    if (hook && hook(path())) {
-      RecordBackendError(Status::IoError("injected I/O failure: " + path()));
-      return;
-    }
-    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fwrite(data, 1, n, file_) != n ||
-        std::fflush(file_) != 0 ||
-        std::fseek(file_, 0, SEEK_END) != 0) {
-      RecordBackendError(Status::IoError("write failed: " + path()));
-    }
-  }
-
-  void BackendClose() override {
-    if (file_ == nullptr) return;
-    if (std::fclose(file_) != 0 && !backend_failed()) {
-      RecordBackendError(Status::IoError("close failed: " + path()));
-    }
-    file_ = nullptr;
-  }
-
- private:
-  void WriteRaw(const char* p, std::size_t n) {
-    if (backend_failed() || file_ == nullptr) return;
-    const IoFailureHook& hook = IoFailureHookRef();
-    if (hook && hook(path())) {
-      RecordBackendError(Status::IoError("injected I/O failure: " + path()));
-      return;
-    }
-    if (std::fwrite(p, 1, n, file_) != n) {
-      RecordBackendError(Status::IoError("write failed: " + path()));
-    }
-  }
-
-  std::FILE* file_ = nullptr;
+  // kAsync only: the writer thread and its queue.
+  std::mutex mutex_;
+  std::condition_variable producer_cv_;  // block retired / queue drained
+  std::condition_variable writer_cv_;    // work arrived / stop requested
+  std::deque<Block> queue_;
+  std::vector<std::unique_ptr<char[]>> spare_blocks_;
+  std::size_t pending_blocks_ = 0;  // queued + in flight
+  bool stop_ = false;
+  std::uint64_t stall_carry_us_ = 0;  // sub-ms stall remainder
+  std::thread writer_thread_;
 };
 
 /// Buffered sequential file reader.

@@ -35,6 +35,7 @@ RUN_TIMEOUT_S = 240
 # The serving daemon must drain and exit this soon after SIGTERM.
 DRAIN_TIMEOUT_S = 10
 KILLED_EXIT_CODE = 86  # fault::kKilledExitCode
+WRITE_FAILED_EXIT_CODE = 3  # gen_cli: a shard writer latched a write error
 
 # Startup lines: gen_cli prints "generating scale ..." once its admin server
 # and profiler are up; serve_cli prints "tg::serve on http://...".
@@ -349,6 +350,15 @@ def check_metrics_report(ctx):
           % (c["io.bytes_written"], shards, prom))
 
 
+def check_journal_not_done(ctx):
+    """A run whose writer latched an error is not complete: its journal
+    holds only the chunks whose bytes reached the file, and no `done`."""
+    with open(ctx.path("{var}.journal")) as f:
+        records = f.read().splitlines()
+    check(len(records) > 1, "no chunk commits in %r" % records)
+    check("done" not in records, "journal records completion: %r" % records)
+
+
 def check_iofail_report(ctx):
     """An injected disk fault on the host's simulated machine still leaves
     a complete report and trace: obs files bypass the fault hook."""
@@ -420,6 +430,20 @@ def build_rows():
                  after=[check_journal_and_tear_shard]),
              Run(one + ["--io=" + io, "--resume", "--out", "{var}"])],
             [same_shards("adj6", 1)]))
+    # m0's disk dies at its second chunk boundary. The run must fail rather
+    # than pass truncated shards off as a graph, and a --resume without the
+    # fault must then finish the bytes of a clean run.
+    two = ["--scale", "18", "--workers", "2", "--format", "adj6"]
+    for io in ("sync", "async"):
+        rows.append(Row(
+            "chaos.iofail." + io,
+            [Run(two + ["--io=sync", "--out", "{ref}"])],
+            [Run(two + ["--io=" + io, "--fault_plan=m0:iofail@chunk=2",
+                        "--journal", "--out", "{var}"],
+                 exit_code=WRITE_FAILED_EXIT_CODE,
+                 after=[check_journal_not_done]),
+             Run(two + ["--io=" + io, "--resume", "--out", "{var}"])],
+            [same_shards("adj6", 2)]))
     rows.append(Row(
         "admin",
         [Run(S18 + ["--out", "{ref}"])],
@@ -457,15 +481,15 @@ def build_rows():
               "--metrics_prom={var}.prom", "--out", "{var}"])],
         [same_shards("adj6", 4), check_metrics_report]))
     # gen_cli's own thread counts as simulated machine 0, so m0's disk fault
-    # is live while the reports are written. The exit code is not the
-    # point here.
+    # is live while the reports are written. The async writer thread counts
+    # as machine 0 too, so the shards' writes fail and so does the run.
     rows.append(Row(
         "smoke.iofail_report",
         [],
         [Run(["--scale", "14", "--workers", "2",
               "--fault_plan=m0:iofail@chunk=2", "--metrics_json={var}.json",
               "--trace_json={var}.trace.json", "--out", "{var}"],
-             exit_code=None)],
+             exit_code=WRITE_FAILED_EXIT_CODE)],
         [check_iofail_report]))
     # A 64 KiB budget cannot hold a scale-16 scope dedup set: the run dies
     # with a structured OOM report naming the failing tag. The descent

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -395,6 +396,37 @@ TEST(WriterShortCircuitTest, Csr6FreezesAfterInjectedIoError) {
   }
   std::remove(path.c_str());
   std::remove(format::Csr6Writer::SidecarPath(path).c_str());
+}
+
+// A latched write error fails the run: each writer's Finish() returns it
+// and Generate reports it, on the one-worker path and the scheduler path.
+TEST(WriterShortCircuitTest, GenerateReportsALatchedWriteError) {
+  IoHookGuard guard;
+  for (const int workers : {1, 2}) {
+    core::TrillionGConfig config;
+    config.scale = 12;
+    config.edge_factor = 8;
+    config.num_workers = workers;
+    const std::string prefix = ::testing::TempDir() + "tg_fault_latched";
+    auto shard = [&](int w) { return prefix + std::to_string(w) + ".adj6"; };
+    auto run = [&] {
+      return core::Generate(config, [&](int w, VertexId, VertexId) {
+        return std::make_unique<format::Adj6Writer>(shard(w));
+      });
+    };
+    EXPECT_TRUE(run().sink_status.ok()) << workers;
+    const std::string bad = shard(workers - 1);
+    storage::IoFailureHookRef() = [bad](const std::string& path) {
+      return path == bad;
+    };
+    const core::GenerateStats stats = run();
+    storage::IoFailureHookRef() = nullptr;
+    EXPECT_FALSE(stats.cancelled);
+    EXPECT_EQ(stats.sink_status.code(), Status::Code::kIoError) << workers;
+    EXPECT_NE(stats.sink_status.ToString().find(bad), std::string::npos)
+        << stats.sink_status.ToString();
+    for (int w = 0; w < workers; ++w) std::remove(shard(w).c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

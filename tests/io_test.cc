@@ -1,9 +1,8 @@
-// Tests for the I/O fast path: the double-buffered async writer
-// (storage/async_writer.h) against the three FileWriterBase contracts, the
-// zero-copy mmap'd CSR6 reader (format/csr6_mapped.h), and the branchless TSV
-// formatter/parser (format/tsv.cc). The recurring theme is bit-identity:
-// whatever transport moves the bytes, the files must match the synchronous
-// stdio writer byte for byte.
+// Tests for the I/O fast path: the one FileWriter in both of its modes
+// (storage/file_io.h) against its three contracts, the zero-copy mmap'd CSR6
+// reader (format/csr6_mapped.h), and the branchless TSV formatter/parser
+// (format/tsv.cc). The recurring theme is bit-identity: whichever thread
+// calls WriteAt, the files must match byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,7 +25,6 @@
 #include "format/csr6_mapped.h"
 #include "format/tsv.h"
 #include "obs/metrics.h"
-#include "storage/async_writer.h"
 #include "storage/file_io.h"
 #include "storage/temp_dir.h"
 
@@ -83,16 +82,38 @@ TEST(IoSpecTest, RejectsUnknownSpecs) {
   }
 }
 
-TEST(IoSpecTest, MakeFileWriterHonorsScopedConfig) {
-  {
-    storage::ScopedIoConfig scoped({storage::IoMode::kSync});
-    auto writer = storage::MakeFileWriter();
-    EXPECT_NE(dynamic_cast<storage::FileWriter*>(writer.get()), nullptr);
-  }
-  {
-    storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
-    auto writer = storage::MakeFileWriter();
-    EXPECT_NE(dynamic_cast<storage::AsyncFileWriter*>(writer.get()), nullptr);
+// The modes differ only in who calls WriteAt, and the failure hook runs
+// inside WriteAt: on the producer's thread under kSync, on the writer
+// thread under kAsync.
+TEST(IoSpecTest, ScopedConfigPicksTheWriteAtThread) {
+  IoHookGuard guard;
+  storage::TempDir dir;
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    const std::string tag = storage::IoSpecString({mode});
+    storage::ScopedIoConfig scoped({mode});
+    storage::FileWriter writer(64);
+    std::mutex mu;
+    std::vector<std::thread::id> callers;
+    storage::IoFailureHookRef() = [&](const std::string&) {
+      std::lock_guard<std::mutex> lock(mu);
+      callers.push_back(std::this_thread::get_id());
+      return false;
+    };
+    ASSERT_TRUE(writer.Open(dir.File(tag)).ok());
+    const std::vector<char> chunk(64, 'x');
+    writer.Append(chunk.data(), chunk.size());
+    writer.Append(chunk.data(), chunk.size());  // hands the first block off
+    ASSERT_TRUE(writer.Close().ok());
+    storage::IoFailureHookRef() = nullptr;
+    ASSERT_EQ(callers.size(), 2u) << tag;
+    for (const std::thread::id caller : callers) {
+      if (mode == storage::IoMode::kSync) {
+        EXPECT_EQ(caller, std::this_thread::get_id()) << tag;
+      } else {
+        EXPECT_NE(caller, std::this_thread::get_id()) << tag;
+      }
+    }
   }
 }
 
@@ -101,7 +122,7 @@ TEST(IoSpecTest, MakeFileWriterHonorsScopedConfig) {
 
 // Drives one writer through every append shape: sub-buffer runs, 48/64-bit
 // integers, and a run larger than the buffer (the direct-write path).
-void WriteMixedWorkload(storage::FileWriterBase* writer,
+void WriteMixedWorkload(storage::FileWriter* writer,
                         std::size_t buffer_bytes) {
   std::uint64_t state = 99;
   for (int i = 0; i < 200; ++i) {
@@ -122,10 +143,10 @@ TEST(TransportIdentityTest, RawWritersProduceIdenticalBytes) {
   storage::TempDir dir;
   for (const std::size_t buffer_bytes : {std::size_t{64}, std::size_t{4096},
                                          std::size_t{1} << 20}) {
-    storage::FileWriter sync_writer(buffer_bytes);
-    storage::AsyncFileWriter async_writer(buffer_bytes);
+    storage::FileWriter sync_writer(buffer_bytes, storage::IoMode::kSync);
+    storage::FileWriter async_writer(buffer_bytes, storage::IoMode::kAsync);
     struct Case {
-      storage::FileWriterBase* writer;
+      storage::FileWriter* writer;
       std::string path;
     };
     const std::string tag = std::to_string(buffer_bytes);
@@ -192,33 +213,42 @@ TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
 }
 
 // ---------------------------------------------------------------------------
-// The three FileWriterBase contracts across the thread hop.
+// The three FileWriter contracts, in both modes.
 
 TEST(AsyncContractTest, InjectedFailureIsStickyAndFreezesBytes) {
   IoHookGuard guard;
   storage::TempDir dir;
-  storage::AsyncFileWriter writer(64);  // tiny buffer: every append flushes
-  ASSERT_TRUE(writer.Open(dir.File("sticky")).ok());
-  const std::vector<char> chunk(64, 'x');
-  writer.Append(chunk.data(), chunk.size());
-  ASSERT_TRUE(writer.FlushToOs().ok());
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    const std::string tag = storage::IoSpecString({mode});
+    storage::FileWriter writer(64, mode);  // tiny buffer: appends hand off
+    ASSERT_TRUE(writer.Open(dir.File("sticky." + tag)).ok());
+    const std::vector<char> chunk(64, 'x');
+    writer.Append(chunk.data(), chunk.size());
+    ASSERT_TRUE(writer.FlushToOs().ok());
 
-  storage::IoFailureHookRef() = [](const std::string&) { return true; };
-  writer.Append(chunk.data(), chunk.size());
-  writer.Append(chunk.data(), chunk.size());  // forces a handoff
-  // The hook fires on the writer thread; FlushToOs is the producer-side
-  // barrier after which the failure must be visible.
-  EXPECT_FALSE(writer.FlushToOs().ok());
-  storage::IoFailureHookRef() = nullptr;
+    storage::IoFailureHookRef() = [](const std::string&) { return true; };
+    writer.Append(chunk.data(), chunk.size());
+    writer.Append(chunk.data(), chunk.size());  // forces a handoff
+    // Under kAsync the hook fires on the writer thread; FlushToOs is the
+    // producer-side barrier after which the failure must be visible.
+    EXPECT_FALSE(writer.FlushToOs().ok()) << tag;
+    storage::IoFailureHookRef() = nullptr;
 
-  const std::uint64_t frozen = writer.bytes_written();
-  writer.Append(chunk.data(), chunk.size());  // dropped, not buffered
-  writer.Append48(1);
-  EXPECT_EQ(writer.bytes_written(), frozen);
-  const Status closed = writer.Close();
-  EXPECT_FALSE(closed.ok());
-  EXPECT_NE(closed.ToString().find("injected I/O failure"), std::string::npos)
-      << closed.ToString();
+    const std::uint64_t frozen = writer.bytes_written();
+    writer.Append(chunk.data(), chunk.size());  // dropped, not buffered
+    writer.Append48(1);
+    EXPECT_EQ(writer.Reserve(8), nullptr) << tag;
+    EXPECT_EQ(writer.bytes_written(), frozen) << tag;
+    const Status closed = writer.Close();
+    EXPECT_FALSE(closed.ok()) << tag;
+    EXPECT_NE(closed.ToString().find("injected I/O failure"),
+              std::string::npos)
+        << closed.ToString();
+    // Only the block written before the fault reached the file.
+    EXPECT_EQ(ReadFileBytes(dir.File("sticky." + tag)), std::string(64, 'x'))
+        << tag;
+  }
 }
 
 TEST(AsyncContractTest, CommitStateFailureLeavesTokenUntouched) {
@@ -245,29 +275,29 @@ TEST(AsyncContractTest, CommitStateFailureLeavesTokenUntouched) {
 
 TEST(AsyncContractTest, FlushToOsIsTheDurabilityBarrier) {
   storage::TempDir dir;
-  storage::AsyncFileWriter writer(1 << 20);
-  const std::string path = dir.File("durable");
-  ASSERT_TRUE(writer.Open(path).ok());
-  const std::string payload(100000, 'd');
-  writer.Append(payload.data(), payload.size());
-  ASSERT_TRUE(writer.FlushToOs().ok());
-  // After the barrier every appended byte is in the kernel: the file really
-  // is that long, even though the writer is still open.
-  EXPECT_EQ(std::filesystem::file_size(path), payload.size());
-  EXPECT_EQ(writer.bytes_written(), payload.size());
-  ASSERT_TRUE(writer.Close().ok());
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    storage::FileWriter writer(1 << 20, mode);
+    const std::string path =
+        dir.File("durable." + storage::IoSpecString({mode}));
+    ASSERT_TRUE(writer.Open(path).ok());
+    const std::string payload(100000, 'd');
+    writer.Append(payload.data(), payload.size());
+    ASSERT_TRUE(writer.FlushToOs().ok());
+    // After the barrier every appended byte is in the kernel: the file
+    // really is that long, even though the writer is still open.
+    EXPECT_EQ(std::filesystem::file_size(path), payload.size());
+    EXPECT_EQ(writer.bytes_written(), payload.size());
+    ASSERT_TRUE(writer.Close().ok());
+  }
 }
 
 TEST(AsyncContractTest, RewriteAtPatchesEarlierBytesInPlace) {
   storage::TempDir dir;
-  for (const bool use_async : {false, true}) {
-    std::unique_ptr<storage::FileWriterBase> writer;
-    if (use_async) {
-      writer = std::make_unique<storage::AsyncFileWriter>(64);
-    } else {
-      writer = std::make_unique<storage::FileWriter>(64);
-    }
-    const std::string path = dir.File(use_async ? "rw.async" : "rw.sync");
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    auto writer = std::make_unique<storage::FileWriter>(64, mode);
+    const std::string path = dir.File("rw." + storage::IoSpecString({mode}));
     ASSERT_TRUE(writer->Open(path).ok());
     std::string body(200, '.');
     writer->Append(body.data(), body.size());
@@ -283,18 +313,15 @@ TEST(AsyncContractTest, RewriteAtPatchesEarlierBytesInPlace) {
 
 TEST(AsyncContractTest, OpenAfterFailedOpenStartsClean) {
   storage::TempDir dir;
-  for (const bool use_async : {false, true}) {
-    std::unique_ptr<storage::FileWriterBase> writer;
-    if (use_async) {
-      writer = std::make_unique<storage::AsyncFileWriter>(1 << 16);
-    } else {
-      writer = std::make_unique<storage::FileWriter>(1 << 16);
-    }
+  for (const storage::IoMode mode :
+       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+    auto writer = std::make_unique<storage::FileWriter>(1 << 16, mode);
     EXPECT_FALSE(writer->Open("/nonexistent_dir_xyz/out").ok());
     writer->Append("stale bytes", 11);  // dropped: nothing is open
     // Reopening the same object must start from a clean slate: empty buffer,
     // cleared error state.
-    const std::string path = dir.File(use_async ? "clean.async" : "clean.sync");
+    const std::string path =
+        dir.File("clean." + storage::IoSpecString({mode}));
     ASSERT_TRUE(writer->Open(path).ok());
     EXPECT_TRUE(writer->status().ok());
     writer->Append("B", 1);
@@ -400,16 +427,16 @@ TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
     return writer.status().ok();
   };
   auto per_value = [&](const std::string& path) {
-    std::unique_ptr<storage::FileWriterBase> writer = storage::MakeFileWriter();
-    writer->Open(path);
+    storage::FileWriter writer;
+    writer.Open(path);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       if (scopes[u].empty()) continue;
-      writer->Append48(u);
-      writer->Append48(scopes[u].size());
-      for (VertexId v : scopes[u]) writer->Append48(v);
+      writer.Append48(u);
+      writer.Append48(scopes[u].size());
+      for (VertexId v : scopes[u]) writer.Append48(v);
     }
-    writer->Close();
-    return writer->status().ok();
+    writer.Close();
+    return writer.status().ok();
   };
   for (const storage::IoConfig& mode :
        {storage::IoConfig{storage::IoMode::kSync},
@@ -493,11 +520,10 @@ TEST(TransportResumeTest, OpenForResumeTruncatesToTheOffset) {
       std::ofstream out(path, std::ios::binary);
       out << std::string(4096, 'x');
     }
-    storage::ScopedIoConfig scoped({mode});
-    auto writer = storage::MakeFileWriter();
-    ASSERT_TRUE(writer->OpenForResume(path, 1000).ok());
-    EXPECT_EQ(writer->bytes_written(), 1000u);
-    ASSERT_TRUE(writer->Close().ok());
+    storage::FileWriter writer(1 << 20, mode);
+    ASSERT_TRUE(writer.OpenForResume(path, 1000).ok());
+    EXPECT_EQ(writer.bytes_written(), 1000u);
+    ASSERT_TRUE(writer.Close().ok());
     EXPECT_EQ(std::filesystem::file_size(path), 1000u)
         << storage::IoSpecString({mode});
     EXPECT_TRUE(ReadFileBytes(path) == std::string(1000, 'x'));
@@ -861,7 +887,7 @@ TEST(HandoffStressTest, ConcurrentWritersRecycleBuffersSafely) {
     threads.emplace_back([&dir, t, &content] {
       // A 64-byte buffer makes the producer hand off (and stall on the
       // kQueueDepth limit) thousands of times.
-      storage::AsyncFileWriter writer(64);
+      storage::FileWriter writer(64, storage::IoMode::kAsync);
       ASSERT_TRUE(writer.Open(dir.File("t" + std::to_string(t))).ok());
       std::size_t pos = 0;
       std::uint64_t state = 7777 + t;

@@ -26,7 +26,10 @@ class VectorSink : public ScopeSink {
     last_ = u;
     scopes_[u].assign(adj, adj + n);
   }
-  void Finish() override { ++finishes_; }
+  Status Finish() override {
+    ++finishes_;
+    return Status::Ok();
+  }
 
   const std::map<VertexId, std::vector<VertexId>>& scopes() const {
     return scopes_;
@@ -77,7 +80,7 @@ MergedRun RunMerged(TrillionGConfig config) {
                         std::size_t n) override {
         inner_->ConsumeScope(u, adj, n);
       }
-      void Finish() override { inner_->Finish(); }
+      Status Finish() override { return inner_->Finish(); }
 
      private:
       ScopeSink* inner_;
@@ -147,7 +150,7 @@ TEST(SchedulerTest, SkewedSeedStealsAndStaysOrdered) {
       if (slow_) std::this_thread::sleep_for(std::chrono::microseconds(200));
       inner_->ConsumeScope(u, adj, n);
     }
-    void Finish() override { inner_->Finish(); }
+    Status Finish() override { return inner_->Finish(); }
 
    private:
     ScopeSink* inner_;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -31,52 +32,74 @@ TEST(TempDirTest, CreatesAndCleansUp) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+// The contract tests run the one writer in both modes: they differ only in
+// which thread calls WriteAt.
+constexpr IoMode kModes[] = {IoMode::kSync, IoMode::kAsync};
+
 TEST(FileIoTest, RoundTrip48And64) {
   TempDir dir;
-  std::string path = dir.File("io.bin");
-  {
-    FileWriter w;
-    ASSERT_TRUE(w.Open(path).ok());
-    w.Append48(0);
-    w.Append48((1ULL << 48) - 1);
-    w.Append48(123456789012345ULL);
-    w.Append64(~0ULL);
-    w.Append64(42);
-    ASSERT_TRUE(w.Close().ok());
+  for (const IoMode mode : kModes) {
+    SCOPED_TRACE(IoSpecString({mode}));
+    const std::string path = dir.File("io." + IoSpecString({mode}));
+    {
+      FileWriter w(1 << 20, mode);
+      ASSERT_TRUE(w.Open(path).ok());
+      w.Append48(0);
+      w.Append48((1ULL << 48) - 1);
+      w.Append48(123456789012345ULL);
+      w.Append64(~0ULL);
+      w.Append64(42);
+      ASSERT_TRUE(w.Close().ok());
+    }
+    FileReader r;
+    ASSERT_TRUE(r.Open(path).ok());
+    std::uint64_t v;
+    ASSERT_TRUE(r.Read48(&v));
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(r.Read48(&v));
+    EXPECT_EQ(v, (1ULL << 48) - 1);
+    ASSERT_TRUE(r.Read48(&v));
+    EXPECT_EQ(v, 123456789012345ULL);
+    ASSERT_TRUE(r.Read64(&v));
+    EXPECT_EQ(v, ~0ULL);
+    ASSERT_TRUE(r.Read64(&v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_FALSE(r.Read48(&v));  // clean EOF
   }
-  FileReader r;
-  ASSERT_TRUE(r.Open(path).ok());
-  std::uint64_t v;
-  ASSERT_TRUE(r.Read48(&v));
-  EXPECT_EQ(v, 0u);
-  ASSERT_TRUE(r.Read48(&v));
-  EXPECT_EQ(v, (1ULL << 48) - 1);
-  ASSERT_TRUE(r.Read48(&v));
-  EXPECT_EQ(v, 123456789012345ULL);
-  ASSERT_TRUE(r.Read64(&v));
-  EXPECT_EQ(v, ~0ULL);
-  ASSERT_TRUE(r.Read64(&v));
-  EXPECT_EQ(v, 42u);
-  EXPECT_FALSE(r.Read48(&v));  // clean EOF
 }
 
 TEST(FileIoTest, LargeWriteBypassesBuffer) {
   TempDir dir;
-  std::string path = dir.File("big.bin");
   std::vector<char> payload(5 << 20, 'x');
-  {
-    FileWriter w(1 << 16);  // small buffer, payload much bigger
-    ASSERT_TRUE(w.Open(path).ok());
-    w.Append(payload.data(), payload.size());
-    EXPECT_EQ(w.bytes_written(), payload.size());
-    ASSERT_TRUE(w.Close().ok());
+  for (std::size_t i = 0; i < payload.size(); i += 4099) payload[i] = 'y';
+  for (const IoMode mode : kModes) {
+    SCOPED_TRACE(IoSpecString({mode}));
+    const std::string path = dir.File("big." + IoSpecString({mode}));
+    {
+      FileWriter w(1 << 16, mode);  // small buffer, payload much bigger
+      ASSERT_TRUE(w.Open(path).ok());
+      w.Append("<", 1);
+      w.Append(payload.data(), payload.size());
+      w.Append(">", 1);
+      EXPECT_EQ(w.bytes_written(), payload.size() + 2);
+      ASSERT_TRUE(w.Close().ok());
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_TRUE(bytes == "<" + std::string(payload.begin(), payload.end()) +
+                             ">");
   }
-  EXPECT_EQ(std::filesystem::file_size(path), payload.size());
 }
 
 TEST(FileIoTest, OpenFailureIsStatusNotCrash) {
-  FileWriter w;
-  EXPECT_FALSE(w.Open("/nonexistent_dir_xyz/file.bin").ok());
+  for (const IoMode mode : kModes) {
+    SCOPED_TRACE(IoSpecString({mode}));
+    FileWriter w(1 << 20, mode);
+    EXPECT_FALSE(w.Open("/nonexistent_dir_xyz/file.bin").ok());
+    EXPECT_FALSE(w.Close().ok());  // the open error stays latched
+    EXPECT_FALSE(w.OpenForResume("/nonexistent_dir_xyz/file.bin", 0).ok());
+  }
   FileReader r;
   EXPECT_FALSE(r.Open("/nonexistent_dir_xyz/file.bin").ok());
 }
