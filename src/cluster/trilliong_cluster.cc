@@ -134,6 +134,8 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   sinks.reserve(workers);
   sink_ptrs.reserve(workers);
   for (int w = 0; w < workers; ++w) {
+    // The shard's files belong to the worker's machine (its disk faults).
+    obs::ScopedMachine owner(cluster->MachineOfWorker(w));
     sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
     TG_CHECK(sinks.back() != nullptr);
     sink_ptrs.push_back(sinks.back().get());

@@ -81,7 +81,10 @@ struct ParkedChunk {
 /// completed-in-any-order chunks back into in-vertex-order sink delivery.
 struct RangeCommit {
   std::mutex mu;
-  std::uint32_t next_seq = 0;  ///< next chunk seq the sink may receive
+  /// Next chunk seq the sink may receive. Also the sink's claim: the worker
+  /// that starts chunk next_seq writes it in place, and no other chunk of
+  /// the range touches the sink until that one commits.
+  std::uint32_t next_seq = 0;
   std::uint32_t total = 0;     ///< chunks this range was split into
   std::map<std::uint32_t, ParkedChunk> parked;  ///< done but out of order
   ScopeSink* sink = nullptr;
@@ -198,9 +201,22 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
     }
   };
 
+  // Points `buf` straight at the range's sink when `c` is the range's next
+  // chunk, else leaves it buffering.
+  auto start = [&](const Chunk& c, ChunkBuffer* buf) {
+    RangeCommit& rc = ranges[c.range];
+    std::lock_guard<std::mutex> lock(rc.mu);
+    if (c.seq == rc.next_seq) {
+      buf->PassThroughTo(rc.sink);
+    } else {
+      buf->Clear();
+    }
+  };
+
   // Flushes `buf` to its range's sink if it is the next chunk in vertex
-  // order, else parks it; then drains any parked successors. The range
-  // mutex doubles as the serializer for the (not thread-safe) sink.
+  // order (a no-op when it was written in place), else parks it; then
+  // drains any parked successors. The range mutex serializes the (not
+  // thread-safe) sink between the in-place writer and later commits.
   auto commit = [&](const Chunk& c, ChunkBuffer* buf) {
     RangeCommit& rc = ranges[c.range];
     std::lock_guard<std::mutex> lock(rc.mu);
@@ -316,7 +332,7 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
         {
           TG_SPAN(recovered ? "fault.recover" : "sched.chunk");
           Stopwatch chunk_timer;
-          local.Clear();
+          start(c, &local);
           fn(c, &local);
           if (faulty) chunk_wall = chunk_timer.ElapsedSeconds();
         }

@@ -8,10 +8,18 @@
 // generates a scope cannot change WHAT is generated. This engine exploits
 // that: each CDF-partitioned range is split into `chunks_per_worker` chunks
 // of equal expected mass, chunks start on their owner's deque, and idle
-// workers steal from the tail of the fullest deque. Generated chunks are
-// buffered and committed to the owning range's sink strictly in chunk order,
-// so every ScopeSink still observes its scopes in increasing vertex order —
-// the output is bit-identical for any worker count and any chunking.
+// workers steal from the tail of the fullest deque. Chunks commit to the
+// owning range's sink strictly in chunk order, so every ScopeSink still
+// observes its scopes in increasing vertex order — the output is
+// bit-identical for any worker count and any chunking.
+//
+// Commit protocol. A worker that starts the range's next chunk owns the
+// range's sink until that chunk commits and generates straight into it (the
+// common case: an owner popping its own deque). Only a chunk that is out of
+// order when it starts — in practice a stolen tail — is generated into a
+// ChunkBuffer, parked in the range's reorder map, and replayed once its
+// predecessors have committed. A worker's working set is therefore the
+// O(d_max) scope scratch plus the writer's staging blocks, not a chunk.
 #ifndef TRILLIONG_CORE_SCHEDULER_H_
 #define TRILLIONG_CORE_SCHEDULER_H_
 
@@ -32,7 +40,8 @@ namespace tg::core {
 
 /// Default chunks per worker: enough slack for stealing to erase realized
 /// skew (Figure 12's max-CPU vs wall gap) while keeping per-chunk overhead —
-/// one deque pop, one reorder-buffer commit — far below generation cost.
+/// one deque pop, one commit under the range lock — far below generation
+/// cost.
 inline constexpr int kDefaultChunksPerWorker = 16;
 
 /// One unit of schedulable work: chunk `seq` of owner range `range`,
@@ -46,21 +55,35 @@ struct Chunk {
   VertexId hi = 0;
 };
 
-/// Buffered output of one generated chunk: scope-packed adjacency. A worker
-/// generates into the buffer, then the commit protocol flushes it to the
-/// owner range's (single-threaded) sink once every earlier chunk of that
-/// range has been flushed. Capacity persists across Clear(), so the
-/// in-order common case recycles one buffer per worker.
+/// Where a worker generates one chunk. Out of order (its predecessors are
+/// still running), it buffers the chunk as scope-packed adjacency that the
+/// commit protocol later replays, in order, into the owner range's
+/// (single-threaded) sink. In order, the scheduler points it at that sink
+/// with PassThroughTo and every scope goes straight through; nothing is
+/// buffered. Capacity persists across Clear().
 class ChunkBuffer : public ScopeSink {
  public:
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override {
+    if (target_ != nullptr) {
+      target_->ConsumeScope(u, adj, n);
+      return;
+    }
     scopes_.push_back({u, adj_.size(), n});
     adj_.insert(adj_.end(), adj, adj + n);
   }
 
+  /// Empties the buffer; later scopes are buffered.
   void Clear() {
     adj_.clear();
     scopes_.clear();
+    target_ = nullptr;
+  }
+
+  /// Empties the buffer; later scopes go straight to `sink` until the next
+  /// Clear().
+  void PassThroughTo(ScopeSink* sink) {
+    Clear();
+    target_ = sink;
   }
 
   /// Replays the buffered scopes, in order, into `sink`.
@@ -70,9 +93,6 @@ class ChunkBuffer : public ScopeSink {
     }
   }
 
-  std::size_t num_scopes() const { return scopes_.size(); }
-  std::size_t num_edges() const { return adj_.size(); }
-
  private:
   struct ScopeRef {
     VertexId u;
@@ -81,6 +101,7 @@ class ChunkBuffer : public ScopeSink {
   };
   std::vector<VertexId> adj_;
   std::vector<ScopeRef> scopes_;
+  ScopeSink* target_ = nullptr;
 };
 
 /// Scheduling policy knobs.
@@ -109,8 +130,8 @@ struct SchedulerOptions {
   /// generated nor delivered; the range's sink continues at that seq.
   std::vector<std::uint32_t> resume_next_seq;
 
-  /// Called under the range's commit lock immediately after each chunk's
-  /// scopes are flushed to the sink (and before Finish on the last chunk).
+  /// Called under the range's commit lock once each chunk's scopes have
+  /// all reached the sink (and before Finish on the last chunk).
   /// gen_cli uses this to checkpoint the sink and append to the journal.
   std::function<void(const Chunk& chunk, ScopeSink* sink)> on_chunk_commit;
 
@@ -156,8 +177,9 @@ struct SchedulerStats {
 double CpuImbalance(const std::vector<double>& worker_cpu_seconds);
 
 /// The body a worker runs for one chunk: generate scopes [lo, hi) of
-/// `chunk` into `buffer` (already cleared). Must be deterministic in the
-/// chunk alone — it runs on whichever thread got the chunk.
+/// `chunk` into `buffer` (empty, and passing through to the range's sink
+/// when the chunk is in order). Must be deterministic in the chunk alone —
+/// it runs on whichever thread got the chunk.
 using ChunkFn = std::function<void(const Chunk& chunk, ChunkBuffer* buffer)>;
 
 /// Called once per worker, on that worker's thread, before it starts taking
@@ -177,7 +199,9 @@ std::vector<std::vector<Chunk>> BuildChunkQueues(
 /// Runs every chunk in `queues` on queues.size() worker threads with
 /// work stealing. `sinks[r]` receives range r's scopes in vertex order and
 /// its Finish() exactly once, after the last chunk of r commits. Rethrows
-/// the first worker exception (e.g. OomError) after all workers stop.
+/// the first worker exception (e.g. OomError) after all workers stop; a
+/// chunk that threw while writing in place leaves its scopes so far in the
+/// sink, past the last committed chunk, and the range never sees Finish().
 /// Records `sched.chunks` / `sched.steals` counters and the
 /// `sched.imbalance` gauge in the global obs registry.
 SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,

@@ -61,77 +61,55 @@ GenerateStats RunTyped(const TrillionGConfig& config,
                                     config.shared_prefix_tables);
 
   std::vector<AvsWorkerStats> worker_stats(config.num_workers);
-  std::vector<double> worker_cpu(config.num_workers, 0.0);
 
-  // Fault injection, resume, and the commit journal all live in the
-  // scheduler's chunk protocol, so any of them forces the scheduler path
-  // even for a single worker.
-  const bool needs_scheduler =
-      (config.fault_injector != nullptr && config.fault_injector->armed()) ||
-      config.chunk_commit_hook != nullptr || !config.resume_next_seq.empty() ||
-      config.cancel_flag != nullptr || config.worker_runner != nullptr;
+  // Split each worker's range into chunks of equal expected mass; per-scope
+  // RNG forking makes the output bit-identical to the static schedule no
+  // matter which thread runs which chunk. One worker takes the same path:
+  // every chunk is then in order and written straight to its sink.
+  const int chunks_per_worker = std::max(config.chunks_per_worker, 1);
+  const std::vector<std::vector<Chunk>> queues =
+      BuildChunkQueues(noise, boundaries, chunks_per_worker);
 
-  if (config.num_workers == 1 && !needs_scheduler) {
-    // Single worker: no scheduling to do — run directly on the calling
-    // thread (GenerateToSink relies on this) with the same per-worker
-    // scratch reuse the scheduler path gets.
-    obs::ScopedMachine machine_tag(0);
-    TG_SPAN("avs.generate");
-    const double cpu_start = ThreadCpuSeconds();
-    std::unique_ptr<ScopeSink> sink =
-        sink_factory(0, boundaries[0], boundaries[1]);
-    TG_CHECK(sink != nullptr);
-    ScopeScratch<Real> scratch;
-    generator.GenerateRange(boundaries[0], boundaries[1], root, &scratch,
-                            &worker_stats[0], sink.get());
-    stats.sink_status = sink->Finish();
-    worker_cpu[0] = ThreadCpuSeconds() - cpu_start;
-  } else {
-    // Work-stealing path: split each worker's range into chunks of equal
-    // expected mass; per-scope RNG forking makes the output bit-identical
-    // to the static schedule no matter which thread runs which chunk.
-    const int chunks_per_worker = std::max(config.chunks_per_worker, 1);
-    const std::vector<std::vector<Chunk>> queues =
-        BuildChunkQueues(noise, boundaries, chunks_per_worker);
-
-    std::vector<std::unique_ptr<ScopeSink>> sinks;
-    std::vector<ScopeSink*> sink_ptrs;
-    sinks.reserve(config.num_workers);
-    sink_ptrs.reserve(config.num_workers);
-    for (int w = 0; w < config.num_workers; ++w) {
-      sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
-      TG_CHECK(sinks.back() != nullptr);
-      sink_ptrs.push_back(sinks.back().get());
-    }
-
-    auto make_worker = [&](int w) -> ChunkFn {
-      // shared_ptr because ChunkFn (std::function) must be copyable; the
-      // scratch itself is only ever touched by worker w's thread.
-      auto scratch = std::make_shared<ScopeScratch<Real>>();
-      AvsWorkerStats* stats_slot = &worker_stats[w];
-      return [&generator, &root, scratch, stats_slot](const Chunk& c,
-                                                      ChunkBuffer* buffer) {
-        generator.GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
-                                buffer);
-      };
-    };
-
-    SchedulerOptions sched_options;
-    sched_options.fault_injector = config.fault_injector;
-    sched_options.resume_next_seq = config.resume_next_seq;
-    sched_options.on_chunk_commit = config.chunk_commit_hook;
-    sched_options.cancel = config.cancel_flag;
-    sched_options.worker_runner = config.worker_runner;
-    const SchedulerStats sched =
-        RunWorkStealing(queues, sink_ptrs, make_worker, sched_options);
-    worker_cpu = sched.worker_cpu_seconds;
-    stats.sched_chunks = sched.num_chunks;
-    stats.sched_steals = sched.num_steals;
-    stats.sched_recovered = sched.num_recovered;
-    stats.sched_imbalance = sched.imbalance;
-    stats.cancelled = sched.cancelled;
-    stats.sink_status = sched.sink_status;
+  std::vector<std::unique_ptr<ScopeSink>> sinks;
+  std::vector<ScopeSink*> sink_ptrs;
+  sinks.reserve(config.num_workers);
+  sink_ptrs.reserve(config.num_workers);
+  for (int w = 0; w < config.num_workers; ++w) {
+    // Worker w is machine w here: the shard's files belong to it, so an
+    // injected disk fault hits this shard whichever thread writes it.
+    obs::ScopedMachine owner(w);
+    sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
+    TG_CHECK(sinks.back() != nullptr);
+    sink_ptrs.push_back(sinks.back().get());
   }
+
+  auto make_worker = [&](int w) -> ChunkFn {
+    // shared_ptr because ChunkFn (std::function) must be copyable; the
+    // scratch itself is only ever touched by worker w's thread.
+    auto scratch = std::make_shared<ScopeScratch<Real>>();
+    AvsWorkerStats* stats_slot = &worker_stats[w];
+    return [&generator, &root, scratch, stats_slot](const Chunk& c,
+                                                    ChunkBuffer* buffer) {
+      generator.GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
+                              buffer);
+    };
+  };
+
+  SchedulerOptions sched_options;
+  sched_options.fault_injector = config.fault_injector;
+  sched_options.resume_next_seq = config.resume_next_seq;
+  sched_options.on_chunk_commit = config.chunk_commit_hook;
+  sched_options.cancel = config.cancel_flag;
+  sched_options.worker_runner = config.worker_runner;
+  const SchedulerStats sched =
+      RunWorkStealing(queues, sink_ptrs, make_worker, sched_options);
+  stats.max_worker_cpu_seconds = sched.max_worker_cpu_seconds;
+  stats.sched_chunks = sched.num_chunks;
+  stats.sched_steals = sched.num_steals;
+  stats.sched_recovered = sched.num_recovered;
+  stats.sched_imbalance = sched.imbalance;
+  stats.cancelled = sched.cancelled;
+  stats.sink_status = sched.sink_status;
 
   AvsWorkerStats merged;
   for (const AvsWorkerStats& s : worker_stats) merged.MergeFrom(s);
@@ -144,9 +122,6 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   stats.table_scopes = merged.table_scopes;
   stats.table_edges = merged.table_edges;
   stats.generate_seconds = watch.ElapsedSeconds();
-  for (double cpu : worker_cpu) {
-    stats.max_worker_cpu_seconds = std::max(stats.max_worker_cpu_seconds, cpu);
-  }
   RecordAvsStats(merged);
   obs::GetGauge("avs.recvec_levels")
       ->Set(static_cast<double>(noise.levels()));
@@ -154,7 +129,7 @@ GenerateStats RunTyped(const TrillionGConfig& config,
     obs::Registry& reg = obs::Registry::Global();
     reg.MaxMachineStat(w, "peak_scope_bytes",
                        static_cast<double>(worker_stats[w].peak_scope_bytes));
-    reg.MaxMachineStat(w, "cpu_seconds", worker_cpu[w]);
+    reg.MaxMachineStat(w, "cpu_seconds", sched.worker_cpu_seconds[w]);
   }
   obs::SetCurrentPhase("idle");
   return stats;

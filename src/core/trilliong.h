@@ -45,7 +45,8 @@ struct TrillionGConfig {
   /// into this many chunks of equal expected edge mass, and idle workers
   /// steal chunks from busy ones (src/core/scheduler.h). 1 restores the
   /// static one-range-per-worker schedule. Output is bit-identical for any
-  /// value. Ignored when num_workers == 1.
+  /// value. With one worker it sets the commit granularity: how many chunks
+  /// the journal, cancellation and fault injection see.
   int chunks_per_worker = 16;
   Precision precision = Precision::kDouble;
   Direction direction = Direction::kOut;
@@ -58,26 +59,24 @@ struct TrillionGConfig {
   MemoryBudget* budget = nullptr;
 
   /// Optional fault injector (not owned) consulted at every chunk boundary;
-  /// see src/fault/. Setting it forces the work-stealing scheduler path even
-  /// for num_workers == 1, because recovery and resume live there. When left
-  /// null, Generate() arms one from TG_FAULT_PLAN if that variable is set —
-  /// the hook CI's TSan job arms, mirroring TG_CHUNKS_PER_WORKER.
+  /// see src/fault/. When left null, Generate() arms one from TG_FAULT_PLAN
+  /// if that variable is set — the hook CI's TSan job arms, mirroring
+  /// TG_CHUNKS_PER_WORKER.
   fault::FaultInjector* fault_injector = nullptr;
   /// Resume support: per worker range, the next chunk seq still to commit
   /// (all earlier chunks were journaled as durable by an interrupted
-  /// process). Empty for a fresh run; non-empty forces the scheduler path.
+  /// process). Empty for a fresh run.
   std::vector<std::uint32_t> resume_next_seq;
   /// Called under the range commit lock after each chunk's scopes reach the
   /// sink (SchedulerOptions::on_chunk_commit). gen_cli checkpoints writers
-  /// and appends to the chunk-commit journal here. Non-null forces the
-  /// scheduler path.
+  /// and appends to the chunk-commit journal here.
   std::function<void(const Chunk&, ScopeSink*)> chunk_commit_hook;
 
   /// Cooperative cancellation flag (not owned), observed at chunk
   /// boundaries: once true, no further chunks are taken and Generate
-  /// returns with GenerateStats::cancelled set. Non-null forces the
-  /// scheduler path even for one worker, so the committed prefix is exactly
-  /// what an uncancelled run would have committed (bit-identical resume).
+  /// returns with GenerateStats::cancelled set. The committed prefix is
+  /// exactly what an uncancelled run would have committed (bit-identical
+  /// resume).
   const std::atomic<bool>* cancel_flag = nullptr;
 
   /// Precomputed worker-range boundaries (size num_workers + 1), exactly
@@ -94,8 +93,8 @@ struct TrillionGConfig {
   const AvsPrefixTables* shared_prefix_tables = nullptr;
 
   /// Worker-thread executor override (SchedulerOptions::worker_runner):
-  /// null spawns one thread per worker; the serve daemon injects its shared
-  /// persistent pool. Non-null forces the scheduler path.
+  /// null spawns one thread per worker (one worker runs on the calling
+  /// thread); the serve daemon injects its shared persistent pool.
   std::function<void(std::vector<std::function<void()>>&)> worker_runner;
 
   std::uint64_t NumVertices() const { return std::uint64_t{1} << scale; }
@@ -134,8 +133,10 @@ struct GenerateStats {
   /// every worker has its own core (used by the cluster-comparison benches
   /// on oversubscribed hosts).
   double max_worker_cpu_seconds = 0.0;
-  /// Work-stealing scheduler observations (all zero / 1.0 when the static
-  /// single-range path ran, i.e. num_workers == 1 or chunks_per_worker == 1).
+  /// Work-stealing scheduler observations. Every run goes through the
+  /// scheduler, so sched_chunks counts num_workers * chunks_per_worker
+  /// (less any resumed or cancelled chunks) even with one worker; steals
+  /// are 0 and imbalance 1.0 then.
   std::uint64_t sched_chunks = 0;
   std::uint64_t sched_steals = 0;
   /// Chunks re-executed on surviving machines after an injected crash.

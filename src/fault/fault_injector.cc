@@ -161,7 +161,7 @@ void FaultInjector::BackoffBeforeRetry(int attempt) const {
 void FaultInjector::InstallIoHook() {
   storage::IoFailureHookRef() = [this](const std::string&) {
     int machine = obs::CurrentMachine();
-    if (machine < 0) machine = 0;  // untagged threads belong to machine 0
+    if (machine < 0) machine = 0;  // untagged files belong to machine 0
     return machine < num_machines() && io_failing(machine);
   };
   io_hook_installed_ = true;

@@ -80,14 +80,15 @@ class FaultInjector {
   int machines_alive() const;
 
   /// True once an iofail rule has fired for this machine: the storage-layer
-  /// failure hook (storage/file_io.h) makes every subsequent write on
-  /// threads tagged with this machine return a sticky IoError.
+  /// failure hook (storage/file_io.h) makes every subsequent write to a file
+  /// this machine owns return a sticky IoError, whichever thread writes.
   bool io_failing(int machine) const {
     return machines_[machine].io_failing.load(std::memory_order_acquire);
   }
 
   /// Installs this injector as the process-wide storage failure hook
-  /// (consulted via obs::CurrentMachine()). Uninstalls on destruction.
+  /// (consulted via obs::CurrentMachine(), which the writer sets to the
+  /// file's owning machine). Uninstalls on destruction.
   void InstallIoHook();
 
   ~FaultInjector();

@@ -11,92 +11,62 @@ namespace tg::format {
 
 namespace {
 
-// "00".."99" packed back to back: one memcpy per two digits.
-constexpr char kDigitPairs[] =
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899";
+static_assert(std::endian::native == std::endian::little,
+              "the digit encoder stores its first byte lowest");
 
-constexpr std::uint64_t kPow10[20] = {
-    1ULL,
-    10ULL,
-    100ULL,
-    1000ULL,
-    10000ULL,
-    100000ULL,
-    1000000ULL,
-    10000000ULL,
-    100000000ULL,
-    1000000000ULL,
-    10000000000ULL,
-    100000000000ULL,
-    1000000000000ULL,
-    10000000000000ULL,
-    100000000000000ULL,
-    1000000000000000ULL,
-    10000000000000000ULL,
-    100000000000000000ULL,
-    1000000000000000000ULL,
-    10000000000000000000ULL,
-};
-
-/// Branchless decimal width: log10 approximated from the bit width
-/// ((bits * 1233) >> 12 ~ bits * log10(2)), corrected by one table compare.
-/// `v | 1` folds the v == 0 case in — setting the low bit can never cross a
-/// power of ten (they all end in 0, so v and v|1 share a decade).
-inline int DigitCount(std::uint64_t v) {
-  const std::uint64_t u = v | 1;
-  const int approx = (std::bit_width(u) * 1233) >> 12;
-  return approx + static_cast<int>(u >= kPow10[approx]);
+/// The eight decimal digits of `v` (v < 1e8), zero-padded, as byte values
+/// 0..9 (not yet ASCII) in one word, most significant digit in the lowest
+/// byte. One divide splits v into 32-bit lanes of four digits; multiply-
+/// shift divides split those into 16-bit lanes of two and bytes of one, so
+/// every id costs the same few instructions whatever its length.
+inline std::uint64_t Digits8(std::uint32_t v) {
+  // Lanes: [v / 10^4, v % 10^4] in 32 bits each.
+  const std::uint64_t tenk = v / 10000;
+  const std::uint64_t lanes32 = tenk | (std::uint64_t{v - tenk * 10000} << 32);
+  // x / 100 == (x * 10486) >> 20 for x < 10^4; lanes become [x / 100,
+  // x % 100] in 16 bits each.
+  const std::uint64_t hundreds =
+      ((lanes32 * 10486) >> 20) & 0x0000007F0000007FULL;
+  const std::uint64_t lanes16 = ((lanes32 - hundreds * 100) << 16) + hundreds;
+  // y / 10 == (y * 103) >> 10 for y < 100; lanes become [y / 10, y % 10] in
+  // 8 bits each.
+  const std::uint64_t tens = ((lanes16 * 103) >> 10) & 0x000F000F000F000FULL;
+  return ((lanes16 - tens * 10) << 8) + tens;
 }
 
-/// Writes exactly eight digits of `v` (v < 1e8) at `buf`, zero-padded. The
-/// four pair lookups hang off a shallow divide tree, so they retire mostly
-/// in parallel instead of serializing like a digit-at-a-time chain.
-inline void Format8(std::uint32_t v, char* buf) {
-  const std::uint32_t hi = v / 10000;
-  const std::uint32_t lo = v % 10000;
-  std::memcpy(buf + 0, kDigitPairs + 2 * (hi / 100), 2);
-  std::memcpy(buf + 2, kDigitPairs + 2 * (hi % 100), 2);
-  std::memcpy(buf + 4, kDigitPairs + 2 * (lo / 100), 2);
-  std::memcpy(buf + 6, kDigitPairs + 2 * (lo % 100), 2);
+constexpr std::uint64_t kAsciiZeros = 0x3030303030303030ULL;
+
+/// Writes `v` (v < 1e8) without leading zeros: one 8-byte store at `buf`,
+/// returning the digit count. The sentinel bit keeps at least one digit.
+inline int FormatBelow1e8(std::uint32_t v, char* buf) {
+  const std::uint64_t digits = Digits8(v);
+  const int zeros = std::countr_zero(digits | (std::uint64_t{1} << 56)) / 8;
+  const std::uint64_t ascii = (digits + kAsciiZeros) >> (8 * zeros);
+  std::memcpy(buf, &ascii, 8);
+  return 8 - zeros;
 }
 
-/// Fast unsigned decimal formatting into `buf`; returns length. Peels
-/// zero-padded 8-digit chunks off the low end first — each chunk's divides
-/// form an independent tree — leaving at most one short serial pair loop for
-/// the head. A 15-digit vertex id costs one divide by 1e8 on the critical
-/// path instead of seven chained divides by 100.
-int FormatU64(std::uint64_t value, char* buf) {
-  const int n = DigitCount(value);
-  char* end = buf + n;
-  while (value >= 100000000) {
-    end -= 8;
-    Format8(static_cast<std::uint32_t>(value % 100000000), end);
-    value /= 100000000;
+/// Values of 10^8 and up: the leading digits, then the low eight
+/// zero-padded. Vertex ids of graphs up to scale 26 never get here.
+int FormatAbove1e8(std::uint64_t value, char* buf) {
+  const std::uint64_t head = value / 100000000;
+  const int n = head < 100000000
+                    ? FormatBelow1e8(static_cast<std::uint32_t>(head), buf)
+                    : FormatAbove1e8(head, buf);
+  const std::uint64_t ascii =
+      Digits8(static_cast<std::uint32_t>(value % 100000000)) + kAsciiZeros;
+  std::memcpy(buf + n, &ascii, 8);
+  return n + 8;
+}
+
+/// Unsigned decimal formatting into `buf`; returns the length. Stores
+/// max(8, length) <= 20 bytes at `buf` whatever the value; every caller
+/// formats into a kMaxLine (44-byte) reservation, which covers that.
+inline int FormatU64(std::uint64_t value, char* buf) {
+  if (value < 100000000) {
+    return FormatBelow1e8(static_cast<std::uint32_t>(value), buf);
   }
-  char* p = end;
-  auto head = static_cast<std::uint32_t>(value);
-  while (head >= 100) {
-    const std::uint32_t rem = head % 100;
-    head /= 100;
-    p -= 2;
-    std::memcpy(p, kDigitPairs + 2 * rem, 2);
-  }
-  if (head >= 10) {
-    p -= 2;
-    std::memcpy(p, kDigitPairs + 2 * head, 2);
-  } else {
-    *--p = static_cast<char>('0' + head);
-  }
-  return n;
+  return FormatAbove1e8(value, buf);
 }
 
 }  // namespace

@@ -39,7 +39,8 @@ class TsvWriter : public core::ResumableSink {
 
  private:
   /// Staging bytes claimed per line: two 20-digit values plus "\t\n",
-  /// with slack.
+  /// with slack. Each value's encoder stores at least 8 bytes, and this
+  /// covers that too.
   static constexpr std::size_t kMaxLine = 44;
 
   storage::FileWriter writer_;

@@ -204,10 +204,14 @@ void FileWriter::Enqueue(std::size_t n, std::uint64_t offset) {
 void FileWriter::WriteAt(const char* data, std::size_t n,
                          std::uint64_t offset) {
   if (backend_failed()) return;
-  const IoFailureHook& hook = IoFailureHookRef();
-  if (hook && hook(path_)) {
-    RecordBackendError(Status::IoError("injected I/O failure: " + path_));
-    return;
+  if (const IoFailureHook& hook = IoFailureHookRef()) {
+    // Ask about the file's machine, not the calling thread's: the async
+    // writer thread is untagged, and any worker may write a shard.
+    obs::ScopedMachine owner(machine_);
+    if (hook(path_)) {
+      RecordBackendError(Status::IoError("injected I/O failure: " + path_));
+      return;
+    }
   }
   if (!PwriteAll(fd_, data, n, offset)) {
     RecordBackendError(Status::IoError("write failed: " + path_));

@@ -18,8 +18,9 @@
 //   1. Errors are sticky: the first failure freezes status()/bytes_written();
 //      later appends are dropped.
 //   2. IoFailureHookRef() is consulted before every raw write, on whichever
-//      thread calls WriteAt; the injected error surfaces on the next
-//      producer-side status()/Append/FlushToOs call.
+//      thread calls WriteAt but tagged with the writer's own machine; the
+//      injected error surfaces on the next producer-side
+//      status()/Append/FlushToOs call.
 //   3. FlushToOs() is the durability barrier of the chunk-commit journal:
 //      after an Ok return every appended byte survives a process kill.
 // Output bytes and the io.* counters do not depend on the mode.
@@ -39,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/span.h"
 #include "util/common.h"
 #include "util/status.h"
 
@@ -48,8 +50,9 @@ namespace tg::storage {
 /// true to make the write fail with a sticky IoError — this is how
 /// fault::FaultInjector simulates a dying disk without touching the real
 /// filesystem. Installed before worker threads start and cleared after they
-/// join; the empty default costs one branch per handed-off block. Under
-/// IoMode::kAsync the hook fires on the writer thread.
+/// join; the empty default costs one branch per handed-off block. It runs on
+/// whichever thread writes (the writer thread under IoMode::kAsync), with
+/// obs::CurrentMachine() set to the machine that owns the file.
 using IoFailureHook = std::function<bool(const std::string& path)>;
 inline IoFailureHook& IoFailureHookRef() {
   static IoFailureHook hook;
@@ -98,7 +101,9 @@ class ScopedIoConfig {
 
 /// Buffered sequential file writer on an fd. Errors are sticky: the first
 /// failure is recorded and reported from Close()/status(); subsequent writes
-/// are dropped. Not thread-safe on the producer side.
+/// are dropped. Not thread-safe on the producer side. The file belongs to
+/// the simulated machine the constructing thread is tagged with
+/// (obs::ScopedMachine); the I/O failure hook is asked about that machine.
 class FileWriter {
  public:
   /// Blocks in flight (queued or being written) before an async producer
@@ -109,7 +114,9 @@ class FileWriter {
   /// process-wide one (GlobalIoConfig).
   explicit FileWriter(std::size_t buffer_bytes = 1 << 20,
                       IoMode mode = GlobalIoConfig().mode)
-      : mode_(mode), buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes) {}
+      : mode_(mode),
+        buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes),
+        machine_(obs::CurrentMachine()) {}
 
   ~FileWriter() { Close(); }
 
@@ -267,6 +274,7 @@ class FileWriter {
 
   const IoMode mode_;
   const std::size_t buffer_bytes_;
+  const int machine_;  // owning machine, -1 when untagged
   std::string path_;
   mutable Status status_;
   bool open_ = false;

@@ -359,6 +359,16 @@ def check_journal_not_done(ctx):
     check("done" not in records, "journal records completion: %r" % records)
 
 
+def write_error_names(shard):
+    """The failed run's error line names the shard whose disk died."""
+    def names(ctx):
+        with open(os.path.join(ctx.dir, "var0.log"), errors="replace") as f:
+            errors = [line for line in f if line.startswith("write failed")]
+        check(errors and shard in errors[0],
+              "no write error naming %s: %r" % (shard, errors))
+    return names
+
+
 def check_iofail_report(ctx):
     """An injected disk fault on the host's simulated machine still leaves
     a complete report and trace: obs files bypass the fault hook."""
@@ -430,20 +440,24 @@ def build_rows():
                  after=[check_journal_and_tear_shard]),
              Run(one + ["--io=" + io, "--resume", "--out", "{var}"])],
             [same_shards("adj6", 1)]))
-    # m0's disk dies at its second chunk boundary. The run must fail rather
-    # than pass truncated shards off as a graph, and a --resume without the
+    # Machine k's disk dies at its second chunk boundary. The run must fail
+    # rather than pass truncated shards off as a graph, the error must name
+    # k's own shard whichever thread wrote it, and a --resume without the
     # fault must then finish the bytes of a clean run.
     two = ["--scale", "18", "--workers", "2", "--format", "adj6"]
-    for io in ("sync", "async"):
-        rows.append(Row(
-            "chaos.iofail." + io,
-            [Run(two + ["--io=sync", "--out", "{ref}"])],
-            [Run(two + ["--io=" + io, "--fault_plan=m0:iofail@chunk=2",
-                        "--journal", "--out", "{var}"],
-                 exit_code=WRITE_FAILED_EXIT_CODE,
-                 after=[check_journal_not_done]),
-             Run(two + ["--io=" + io, "--resume", "--out", "{var}"])],
-            [same_shards("adj6", 2)]))
+    for machine, name in ((0, "chaos.iofail."), (1, "chaos.iofail_m1.")):
+        for io in ("sync", "async"):
+            rows.append(Row(
+                name + io,
+                [Run(two + ["--io=sync", "--out", "{ref}"])],
+                [Run(two + ["--io=" + io,
+                            "--fault_plan=m%d:iofail@chunk=2" % machine,
+                            "--journal", "--out", "{var}"],
+                     exit_code=WRITE_FAILED_EXIT_CODE,
+                     after=[check_journal_not_done,
+                            write_error_names(".w%d." % machine)]),
+                 Run(two + ["--io=" + io, "--resume", "--out", "{var}"])],
+                [same_shards("adj6", 2)]))
     rows.append(Row(
         "admin",
         [Run(S18 + ["--out", "{ref}"])],
@@ -481,8 +495,8 @@ def build_rows():
               "--metrics_prom={var}.prom", "--out", "{var}"])],
         [same_shards("adj6", 4), check_metrics_report]))
     # gen_cli's own thread counts as simulated machine 0, so m0's disk fault
-    # is live while the reports are written. The async writer thread counts
-    # as machine 0 too, so the shards' writes fail and so does the run.
+    # is live while the reports are written. Shard w0 belongs to machine 0,
+    # so its writes fail and so does the run.
     rows.append(Row(
         "smoke.iofail_report",
         [],

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/trilliong.h"
@@ -65,6 +69,43 @@ TEST(TsvTest, LargeIdsSurviveTextRoundTrip) {
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].src, big);
   EXPECT_EQ(edges[0].dst, big + 1);
+}
+
+TEST(TsvTest, DigitsMatchToCharsAtEveryWidth) {
+  // Every decimal width and both sides of each power of ten, through the
+  // scope path (the scope's vertex formatted once and copied into every
+  // line), in both column orders. io_test covers WriteEdge up to 2^64 - 1.
+  std::vector<VertexId> ids = {0};
+  for (VertexId p = 10; p < (VertexId{1} << 48); p *= 10) {
+    ids.push_back(p - 1);
+    ids.push_back(p);
+  }
+  ids.push_back((VertexId{1} << 48) - 1);
+  auto decimal = [](VertexId v) {
+    char buf[24];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  for (bool transposed : {false, true}) {
+    storage::TempDir dir;
+    const std::string path = dir.File("digits.tsv");
+    std::string expected;
+    {
+      TsvWriter writer(path, transposed);
+      for (VertexId u : ids) {
+        writer.ConsumeScope(u, ids.data(), ids.size());
+        for (VertexId v : ids) {
+          expected += transposed ? decimal(v) + "\t" + decimal(u)
+                                 : decimal(u) + "\t" + decimal(v);
+          expected += "\n";
+        }
+      }
+      ASSERT_TRUE(writer.Finish().ok());
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string actual((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_EQ(actual, expected) << "transposed=" << transposed;
+  }
 }
 
 TEST(TsvTest, MissingFileReportsError) {

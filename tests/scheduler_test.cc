@@ -200,14 +200,51 @@ TEST(SchedulerTest, EngineStealsFromBusyWorkerAndCommitsInOrder) {
       buffer->ConsumeScope(c.lo, &v, 1);
     };
   };
-  SchedulerStats stats = RunWorkStealing(queues, sinks, make_worker);
+  // The hook runs under the range lock, so a plain vector is safe; a chunk
+  // commits only once its scope is in the sink, in place or replayed.
+  std::vector<std::uint32_t> committed;
+  SchedulerOptions options;
+  options.on_chunk_commit = [&](const Chunk& c, ScopeSink*) {
+    EXPECT_EQ(sink.scopes().count(c.lo), 1u) << "chunk " << c.seq;
+    committed.push_back(c.seq);
+  };
+  SchedulerStats stats = RunWorkStealing(queues, sinks, make_worker, options);
 
   EXPECT_EQ(stats.num_chunks, static_cast<std::uint64_t>(kChunks));
   EXPECT_GT(stats.num_steals, 0u);
   EXPECT_EQ(sink.finishes(), 1);
   // VectorSink asserted ascending order on every ConsumeScope; all chunks
-  // must have landed.
+  // must have landed, and each committed once, in seq order.
   EXPECT_EQ(sink.scopes().size(), static_cast<std::size_t>(kChunks));
+  ASSERT_EQ(committed.size(), static_cast<std::size_t>(kChunks));
+  for (int i = 0; i < kChunks; ++i) {
+    EXPECT_EQ(committed[i], static_cast<std::uint32_t>(i));
+  }
+}
+
+TEST(SchedulerTest, InOrderChunksWriteStraightToTheSink) {
+  // One worker starts every chunk in order, so it owns the range's sink
+  // while generating: each scope is in the sink before the chunk body that
+  // emitted it returns, with no copy through a chunk buffer.
+  std::vector<std::vector<Chunk>> queues(1);
+  for (int i = 0; i < 4; ++i) {
+    queues[0].push_back(Chunk{0, static_cast<std::uint32_t>(i),
+                              static_cast<VertexId>(i),
+                              static_cast<VertexId>(i + 1)});
+  }
+  VectorSink sink;
+  std::vector<ScopeSink*> sinks = {&sink};
+  auto make_worker = [&](int) -> ChunkFn {
+    return [&](const Chunk& c, ChunkBuffer* buffer) {
+      VertexId v = c.lo;
+      buffer->ConsumeScope(c.lo, &v, 1);
+      EXPECT_EQ(sink.scopes().count(c.lo), 1u)
+          << "chunk " << c.seq << " was buffered";
+    };
+  };
+  RunWorkStealing(queues, sinks, make_worker);
+  EXPECT_EQ(sink.scopes().size(), 4u);
+  EXPECT_EQ(sink.finishes(), 1);
 }
 
 TEST(SchedulerTest, StealDomainsConfineThieves) {
@@ -243,20 +280,40 @@ TEST(SchedulerTest, StealDomainsConfineThieves) {
 }
 
 TEST(SchedulerTest, WorkerExceptionPropagates) {
-  std::vector<std::vector<Chunk>> queues(2);
-  for (int i = 0; i < 4; ++i) {
-    queues[i % 2].push_back(Chunk{0, static_cast<std::uint32_t>(i),
-                                  static_cast<VertexId>(i),
-                                  static_cast<VertexId>(i + 1)});
-  }
-  VectorSink sink;
-  std::vector<ScopeSink*> sinks = {&sink};
-  auto make_worker = [](int) -> ChunkFn {
-    return [](const Chunk& c, ChunkBuffer*) {
-      if (c.seq == 2) throw OomError("simulated");
+  // Chunk 2 throws after emitting its scope. It never commits: the hook
+  // sees only earlier chunks and the range never finishes. One worker
+  // writes chunk 2 in place, so its scope is in the sink, past the last
+  // committed chunk — the tail a resumed run truncates.
+  for (int workers : {1, 2}) {
+    std::vector<std::vector<Chunk>> queues(workers);
+    for (int i = 0; i < 4; ++i) {
+      queues[i % workers].push_back(Chunk{0, static_cast<std::uint32_t>(i),
+                                          static_cast<VertexId>(i),
+                                          static_cast<VertexId>(i + 1)});
+    }
+    VectorSink sink;
+    std::vector<ScopeSink*> sinks = {&sink};
+    std::vector<std::uint32_t> committed;
+    SchedulerOptions options;
+    options.on_chunk_commit = [&](const Chunk& c, ScopeSink*) {
+      committed.push_back(c.seq);
     };
-  };
-  EXPECT_THROW(RunWorkStealing(queues, sinks, make_worker), OomError);
+    auto make_worker = [](int) -> ChunkFn {
+      return [](const Chunk& c, ChunkBuffer* buffer) {
+        VertexId v = c.lo;
+        buffer->ConsumeScope(c.lo, &v, 1);
+        if (c.seq == 2) throw OomError("simulated");
+      };
+    };
+    EXPECT_THROW(RunWorkStealing(queues, sinks, make_worker, options),
+                 OomError);
+    for (std::uint32_t seq : committed) EXPECT_LT(seq, 2u);
+    EXPECT_EQ(sink.finishes(), 0);
+    if (workers == 1) {
+      EXPECT_EQ(committed, (std::vector<std::uint32_t>{0, 1}));
+      EXPECT_EQ(sink.scopes().count(2), 1u);
+    }
+  }
 }
 
 TEST(SchedulerTest, EmptyRangeStillGetsFinish) {
