@@ -346,14 +346,16 @@ int main(int argc, char** argv) {
         [&](int worker, tg::VertexId lo, tg::VertexId hi)
             -> std::unique_ptr<tg::core::ScopeSink> {
           const std::string path = tg::format::ShardPath(out, worker, format);
+          const tg::storage::IoMode io_mode =
+              tg::storage::GlobalIoConfig().mode;
           const auto committed = journal_state.ranges.find(worker);
           if (resume && committed != journal_state.ranges.end()) {
             const tg::core::ResumeFrom from{committed->second.sink_state};
             return tg::format::MakeShardWriter(format, path, lo, hi,
-                                               transposed, &from);
+                                               transposed, io_mode, &from);
           }
           return tg::format::MakeShardWriter(format, path, lo, hi,
-                                             transposed);
+                                             transposed, io_mode);
         });
   } catch (const tg::fault::FaultError& e) {
     faulted = true;

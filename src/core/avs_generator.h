@@ -100,6 +100,10 @@ struct ScopeScratch {
   /// flushed every kObsFlushScopes scopes and at the end of each range.
   obs::HistogramBatch pending_degrees;
   std::uint64_t pending_edges = 0;
+  /// The worker's charge against the machine budget: the high-water scope
+  /// working set, taken at the first scope and grown only when a scope
+  /// needs more, so the shared budget is not touched per scope.
+  std::optional<ScopedAllocation> scope_lease;
 };
 
 /// Generates all scopes of a contiguous vertex range following the recursive
@@ -339,11 +343,16 @@ class AvsRangeGenerator {
 
     // Account the per-scope working set against the machine budget: this is
     // exactly the O(d_max) space term of Table 1. Neither dedup
-    // representation grows inside a scope, so one charge covers it.
-    ScopedAllocation scope_mem(
-        budget_, dedup.MemoryBytes() + degree * sizeof(VertexId), scope_tag_);
-    stats->peak_scope_bytes =
-        std::max(stats->peak_scope_bytes, scope_mem.bytes());
+    // representation grows inside a scope, so one charge covers it; the
+    // worker's lease holds its largest one.
+    const std::uint64_t scope_bytes =
+        dedup.MemoryBytes() + degree * sizeof(VertexId);
+    if (!scratch->scope_lease.has_value()) {
+      scratch->scope_lease.emplace(budget_, scope_bytes, scope_tag_);
+    } else if (scratch->scope_lease->bytes() < scope_bytes) {
+      scratch->scope_lease->ResizeTo(scope_bytes);
+    }
+    stats->peak_scope_bytes = std::max(stats->peak_scope_bytes, scope_bytes);
 
     // Rejection loop (Algorithm 4 lines 4-7): repeat until `degree` distinct
     // neighbors are collected. The attempt cap only matters for near-dense

@@ -28,10 +28,14 @@ inline void Store48Wide(char* p, std::uint64_t v) {
 
 }  // namespace
 
-Adj6Writer::Adj6Writer(const std::string& path) { writer_.Open(path); }
+Adj6Writer::Adj6Writer(const std::string& path, storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode) {
+  writer_.Open(path);
+}
 
-Adj6Writer::Adj6Writer(const std::string& path,
-                       const core::ResumeFrom& resume) {
+Adj6Writer::Adj6Writer(const std::string& path, const core::ResumeFrom& resume,
+                       storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode) {
   std::uint64_t bytes = 0;
   if (!TokenField(resume.state, "bytes", &bytes)) {
     writer_.OpenForResume("", 0);  // sticky error: malformed token

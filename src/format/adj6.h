@@ -20,11 +20,14 @@ namespace tg::format {
 /// memcpy of what the AVS generator already produces per scope.
 class Adj6Writer : public core::ResumableSink {
  public:
-  explicit Adj6Writer(const std::string& path);
+  /// `mode` picks who writes the staging blocks (storage::FileWriter).
+  explicit Adj6Writer(const std::string& path,
+                      storage::IoMode mode = storage::GlobalIoConfig().mode);
 
   /// Resume constructor: truncates `path` to the byte position recorded in
   /// `resume.state` (a token from CommitState) and continues appending.
-  Adj6Writer(const std::string& path, const core::ResumeFrom& resume);
+  Adj6Writer(const std::string& path, const core::ResumeFrom& resume,
+             storage::IoMode mode = storage::GlobalIoConfig().mode);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
   Status Finish() override;

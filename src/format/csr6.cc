@@ -31,8 +31,10 @@ void AppendU64(std::vector<unsigned char>* out, std::uint64_t value) {
 
 }  // namespace
 
-Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi)
-    : path_(path),
+Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
+                       storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode),
+      path_(path),
       lo_(lo),
       hi_(hi),
       next_vertex_(lo),
@@ -47,8 +49,9 @@ Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi)
 }
 
 Csr6Writer::Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
-                       const core::ResumeFrom& resume)
-    : path_(path),
+                       const core::ResumeFrom& resume, storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode),
+      path_(path),
       lo_(lo),
       hi_(hi),
       next_vertex_(lo),

@@ -24,7 +24,9 @@ namespace tg::format {
 /// generator produces); adjacency lists are sorted by the writer.
 class Csr6Writer : public core::ResumableSink {
  public:
-  Csr6Writer(const std::string& path, VertexId lo, VertexId hi);
+  /// `mode` picks who writes the staging blocks (storage::FileWriter).
+  Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
+             storage::IoMode mode = storage::GlobalIoConfig().mode);
 
   /// Resume constructor: restores the writer from a CommitState token
   /// ("bytes=B,next=V,edges=E") plus the degree sidecar (SidecarPath) the
@@ -34,7 +36,8 @@ class Csr6Writer : public core::ResumableSink {
   /// appended durably at every checkpoint so a new process can rebuild the
   /// in-memory prefix.
   Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
-             const core::ResumeFrom& resume);
+             const core::ResumeFrom& resume,
+             storage::IoMode mode = storage::GlobalIoConfig().mode);
   ~Csr6Writer() override;
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/scope_sink.h"
+#include "storage/file_io.h"
 #include "util/common.h"
 
 namespace tg::format {
@@ -18,13 +19,15 @@ std::string ShardPath(const std::string& prefix, int worker,
                       const std::string& format);
 
 /// The writer for one shard covering vertices [lo, hi): TsvWriter
-/// (`transposed` swaps each edge's columns), Adj6Writer or Csr6Writer.
-/// With `resume`, the writer's resume constructor continues from that
-/// journaled CommitState token. Null for a format other than
-/// tsv|adj6|csr6; callers validate the name first.
+/// (`transposed` swaps each edge's columns), Adj6Writer or Csr6Writer,
+/// writing its staging blocks under `mode`. With `resume`, the writer's
+/// resume constructor continues from that journaled CommitState token.
+/// Null for a format other than tsv|adj6|csr6; callers validate the name
+/// first.
 std::unique_ptr<core::ScopeSink> MakeShardWriter(
     const std::string& format, const std::string& path, VertexId lo,
-    VertexId hi, bool transposed, const core::ResumeFrom* resume = nullptr);
+    VertexId hi, bool transposed, storage::IoMode mode,
+    const core::ResumeFrom* resume = nullptr);
 
 }  // namespace tg::format
 

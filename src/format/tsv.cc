@@ -71,14 +71,17 @@ inline int FormatU64(std::uint64_t value, char* buf) {
 
 }  // namespace
 
-TsvWriter::TsvWriter(const std::string& path, bool transposed)
-    : transposed_(transposed) {
+TsvWriter::TsvWriter(const std::string& path, bool transposed,
+                     storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode),
+      transposed_(transposed) {
   writer_.Open(path);
 }
 
 TsvWriter::TsvWriter(const std::string& path, bool transposed,
-                     const core::ResumeFrom& resume)
-    : transposed_(transposed) {
+                     const core::ResumeFrom& resume, storage::IoMode mode)
+    : writer_(storage::FileWriter::kDefaultBufferBytes, mode),
+      transposed_(transposed) {
   std::uint64_t bytes = 0;
   if (!TokenField(resume.state, "bytes", &bytes)) {
     // Force the writer into a sticky error state (nothing is open).

@@ -17,13 +17,16 @@ namespace tg::format {
 class TsvWriter : public core::ResumableSink {
  public:
   /// `transposed` swaps the emitted columns; used when the scopes come from
-  /// an AVS-I run (scope vertex is the destination).
-  explicit TsvWriter(const std::string& path, bool transposed = false);
+  /// an AVS-I run (scope vertex is the destination). `mode` picks who
+  /// writes the staging blocks (storage::FileWriter).
+  explicit TsvWriter(const std::string& path, bool transposed = false,
+                     storage::IoMode mode = storage::GlobalIoConfig().mode);
 
   /// Resume constructor: truncates `path` to the byte position recorded in
   /// `resume.state` (a token from CommitState) and continues appending.
   TsvWriter(const std::string& path, bool transposed,
-            const core::ResumeFrom& resume);
+            const core::ResumeFrom& resume,
+            storage::IoMode mode = storage::GlobalIoConfig().mode);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
   Status Finish() override;

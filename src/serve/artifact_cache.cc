@@ -21,7 +21,12 @@ ArtifactCache::ModelEntry* ArtifactCache::ModelFor(std::uint64_t key) {
   if (models_.size() >= options_.max_models && !model_age_.empty()) {
     // Age out the oldest model. In-flight runs keep their artifacts alive
     // through their shared_ptr pins; only the memoization is lost.
-    models_.erase(model_age_.front());
+    auto oldest = models_.find(model_age_.front());
+    if (oldest->second.tables != nullptr) {
+      obs::GetGauge("serve.cache.table_bytes")
+          ->Add(-static_cast<double>(oldest->second.tables->MemoryBytes()));
+    }
+    models_.erase(oldest);
     model_age_.pop_front();
   }
   model_age_.push_back(key);

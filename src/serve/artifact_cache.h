@@ -6,8 +6,9 @@
 //
 //  * Model artifacts. The prefix tables (core/prefix_tables.h) and the CDF
 //    partition plan (core/partitioner.h) depend only on the noise vector —
-//    seed matrix, scale, noise, rng seed, direction — and, for the plan,
-//    the worker count. Requests sharing a model reuse one read-only
+//    seed matrix, scale, noise, direction, and the rng seed only when
+//    noise > 0 (it draws the NSKG noise) — and, for the plan, the worker
+//    count. Requests sharing a model reuse one read-only
 //    instance instead of rebuilding per request; TrillionGConfig's
 //    shared_prefix_tables / precomputed_boundaries inject them into the
 //    run, whose output bytes are identical either way.

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <functional>
 #include <list>
+#include <optional>
 
 #include "core/scheduler.h"
 #include "core/trilliong.h"
@@ -84,13 +85,17 @@ struct ServeDaemon::Request {
   /// halts at the next chunk boundary (TrillionGConfig::cancel_flag).
   std::atomic<bool> cancel{false};
 
+  /// The run's per-request budget; the streamer charges the cache payload
+  /// it builds to it. Outlives the streamer thread.
+  MemoryBudget* budget = nullptr;
+
   std::mutex mu;
   std::condition_variable cv;
   /// Per shard, bytes made durable by the chunk-commit protocol — the
   /// prefix the streamer may send while generation is still running.
   std::vector<std::uint64_t> durable;
   bool done = false;       ///< Generate() returned
-  bool failed = false;     ///< OOM / unrecoverable fault
+  bool failed = false;     ///< OOM / unrecoverable fault / write error
   bool cancelled = false;  ///< generation stopped early: shards are prefixes
 
   /// Streamer-thread results, read by the executor after join.
@@ -461,6 +466,7 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
   core::TrillionGConfig config = ToConfig(req->gen);
   MemoryBudget budget(options_.request_mem_budget_bytes);
   config.budget = &budget;
+  req->budget = &budget;
   config.cancel_flag = &req->cancel;
   config.worker_runner = [this](std::vector<std::function<void()>>& bodies) {
     pool_->Run(bodies);
@@ -511,9 +517,13 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
         config,
         [&](int worker, VertexId lo,
             VertexId hi) -> std::unique_ptr<core::ScopeSink> {
+          // Inline writes: every chunk commit flushes its shard (the
+          // durable prefix the streamer tails), and under the async mode
+          // each flush would be a handoff plus a wait on the writer thread,
+          // made while holding the range lock.
           return format::MakeShardWriter(
               format, format::ShardPath(prefix, worker, format), lo, hi,
-              transposed);
+              transposed, storage::IoMode::kSync);
         });
   } catch (const OomError& e) {
     failed = true;
@@ -522,49 +532,12 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
     failed = true;
     RecordServeEvent("serve.fault", req->id, e.what());
   }
-
-  // Admit the whole payload into the content-addressed cache when it fits.
-  // This runs before `done` is published: the streamer cannot close the
-  // client's stream until then, so by the time any client has seen this
-  // response, a repeat of its fingerprint is already a hit.
-  if (!failed && !stats.cancelled) {
-    std::uint64_t total = 0;
-    for (int w = 0; w < req->gen.workers; ++w) {
-      std::error_code ec;
-      total +=
-          std::filesystem::file_size(format::ShardPath(prefix, w, format), ec);
-      if (ec) total = ~std::uint64_t{0};
-    }
-    if (total <= cache_->entry_cap()) {
-      try {
-        // Attribute the staging buffer to this request's budget so an
-        // operator cap bounds it like any other per-request allocation.
-        ScopedAllocation staging(
-            &budget, total,
-            budget.Tag(("serve.req." + std::to_string(req->id)).c_str()));
-        std::string payload;
-        payload.reserve(static_cast<std::size_t>(total));
-        bool ok = true;
-        for (int w = 0; w < req->gen.workers && ok; ++w) {
-          std::FILE* f =
-              std::fopen(format::ShardPath(prefix, w, format).c_str(), "rb");
-          if (f == nullptr) {
-            ok = false;
-            break;
-          }
-          char buf[64 * 1024];
-          std::size_t n;
-          while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-            payload.append(buf, n);
-          }
-          ok = std::ferror(f) == 0;
-          std::fclose(f);
-        }
-        if (ok) cache_->InsertGraph(req->fingerprint, std::move(payload));
-      } catch (const OomError&) {
-        // Budget too tight for staging: the graph just isn't cached.
-      }
-    }
+  // A latched shard write error: the shards are truncated, so the stream
+  // must not close as complete and nothing may be cached.
+  if (!failed && !stats.sink_status.ok()) {
+    failed = true;
+    RecordServeEvent("serve.write_error", req->id,
+                     stats.sink_status.ToString());
   }
 
   {
@@ -625,6 +598,41 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
     RecordServeEvent("serve.stream_abort", req->id, why);
   };
 
+  // The cache payload is the streamed blocks themselves, dropped once it
+  // passes the cache's entry cap and admitted only after the last shard's
+  // last byte. Once generation is done and every shard's size is known, it
+  // is moved into a buffer of exactly the graph's size (the cache accounts
+  // size()) and charged to the request's budget under the request's tag,
+  // where a trip drops it. Charging it only then keeps the payload from
+  // ever being what makes generation itself trip the budget.
+  const std::uint64_t entry_cap = cache_->entry_cap();
+  bool keep_payload = entry_cap > 0;
+  bool payload_sized = false;
+  std::string payload;
+  std::optional<ScopedAllocation> payload_mem;  // taken once sized
+  auto drop_payload = [&] {
+    keep_payload = false;
+    payload = std::string();
+  };
+  auto resize_payload = [&](std::uint64_t bytes) {
+    std::string resized;
+    resized.reserve(static_cast<std::size_t>(bytes));
+    resized.append(payload);
+    payload.swap(resized);
+  };
+  auto keep_block = [&](const std::string& block) {
+    const std::uint64_t need = payload.size() + block.size();
+    if (need > entry_cap) {
+      drop_payload();
+      return;
+    }
+    if (need > payload.capacity()) {
+      resize_payload(std::min(std::max(need, 2 * payload.capacity()),
+                              entry_cap));
+    }
+    payload.append(block);
+  };
+
   // Wait for the response to flush and the connection to subscribe. The
   // handler subscribes on the service thread right after admission, so this
   // resolves in microseconds unless the client vanished immediately.
@@ -681,6 +689,32 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
           return;
         }
         target = size;
+        if (keep_payload && !payload_sized) {
+          // Earlier shards are in the payload; this and later ones are final.
+          payload_sized = true;
+          std::uint64_t total = payload.size() - sent;
+          for (int w = shard; w < req->gen.workers; ++w) {
+            total += std::filesystem::file_size(
+                format::ShardPath(prefix, w, req->gen.format), ec);
+            if (ec) {
+              total = ~std::uint64_t{0};  // past any cap: drops the payload
+              break;
+            }
+          }
+          bool fits = total <= entry_cap;
+          if (fits) {
+            try {
+              payload_mem.emplace(req->budget, total, channel.c_str());
+            } catch (const OomError&) {
+              fits = false;  // budget too tight: the graph just isn't cached
+            }
+          }
+          if (fits) {
+            resize_payload(total);
+          } else {
+            drop_payload();
+          }
+        }
       }
       if (server_.SubscriberCount(channel) == 0) {
         abort_stream("client disconnected");
@@ -718,6 +752,7 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
                                     static_cast<off_t>(sent));
         if (got <= 0) break;  // writer mid-flush; retry next round
         block.resize(static_cast<std::size_t>(got));
+        if (keep_payload) keep_block(block);
         req->bytes_streamed += block.size();
         streamed_counter->Add(block.size());
         tenant_streamed_counter->Add(block.size());
@@ -728,6 +763,9 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
     }
   }
 
+  // Admitted before the stream closes: a client that has read this response
+  // to its end and asks again is a hit.
+  if (keep_payload) cache_->InsertGraph(req->fingerprint, std::move(payload));
   req->streamed_all = true;
   server_.CloseChannel(channel, /*graceful=*/true);
 }

@@ -13,11 +13,14 @@
 //   hit) | admit -> 429/503 when over caps | stream.
 //
 // A streamed request generates into per-worker shard files in the daemon's
-// work dir, riding the deterministic chunk-commit protocol: the commit hook
-// checkpoints each shard (ResumableSink::CommitState) and publishes the
-// shard's durable byte count, and a per-request streamer thread tails the
-// durable prefixes in shard order, broadcasting blocks onto the request's
-// HTTP channel. Backpressure is per request: a slow client grows its
+// work dir, written inline (storage::IoMode::kSync), riding the
+// deterministic chunk-commit protocol: the commit hook checkpoints each
+// shard (ResumableSink::CommitState) and publishes the shard's durable byte
+// count, and a per-request streamer thread tails the durable prefixes in
+// shard order, broadcasting blocks onto the request's HTTP channel. The
+// blocks it sends are also the graph's cache payload; a run that fails
+// (OOM, fault, a latched write error) or is cancelled aborts its stream
+// and caches nothing. Backpressure is per request: a slow client grows its
 // channel backlog past the watermark and only its streamer pauses —
 // generation keeps committing to disk, other tenants' streams are
 // untouched. A disconnected client (subscriber count drops to zero, or the

@@ -220,7 +220,9 @@ std::uint64_t ModelKey(const GenRequest& request) {
   h = HashMix(h, DoubleBits(request.d));
   h = HashMix(h, static_cast<std::uint64_t>(request.scale));
   h = HashMix(h, DoubleBits(request.noise));
-  h = HashMix(h, request.rng_seed);
+  // The rng seed draws the NSKG noise (core::MakeRunNoise) and nothing else
+  // of the model: without noise, every seed shares one set of artifacts.
+  if (request.noise > 0.0) h = HashMix(h, request.rng_seed);
   h = HashMix(h, request.direction == "in" ? 1 : 0);
   return h;
 }

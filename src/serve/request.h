@@ -74,8 +74,9 @@ core::TrillionGConfig ToConfig(const GenRequest& request);
 std::uint64_t Fingerprint(const GenRequest& request);
 
 /// Hash of only the parameters that shape the noise vector (seed matrix,
-/// scale, noise, rng seed, direction). Requests with equal model keys share
-/// prefix tables; plans additionally key on the worker count.
+/// scale, noise, direction, and the rng seed when noise > 0). Requests with
+/// equal model keys share prefix tables; plans additionally key on the
+/// worker count.
 std::uint64_t ModelKey(const GenRequest& request);
 
 }  // namespace tg::serve

@@ -109,10 +109,11 @@ class FileWriter {
   /// Blocks in flight (queued or being written) before an async producer
   /// stalls; each is `buffer_bytes`.
   static constexpr std::size_t kQueueDepth = 4;
+  static constexpr std::size_t kDefaultBufferBytes = 1 << 20;
 
   /// The mode is fixed for the writer's lifetime; by default it is the
   /// process-wide one (GlobalIoConfig).
-  explicit FileWriter(std::size_t buffer_bytes = 1 << 20,
+  explicit FileWriter(std::size_t buffer_bytes = kDefaultBufferBytes,
                       IoMode mode = GlobalIoConfig().mode)
       : mode_(mode),
         buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes),

@@ -1,8 +1,8 @@
 // End-to-end tests for the tg::serve daemon (src/serve/): request
 // validation, multi-tenant streamed generation that must be byte-identical
-// to an offline run for every format, the whole-graph artifact cache,
-// admission control (429 under overload), client-disconnect cancellation,
-// and graceful drain.
+// to an offline run for every format, the model-artifact and whole-graph
+// caches, admission control (429 under overload), client-disconnect
+// cancellation, shard write errors, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,6 +114,18 @@ class DaemonFixture : public ::testing::Test {
                       const ClientOptions& options = {}) {
     return HttpPost("127.0.0.1", port_, "/generate", json,
                     "application/json", options);
+  }
+
+  /// Waits up to 20 s for the daemon to hold no queued or active request.
+  /// A request's outcome counters move after its stream closes, so read
+  /// them after this.
+  void WaitIdle() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (daemon_.inflight() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
 
   ServeDaemon daemon_;
@@ -314,6 +327,170 @@ TEST_F(DaemonFixture, RepeatedScale16RequestHitsCacheThroughSlowReader) {
   EXPECT_FALSE(hit.truncated) << hit.error;
   ASSERT_EQ(hit.body.size(), miss.body.size());
   EXPECT_TRUE(hit.body == miss.body) << "cache hit diverged from the miss";
+}
+
+// ---------------------------------------------------------------------------
+// Model artifacts are keyed by what shapes the noise vector: without NSKG
+// noise the rng seed does not, so every seed shares one build.
+
+std::string NoisyRequestJson(std::uint64_t seed, double noise) {
+  return "{\"tenant\": \"kim\", \"scale\": 10, \"edge_factor\": 8, "
+         "\"format\": \"adj6\", \"workers\": 2, \"noise\": " +
+         std::to_string(noise) + ", \"seed\": " + std::to_string(seed) + "}";
+}
+
+TEST_F(DaemonFixture, NoiselessModelIsBuiltOnceAcrossSeeds) {
+  Start(DaemonOptions{});
+  const std::uint64_t tables_before =
+      CounterValue("serve.cache.table_builds");
+  const std::uint64_t plans_before = CounterValue("serve.cache.plan_builds");
+  for (std::uint64_t seed : {101, 102, 103}) {
+    const std::string json = NoisyRequestJson(seed, 0.0);
+    ClientResponse got = Post(json);
+    ASSERT_EQ(got.status, 200);
+    EXPECT_EQ(got.headers["x-tg-cache"], "miss");
+    EXPECT_FALSE(got.truncated) << got.error;
+    EXPECT_TRUE(got.body == OfflineReference(ParsedRequest(json)))
+        << "seed " << seed;
+  }
+  EXPECT_EQ(CounterValue("serve.cache.table_builds"), tables_before + 1);
+  EXPECT_EQ(CounterValue("serve.cache.plan_builds"), plans_before + 1);
+}
+
+TEST_F(DaemonFixture, NoisyModelsAreBuiltPerSeed) {
+  Start(DaemonOptions{});
+  const std::uint64_t tables_before =
+      CounterValue("serve.cache.table_builds");
+  const std::uint64_t plans_before = CounterValue("serve.cache.plan_builds");
+  for (std::uint64_t seed : {201, 202}) {
+    const std::string json = NoisyRequestJson(seed, 0.1);
+    ClientResponse got = Post(json);
+    ASSERT_EQ(got.status, 200);
+    EXPECT_FALSE(got.truncated) << got.error;
+    EXPECT_TRUE(got.body == OfflineReference(ParsedRequest(json)))
+        << "seed " << seed;
+  }
+  EXPECT_EQ(CounterValue("serve.cache.table_builds"), tables_before + 2);
+  EXPECT_EQ(CounterValue("serve.cache.plan_builds"), plans_before + 2);
+}
+
+// ---------------------------------------------------------------------------
+// The cached payload is the streamed bytes: kept only for a complete stream
+// that fits the entry cap.
+
+TEST_F(DaemonFixture, PayloadOverEntryCapStreamsFullyAndIsNotCached) {
+  DaemonOptions options;
+  options.cache_bytes = 64ULL << 20;
+  options.cache_entry_max_bytes = 1024;
+  Start(options);
+
+  const std::string json = RequestJson("lena", 11, "adj6", 2, /*seed=*/9);
+  const std::string expected = OfflineReference(ParsedRequest(json));
+  ASSERT_GT(expected.size(), options.cache_entry_max_bytes);
+  for (int round = 0; round < 2; ++round) {
+    ClientResponse got = Post(json);
+    ASSERT_EQ(got.status, 200);
+    EXPECT_EQ(got.headers["x-tg-cache"], "miss") << "round " << round;
+    EXPECT_FALSE(got.truncated) << got.error;
+    EXPECT_TRUE(got.body == expected) << "round " << round;
+  }
+}
+
+TEST_F(DaemonFixture, PayloadOverRequestBudgetStreamsFullyAndIsNotCached) {
+  DaemonOptions options;
+  options.cache_bytes = 64ULL << 20;
+  // Room for generation's scope memory, not for the 200 KB graph.
+  options.request_mem_budget_bytes = 96 * 1024;
+  Start(options);
+
+  const std::string json = RequestJson("lena", 12, "adj6", 2, /*seed=*/9);
+  const std::string expected = OfflineReference(ParsedRequest(json));
+  ASSERT_GT(expected.size(), options.request_mem_budget_bytes);
+  const std::uint64_t completed_before = CounterValue("serve.completed");
+  for (int round = 0; round < 2; ++round) {
+    ClientResponse got = Post(json);
+    ASSERT_EQ(got.status, 200);
+    EXPECT_EQ(got.headers["x-tg-cache"], "miss") << "round " << round;
+    EXPECT_FALSE(got.truncated) << got.error;
+    EXPECT_TRUE(got.body == expected) << "round " << round;
+  }
+  WaitIdle();
+  EXPECT_EQ(CounterValue("serve.completed"), completed_before + 2);
+}
+
+TEST_F(DaemonFixture, DisconnectedStreamLeavesNothingCached) {
+  DaemonOptions options;
+  options.backlog_watermark_bytes = 4 * 1024;
+  options.stream_block_bytes = 4 * 1024;
+  options.cache_bytes = 64ULL << 20;
+  Start(options);
+
+  const std::string json = RequestJson("mona", 14, "tsv", 2);
+  ClientOptions bail;
+  bail.on_body = [](const char*, std::size_t) { return false; };
+  EXPECT_EQ(Post(json, bail).status, 200);
+  WaitIdle();
+  ASSERT_EQ(daemon_.inflight(), 0);
+
+  ClientResponse full = Post(json);
+  ASSERT_EQ(full.status, 200);
+  EXPECT_EQ(full.headers["x-tg-cache"], "miss");
+  EXPECT_FALSE(full.truncated) << full.error;
+  EXPECT_TRUE(full.body == OfflineReference(ParsedRequest(json)));
+  // The complete stream is what gets cached.
+  EXPECT_EQ(Post(json).headers["x-tg-cache"], "hit");
+}
+
+// ---------------------------------------------------------------------------
+// A failed shard write fails the request: the stream ends without its
+// terminating chunk and nothing is cached.
+
+TEST_F(DaemonFixture, ShardWriteErrorFailsTheRequest) {
+  DaemonOptions options;
+  options.cache_bytes = 64ULL << 20;
+  Start(options);
+
+  const std::string json = RequestJson("nina", 12, "adj6", 2, /*seed=*/5);
+  const std::string expected = OfflineReference(ParsedRequest(json));
+  const std::uint64_t failed_before = CounterValue("serve.failed");
+  {
+    ::setenv("TG_FAULT_PLAN", "m0:iofail@chunk=2", 1);
+    struct EnvGuard {
+      ~EnvGuard() { ::unsetenv("TG_FAULT_PLAN"); }
+    } guard;
+    ClientResponse broken = Post(json);
+    EXPECT_EQ(broken.status, 200);  // headers went out before the fault
+    EXPECT_TRUE(broken.truncated) << "a failed write closed as complete";
+    EXPECT_LT(broken.body.size(), expected.size());
+  }
+  WaitIdle();
+  EXPECT_EQ(CounterValue("serve.failed"), failed_before + 1);
+
+  ClientResponse clean = Post(json);
+  ASSERT_EQ(clean.status, 200);
+  EXPECT_EQ(clean.headers["x-tg-cache"], "miss");
+  EXPECT_FALSE(clean.truncated) << clean.error;
+  EXPECT_TRUE(clean.body == expected);
+}
+
+TEST(ArtifactCacheTest, TableBytesGaugeCountsLiveModels) {
+  serve::ArtifactCache::Options options;
+  options.max_models = 2;
+  serve::ArtifactCache cache(options);
+  obs::Gauge* gauge = obs::GetGauge("serve.cache.table_bytes");
+  const double before = gauge->value();
+
+  std::vector<std::shared_ptr<const core::AvsPrefixTables>> tables;
+  for (int scale : {8, 9, 10}) {  // max_models + 1 models
+    GenRequest request;
+    request.scale = scale;
+    tables.push_back(cache.PrefixTables(request, nullptr));
+    ASSERT_NE(tables.back(), nullptr);
+  }
+  // The scale-8 model aged out; its bytes left the gauge.
+  EXPECT_EQ(gauge->value() - before,
+            static_cast<double>(tables[1]->MemoryBytes() +
+                                tables[2]->MemoryBytes()));
 }
 
 TEST(ArtifactCacheTest, ModelArtifactsAreMemoizedAndGraphLruEvicts) {
