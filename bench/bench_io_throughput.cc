@@ -127,13 +127,12 @@ int main() {
   std::printf("%-15s %12s\n", "transport", "MiB/s");
   for (const tg::storage::IoMode mode :
        {tg::storage::IoMode::kSync, tg::storage::IoMode::kAsync}) {
-    const tg::storage::IoConfig config{mode};
     const double mibps = WriterThroughput(mode, temp_dir.File("stream.bin"));
-    std::printf("%-15s %12.0f\n", tg::storage::IoSpecString(config).c_str(),
-                mibps);
     if (mode == tg::storage::IoMode::kSync) {
+      std::printf("%-15s %12.0f\n", "sync", mibps);
       sync_mibps = mibps;
     } else {
+      std::printf("%-15s %12.0f\n", "async", mibps);
       async_mibps = mibps;
     }
   }
@@ -149,10 +148,10 @@ int main() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return (state >> 8) % (std::uint64_t{1} << 48);
   };
-  tg::storage::ScopedIoConfig sync_io({tg::storage::IoMode::kSync});
   tg::Stopwatch format_watch;
   {
-    tg::format::TsvWriter writer(tsv_path);
+    tg::format::TsvWriter writer(tsv_path, /*transposed=*/false,
+                                 tg::storage::IoMode::kSync);
     for (std::uint64_t i = 0; i < kTsvEdges; ++i) {
       const tg::VertexId src = next();
       writer.WriteEdge(src, next());

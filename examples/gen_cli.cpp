@@ -26,8 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/session.h"
-#include "rng/lane_rng.h"
-#include "storage/async_writer.h"
+#include "storage/file_io.h"
 #include "storage/fs.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -60,8 +59,7 @@ int main(int argc, char** argv) {
         "usage: %s --out=PREFIX [--scale=N] [--edge_factor=N] "
         "[--format=tsv|adj6|csr6] [--workers=N] [--noise=X] [--seed=N]\n"
         "       [--precision=double|dd] [--direction=out|in]\n"
-        "       [--chunks_per_worker=N] [--io=sync|async]\n"
-        "       [--portable_kernel] [--no_prefix_tables]\n"
+        "       [--chunks_per_worker=N] [--no_prefix_tables]\n"
         "       [--a=0.57 --b=0.19 --c=0.19 --d=0.05]\n"
         "       [--metrics_json=PATH] [--metrics_prom=PATH] "
         "[--metrics_table]\n"
@@ -103,21 +101,15 @@ int main(int argc, char** argv) {
         "compatible folded stacks to PATH; --profile_hz sets the sampling\n"
         "rate (default 99 Hz of process CPU time). The profiler only reads\n"
         "program state: output files are bit-identical with it on or off.\n"
-        "--io selects who writes each full 1 MiB staging block\n"
-        "(docs/PERFORMANCE.md \"The I/O path\"): 'sync' pwrite()s it on the\n"
-        "generating thread, 'async' (the default) hands it to a writer\n"
-        "thread. Output files are bit-identical in both modes; TG_IO in the\n"
-        "environment is honored when the flag is absent. A failed write\n"
-        "fails the run (exit code 3) and the journal records no completion.\n"
+        "A failed write fails the run (exit code 3) and the journal records\n"
+        "no completion.\n"
         "--chunks_per_worker sets the work-stealing granularity (default "
         "16;\n1 = static one-range-per-worker schedule; output is "
         "bit-identical\nfor any value; TG_CHUNKS_PER_WORKER in the "
         "environment overrides\nthe default).\n"
-        "--portable_kernel forces the scalar edge-kernel fills even in an\n"
-        "AVX2 build (output is bit-identical; TG_PORTABLE_KERNEL in the\n"
-        "environment does the same); --no_prefix_tables selects the legacy\n"
-        "per-edge descent kernel (different RNG stream — a different, still\n"
-        "deterministic graph; see docs/PERFORMANCE.md).\n",
+        "--no_prefix_tables selects the legacy per-edge descent kernel\n"
+        "(different RNG stream — a different, still deterministic graph;\n"
+        "see docs/PERFORMANCE.md).\n",
         flags.program_name().c_str());
     return 0;
   }
@@ -139,29 +131,11 @@ int main(int argc, char** argv) {
   }
   const bool transposed = flags.GetString("direction", "out") == "in";
   if (transposed) config.direction = tg::core::Direction::kIn;
-  // Kernel knobs (docs/PERFORMANCE.md): --portable_kernel forces the
-  // scalar-unrolled lane fills at runtime (one binary proves SIMD-on and
-  // SIMD-off bit-identical); --no_prefix_tables falls back to the per-edge
-  // descent kernel.
-  if (flags.GetBool("portable_kernel", false)) {
-    tg::rng::SetLaneForcePortable(true);
-  }
+  // Kernel choice (docs/PERFORMANCE.md): --no_prefix_tables falls back to
+  // the per-edge descent kernel. The lane fill (AVX2 or portable) is picked
+  // by the CPU and never changes a byte.
   config.determiner.use_prefix_tables =
       !flags.GetBool("no_prefix_tables", false);
-
-  // Writer mode (docs/PERFORMANCE.md): the flag overrides TG_IO, which
-  // GlobalIoConfig() already consulted; every writer constructed below
-  // takes its mode from there.
-  if (flags.Has("io")) {
-    tg::storage::IoConfig io_config;
-    const std::string io_spec = flags.GetString("io", "async");
-    tg::Status io_status = tg::storage::ParseIoSpec(io_spec, &io_config);
-    if (!io_status.ok()) {
-      std::fprintf(stderr, "bad --io: %s\n", io_status.ToString().c_str());
-      return 1;
-    }
-    tg::storage::GlobalIoConfig() = io_config;
-  }
 
   const std::string format = flags.GetString("format", "adj6");
   const std::string out = flags.GetString("out", "");
@@ -315,7 +289,7 @@ int main(int argc, char** argv) {
   meta["noise"] = std::to_string(config.noise);
   meta["seed"] = std::to_string(config.rng_seed);
   meta["format"] = format;
-  meta["io"] = tg::storage::IoSpecString(tg::storage::GlobalIoConfig());
+  meta["io"] = "async";
   meta["precision"] = config.precision == tg::core::Precision::kDoubleDouble
                           ? "dd"
                           : "double";
@@ -346,8 +320,8 @@ int main(int argc, char** argv) {
         [&](int worker, tg::VertexId lo, tg::VertexId hi)
             -> std::unique_ptr<tg::core::ScopeSink> {
           const std::string path = tg::format::ShardPath(out, worker, format);
-          const tg::storage::IoMode io_mode =
-              tg::storage::GlobalIoConfig().mode;
+          // A writer thread per shard overlaps encoding with pwrite.
+          const tg::storage::IoMode io_mode = tg::storage::IoMode::kAsync;
           const auto committed = journal_state.ranges.find(worker);
           if (resume && committed != journal_state.ranges.end()) {
             const tg::core::ResumeFrom from{committed->second.sink_state};

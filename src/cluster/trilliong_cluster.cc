@@ -194,6 +194,7 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   stats.generate.sched_steals = sched.num_steals;
   stats.generate.sched_recovered = sched.num_recovered;
   stats.generate.sched_imbalance = sched.imbalance;
+  stats.generate.sink_status = sched.sink_status;
 
   core::AvsWorkerStats merged;
   for (const core::AvsWorkerStats& s : worker_stats) merged.MergeFrom(s);

@@ -75,8 +75,8 @@ inline void RecordAvsStats(const AvsWorkerStats& merged) {
   obs::GetGauge("mem.peak_scope_bytes")
       ->Max(static_cast<double>(merged.peak_scope_bytes));
   // kernel.*: which edge kernel ran and at what lane width
-  // (docs/PERFORMANCE.md). simd_lanes is 1 on the portable path — compiled
-  // out, TG_NO_SIMD, or forced off at runtime.
+  // (docs/PERFORMANCE.md). simd_lanes is 1 on the portable path — a CPU
+  // without AVX2, or the fill forced portable by the test hook.
   obs::GetCounter("kernel.table_scopes")->Add(merged.table_scopes);
   obs::GetCounter("kernel.table_edges")->Add(merged.table_edges);
   obs::GetCounter("kernel.dedup_wiped_words")->Add(merged.dedup_wiped_words);

@@ -22,12 +22,12 @@ class Adj6Writer : public core::ResumableSink {
  public:
   /// `mode` picks who writes the staging blocks (storage::FileWriter).
   explicit Adj6Writer(const std::string& path,
-                      storage::IoMode mode = storage::GlobalIoConfig().mode);
+                      storage::IoMode mode = storage::IoMode::kAsync);
 
   /// Resume constructor: truncates `path` to the byte position recorded in
   /// `resume.state` (a token from CommitState) and continues appending.
   Adj6Writer(const std::string& path, const core::ResumeFrom& resume,
-             storage::IoMode mode = storage::GlobalIoConfig().mode);
+             storage::IoMode mode = storage::IoMode::kAsync);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
   Status Finish() override;

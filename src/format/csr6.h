@@ -26,7 +26,7 @@ class Csr6Writer : public core::ResumableSink {
  public:
   /// `mode` picks who writes the staging blocks (storage::FileWriter).
   Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
-             storage::IoMode mode = storage::GlobalIoConfig().mode);
+             storage::IoMode mode = storage::IoMode::kAsync);
 
   /// Resume constructor: restores the writer from a CommitState token
   /// ("bytes=B,next=V,edges=E") plus the degree sidecar (SidecarPath) the
@@ -37,7 +37,7 @@ class Csr6Writer : public core::ResumableSink {
   /// in-memory prefix.
   Csr6Writer(const std::string& path, VertexId lo, VertexId hi,
              const core::ResumeFrom& resume,
-             storage::IoMode mode = storage::GlobalIoConfig().mode);
+             storage::IoMode mode = storage::IoMode::kAsync);
   ~Csr6Writer() override;
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;

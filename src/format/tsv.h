@@ -20,13 +20,13 @@ class TsvWriter : public core::ResumableSink {
   /// an AVS-I run (scope vertex is the destination). `mode` picks who
   /// writes the staging blocks (storage::FileWriter).
   explicit TsvWriter(const std::string& path, bool transposed = false,
-                     storage::IoMode mode = storage::GlobalIoConfig().mode);
+                     storage::IoMode mode = storage::IoMode::kAsync);
 
   /// Resume constructor: truncates `path` to the byte position recorded in
   /// `resume.state` (a token from CommitState) and continues appending.
   TsvWriter(const std::string& path, bool transposed,
             const core::ResumeFrom& resume,
-            storage::IoMode mode = storage::GlobalIoConfig().mode);
+            storage::IoMode mode = storage::IoMode::kAsync);
 
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override;
   Status Finish() override;

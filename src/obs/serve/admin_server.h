@@ -17,7 +17,7 @@
 //                     pressure, tick drift) and obs events (fault.*) live
 //   GET /trace        Chrome Trace Event snapshot of the seqlock rings
 //   GET /buildz       binary identity: git describe, compiler, flags,
-//                     SIMD configuration (util/build_info)
+//                     build type (util/build_info)
 //   GET /pprof/profile  folded CPU profile from tg::prof — cumulative when
 //                     the run was started with --profile, or collected on
 //                     demand with ?seconds=N (blocks the service thread

@@ -4,22 +4,25 @@
 // sequential reference, bit for bit. The hot generation path draws all of its
 // per-edge randomness through this type; because every output is a pure
 // function of (seed, counter), the stream is identical at any lane width,
-// any batch size, and with SIMD compiled out (TG_NO_SIMD) or forced off at
-// runtime — the determinism contract documented in docs/PERFORMANCE.md.
+// any batch size, and whichever fill the CPU selects at run time — the
+// determinism contract documented in docs/PERFORMANCE.md.
 #ifndef TRILLIONG_RNG_LANE_RNG_H_
 #define TRILLIONG_RNG_LANE_RNG_H_
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "rng/random.h"
 
-#if defined(__AVX2__) && !defined(TG_NO_SIMD)
+// The AVX2 fills are compiled into every x86-64 build with a per-function
+// target attribute and chosen at run time, so one binary runs the vector
+// fill on an AVX2 CPU and the portable one elsewhere.
+#if defined(__x86_64__)
 #include <immintrin.h>
 #define TG_LANE_RNG_AVX2 1
+#define TG_TARGET_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace tg::rng {
@@ -53,13 +56,11 @@ inline constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace internal
 
-/// Process-wide switch forcing the portable (scalar-unrolled) fill loops
-/// even in an AVX2 build. Exists so one binary can prove SIMD-on and
-/// SIMD-off output bit-identical (tests, gen_cli --portable_kernel, the
-/// TG_PORTABLE_KERNEL env hook for A/B benching). Reads are relaxed: the
-/// flag is a test/bench knob, not a synchronization point.
+/// Test hook forcing the portable (scalar-unrolled) fill loops on an AVX2
+/// CPU, so one test binary can prove the two fills bit-identical. Reads are
+/// relaxed: the flag is a test switch, not a synchronization point.
 inline std::atomic<bool>& LaneForcePortableFlag() {
-  static std::atomic<bool> flag(std::getenv("TG_PORTABLE_KERNEL") != nullptr);
+  static std::atomic<bool> flag(false);
   return flag;
 }
 
@@ -73,28 +74,21 @@ inline void SetLaneForcePortable(bool force) {
 /// calls with vector Fill* calls cannot change any value.
 class LaneRng {
  public:
-  /// Lanes the widest compiled kernel advances per step (informational).
-#ifdef TG_LANE_RNG_AVX2
+  /// Lanes the vector fill advances per step (informational).
   static constexpr int kLanes = 4;
-#else
-  static constexpr int kLanes = 1;
-#endif
 
   explicit LaneRng(std::uint64_t seed) : state_(seed) {}
 
-  /// True when a vector kernel is compiled in (AVX2 build without
-  /// TG_NO_SIMD).
-  static constexpr bool CompiledSimd() {
-#ifdef TG_LANE_RNG_AVX2
-    return true;
-#else
-    return false;
-#endif
-  }
-
-  /// True when Fill* will actually take the vector path right now.
+  /// True when Fill* will actually take the vector path right now: the CPU
+  /// has AVX2 (asked once per process) and the test hook does not force the
+  /// portable loops.
   static bool SimdActive() {
-    return CompiledSimd() &&
+#ifdef TG_LANE_RNG_AVX2
+    static const bool has_avx2 = __builtin_cpu_supports("avx2");
+#else
+    constexpr bool has_avx2 = false;
+#endif
+    return has_avx2 &&
            !LaneForcePortableFlag().load(std::memory_order_relaxed);
   }
 
@@ -139,13 +133,16 @@ class LaneRng {
     FillUnitPortable(out, n);
   }
 
-  /// Portable reference loops: always compiled, used by tests to pin the
-  /// vector kernels and by the forced-portable mode. Unrolled by four so the
-  /// compiler can keep four independent mix chains in flight even without
-  /// vector ISA.
+  /// Portable reference loops: used on CPUs without AVX2, by tests to pin
+  /// the vector kernels, and under the forced-portable test hook. Unrolled
+  /// by four so the compiler can keep four independent mix chains in flight
+  /// even without vector ISA. The unrolled part ends at n - n % 4, not at
+  /// i + 4 <= n: gcc 12 cannot bound the latter (and warns) once the loop
+  /// is inlined next to the AVX2 dispatch.
   void FillRawPortable(std::uint64_t* out, std::size_t n) {
+    const std::size_t blocks = n - n % 4;
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (; i < blocks; i += 4) {
       const std::uint64_t s = state_;
       out[i + 0] = internal::Mix64(s + 1 * internal::kGamma);
       out[i + 1] = internal::Mix64(s + 2 * internal::kGamma);
@@ -157,8 +154,9 @@ class LaneRng {
   }
 
   void FillUnitPortable(double* out, std::size_t n) {
+    const std::size_t blocks = n - n % 4;
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (; i < blocks; i += 4) {
       const std::uint64_t s = state_;
       out[i + 0] = UnitDoubleFromBits(internal::Mix64(s + 1 * internal::kGamma));
       out[i + 1] = UnitDoubleFromBits(internal::Mix64(s + 2 * internal::kGamma));
@@ -170,7 +168,7 @@ class LaneRng {
   }
 
 #ifdef TG_LANE_RNG_AVX2
-  void FillRawAvx2(std::uint64_t* out, std::size_t n) {
+  TG_TARGET_AVX2 void FillRawAvx2(std::uint64_t* out, std::size_t n) {
     std::size_t i = 0;
     __m256i ctr = CounterVector();
     const __m256i step = _mm256_set1_epi64x(
@@ -183,7 +181,7 @@ class LaneRng {
     for (; i < n; ++i) out[i] = Next();
   }
 
-  void FillUnitAvx2(double* out, std::size_t n) {
+  TG_TARGET_AVX2 void FillUnitAvx2(double* out, std::size_t n) {
     std::size_t i = 0;
     __m256i ctr = CounterVector();
     const __m256i step = _mm256_set1_epi64x(
@@ -206,7 +204,7 @@ class LaneRng {
  private:
 #ifdef TG_LANE_RNG_AVX2
   /// [state+g, state+2g, state+3g, state+4g] — the next four counters.
-  __m256i CounterVector() const {
+  TG_TARGET_AVX2 __m256i CounterVector() const {
     const __m256i base = _mm256_set1_epi64x(static_cast<long long>(state_));
     const __m256i offs = _mm256_setr_epi64x(
         static_cast<long long>(1 * internal::kGamma),
@@ -218,7 +216,7 @@ class LaneRng {
 
   /// 64x64->64 low multiply by a broadcast constant (AVX2 has only 32x32
   /// widening multiplies; the three-product decomposition is exact mod 2^64).
-  static __m256i Mul64(__m256i a, __m256i b) {
+  TG_TARGET_AVX2 static __m256i Mul64(__m256i a, __m256i b) {
     const __m256i b_hi = _mm256_srli_epi64(b, 32);
     const __m256i a_hi = _mm256_srli_epi64(a, 32);
     const __m256i lo = _mm256_mul_epu32(a, b);
@@ -228,7 +226,7 @@ class LaneRng {
   }
 
   /// Four lanes of internal::Mix64.
-  static __m256i Mix4(__m256i z) {
+  TG_TARGET_AVX2 static __m256i Mix4(__m256i z) {
     const __m256i m1 = _mm256_set1_epi64x(
         static_cast<long long>(0xbf58476d1ce4e5b9ULL));
     const __m256i m2 = _mm256_set1_epi64x(
@@ -243,5 +241,7 @@ class LaneRng {
 };
 
 }  // namespace tg::rng
+
+#undef TG_TARGET_AVX2
 
 #endif  // TRILLIONG_RNG_LANE_RNG_H_

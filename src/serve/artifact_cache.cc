@@ -9,10 +9,30 @@
 
 namespace tg::serve {
 
+namespace {
+
+/// Moves the whole-graph gauges by one cache's change in bytes and entries.
+void AddGraphGauges(double bytes, double entries) {
+  obs::GetGauge("serve.cache.graph_bytes")->Add(bytes);
+  obs::GetGauge("serve.cache.graph_entries")->Add(entries);
+}
+
+}  // namespace
+
 ArtifactCache::ArtifactCache(const Options& options) : options_(options) {
   if (options_.graph_entry_max_bytes == 0) {
     options_.graph_entry_max_bytes = options_.graph_cache_bytes / 4;
   }
+}
+
+ArtifactCache::~ArtifactCache() {
+  double table_bytes = 0;
+  for (const auto& [key, entry] : models_) {
+    if (entry.tables != nullptr) table_bytes += entry.tables->MemoryBytes();
+  }
+  obs::GetGauge("serve.cache.table_bytes")->Add(-table_bytes);
+  AddGraphGauges(-static_cast<double>(graph_bytes_),
+                 -static_cast<double>(graphs_.size()));
 }
 
 ArtifactCache::ModelEntry* ArtifactCache::ModelFor(std::uint64_t key) {
@@ -97,6 +117,8 @@ bool ArtifactCache::InsertGraph(std::uint64_t fingerprint,
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (graphs_.count(fingerprint) != 0) return true;  // raced: already cached
+  const double bytes_before = static_cast<double>(graph_bytes_);
+  const double entries_before = static_cast<double>(graphs_.size());
   while (graph_bytes_ + bytes > options_.graph_cache_bytes && !lru_.empty()) {
     const GraphEntry& victim = lru_.back();
     graph_bytes_ -= victim.payload->size();
@@ -107,10 +129,8 @@ bool ArtifactCache::InsertGraph(std::uint64_t fingerprint,
       fingerprint, std::make_shared<const std::string>(std::move(payload))});
   graphs_[fingerprint] = lru_.begin();
   graph_bytes_ += bytes;
-  obs::GetGauge("serve.cache.graph_bytes")
-      ->Set(static_cast<double>(graph_bytes_));
-  obs::GetGauge("serve.cache.graph_entries")
-      ->Set(static_cast<double>(graphs_.size()));
+  AddGraphGauges(static_cast<double>(graph_bytes_) - bytes_before,
+                 static_cast<double>(graphs_.size()) - entries_before);
   return true;
 }
 

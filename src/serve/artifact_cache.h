@@ -51,6 +51,14 @@ class ArtifactCache {
 
   explicit ArtifactCache(const Options& options);
 
+  /// Takes this cache's tables and graphs back out of the serve.cache.*
+  /// gauges, which sum over live caches, so they never describe freed
+  /// memory.
+  ~ArtifactCache();
+
+  ArtifactCache(const ArtifactCache&) = delete;
+  ArtifactCache& operator=(const ArtifactCache&) = delete;
+
   /// The memoized partition plan for (request's model, request's workers) —
   /// exactly PartitionByCdf(MakeRunNoise(config), workers), computed on
   /// first use. `*computed` reports whether this call built it (a miss).

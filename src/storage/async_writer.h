@@ -1,7 +1,7 @@
-// storage/async_writer.h — forwarding header. The one writer, its I/O modes
-// and the process-wide I/O config live in storage/file_io.h; new code
-// includes that. The two names below exist only so that ledger/layers.cc,
-// which the benchmark pins, keeps compiling unchanged.
+// storage/async_writer.h — names that exist only so that ledger/layers.cc,
+// which the benchmark pins, keeps compiling unchanged. The one writer and
+// its I/O modes live in storage/file_io.h; new code includes that and
+// passes the mode to the FileWriter constructor.
 #ifndef TRILLIONG_STORAGE_ASYNC_WRITER_H_
 #define TRILLIONG_STORAGE_ASYNC_WRITER_H_
 
@@ -10,6 +10,11 @@
 #include "storage/file_io.h"
 
 namespace tg::storage {
+
+// The ledger picks each writer's mode through this struct.
+struct IoConfig {
+  IoMode mode = IoMode::kAsync;
+};
 
 // Kept for ledger/layers.cc, which names the pre-merge writer base class.
 using FileWriterBase = FileWriter;

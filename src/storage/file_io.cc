@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -59,43 +58,6 @@ std::unique_ptr<char[]> NewBlock(std::size_t bytes) {
 }
 
 }  // namespace
-
-Status ParseIoSpec(const std::string& spec, IoConfig* config) {
-  IoConfig parsed;
-  if (spec == "sync") {
-    parsed.mode = IoMode::kSync;
-  } else if (spec == "async") {
-    parsed.mode = IoMode::kAsync;
-  } else {
-    return Status::InvalidArgument("unknown I/O spec \"" + spec +
-                                   "\" (expected sync | async)");
-  }
-  *config = parsed;
-  return Status::Ok();
-}
-
-std::string IoSpecString(const IoConfig& config) {
-  return config.mode == IoMode::kSync ? "sync" : "async";
-}
-
-IoConfig& GlobalIoConfig() {
-  static IoConfig config = [] {
-    IoConfig c;
-    const char* env = std::getenv("TG_IO");
-    if (env != nullptr && env[0] != '\0') {
-      IoConfig parsed;
-      const Status status = ParseIoSpec(env, &parsed);
-      if (status.ok()) {
-        c = parsed;
-      } else {
-        std::fprintf(stderr, "warning: TG_IO: %s\n",
-                     status.ToString().c_str());
-      }
-    }
-    return c;
-  }();
-  return config;
-}
 
 Status FileWriter::OpenInternal(const std::string& path, bool resume,
                                 std::uint64_t offset) {

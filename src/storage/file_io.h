@@ -59,44 +59,13 @@ inline IoFailureHook& IoFailureHookRef() {
   return hook;
 }
 
-/// Who calls WriteAt for a handed-off block.
+/// Who calls WriteAt for a handed-off block. Each caller fixes its own:
+/// gen_cli's shards and the external sorter's runs take the default kAsync;
+/// the serve daemon writes its spool kSync, because it flushes every shard
+/// at every chunk commit.
 enum class IoMode {
   kSync,   // the producer, inline
   kAsync,  // a writer thread per open file
-};
-
-/// Process-wide I/O configuration. Defaults to the async path; overridden by
-/// the TG_IO environment variable at first use and by the gen_cli --io flag.
-struct IoConfig {
-  IoMode mode = IoMode::kAsync;
-};
-
-/// Parses an I/O spec — "sync" or "async" — into `config`. InvalidArgument
-/// on anything else.
-Status ParseIoSpec(const std::string& spec, IoConfig* config);
-
-/// Canonical spec string for a config ("sync" or "async"), as recorded in
-/// RunReport meta.
-std::string IoSpecString(const IoConfig& config);
-
-/// The mutable process-wide config. Initialized from TG_IO on first call;
-/// not thread-safe to mutate once worker threads are constructing writers.
-IoConfig& GlobalIoConfig();
-
-/// RAII override of GlobalIoConfig() for tests.
-class ScopedIoConfig {
- public:
-  explicit ScopedIoConfig(const IoConfig& config)
-      : saved_(GlobalIoConfig()) {
-    GlobalIoConfig() = config;
-  }
-  ~ScopedIoConfig() { GlobalIoConfig() = saved_; }
-
-  ScopedIoConfig(const ScopedIoConfig&) = delete;
-  ScopedIoConfig& operator=(const ScopedIoConfig&) = delete;
-
- private:
-  IoConfig saved_;
 };
 
 /// Buffered sequential file writer on an fd. Errors are sticky: the first
@@ -111,10 +80,9 @@ class FileWriter {
   static constexpr std::size_t kQueueDepth = 4;
   static constexpr std::size_t kDefaultBufferBytes = 1 << 20;
 
-  /// The mode is fixed for the writer's lifetime; by default it is the
-  /// process-wide one (GlobalIoConfig).
+  /// The mode is fixed for the writer's lifetime.
   explicit FileWriter(std::size_t buffer_bytes = kDefaultBufferBytes,
-                      IoMode mode = GlobalIoConfig().mode)
+                      IoMode mode = IoMode::kAsync)
       : mode_(mode),
         buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes),
         machine_(obs::CurrentMachine()) {}

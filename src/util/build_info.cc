@@ -22,9 +22,6 @@
 #ifndef TG_BUILD_COMPILER
 #define TG_BUILD_COMPILER "unknown"
 #endif
-#ifndef TG_BUILD_SIMD
-#define TG_BUILD_SIMD "unknown"
-#endif
 
 namespace tg::util {
 
@@ -36,7 +33,6 @@ std::map<std::string, std::string> MakeBuildInfo() {
   info["build.type"] = TG_BUILD_TYPE;
   info["build.compiler"] = TG_BUILD_COMPILER;
   info["build.flags"] = TG_BUILD_CXX_FLAGS;
-  info["build.simd"] = TG_BUILD_SIMD;
   info["build.cxx_standard"] = std::to_string(__cplusplus / 100 % 100);
   return info;
 }

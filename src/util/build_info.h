@@ -1,5 +1,5 @@
 // util/build_info.h — compile-time identity of this binary: git describe,
-// compiler, flags, build type, and the SIMD configuration. The values come
+// compiler, flags and build type. The values come
 // from a CMake-generated header (build_info_generated.h); a build without it
 // degrades to "unknown" placeholders. Surfaced as the `build.*` meta keys of
 // every RunReport and as the admin server's /buildz endpoint, so profiles and
@@ -13,7 +13,7 @@
 namespace tg::util {
 
 /// Stable map of `build.*` keys (build.git, build.compiler, build.flags,
-/// build.type, build.simd, build.cxx_standard). Computed once; the reference
+/// build.type, build.cxx_standard). Computed once; the reference
 /// stays valid for the process lifetime.
 const std::map<std::string, std::string>& BuildInfoMap();
 

@@ -2,9 +2,10 @@
 """The equivalence matrix: the output bytes do not depend on how they are made.
 
 Algorithm 4 forks every scope's RNG stream from (seed, u) alone, so gen_cli's
-shards are a function of the configuration only: worker schedule, writer
-transport, SIMD path, injected faults, a kill plus --resume, the admin server,
-the profiler and the serving daemon must all leave the bytes alone. Each row
+shards are a function of the configuration only: worker schedule, injected
+faults, a kill plus --resume, the admin server, the profiler and the serving
+daemon (which writes its shards inline, where gen_cli hands them to writer
+threads) must all leave the bytes alone. Each row
 of the table in build_rows() runs its reference processes, then its variant
 processes, then its checks: `cmp` of the outputs plus the row's own asserts.
 
@@ -109,7 +110,7 @@ def wait_ready(proc, log_path):
 
 def execute(run, label, bins, ctx):
     argv = [bins[run.tool]] + [ctx.path(a) for a in run.args]
-    # The inherited TG_* knobs (TG_IO, TG_FAULT_PLAN, ...) would change what
+    # The inherited TG_* knobs (TG_FAULT_PLAN, ...) would change what
     # a row compares; each run sets exactly the ones it names.
     env = {k: v for k, v in os.environ.items() if not k.startswith("TG_")}
     env.update(run.env or {})
@@ -401,19 +402,6 @@ SLOW = "m0:slow@32x,m1:slow@32x,m2:slow@32x,m3:slow@32x"
 
 def build_rows():
     rows = []
-    for fmt in ("tsv", "adj6", "csr6"):
-        rows.append(Row(
-            "io." + fmt,
-            [Run(S18 + ["--format", fmt, "--io=sync", "--out", "{ref}"])],
-            [Run(S18 + ["--format", fmt, "--io=async", "--out", "{var}"])],
-            [same_shards(fmt, 4)]))
-    # In a default build the runtime kill switch swaps the AVX2 fills for
-    # the portable ones; in a TG_NO_SIMD build both runs are portable.
-    rows.append(Row(
-        "simd.runtime",
-        [Run(S18 + ["--out", "{ref}"])],
-        [Run(S18 + ["--out", "{var}"], env={"TG_PORTABLE_KERNEL": "1"})],
-        [same_shards("adj6", 4)]))
     # crash@chunk=1 fires at the doomed machines' first chunk boundary, so
     # two of four machines die before doing any work and every one of their
     # chunks rides the recovery queue.
@@ -425,39 +413,41 @@ def build_rows():
                         "--fault_plan=m1:crash@chunk=1,m3:crash@chunk=1",
                         "--metrics_json={var}.json", "--out", "{var}"])],
             [same_shards("adj6", 4), check_crash_report]))
+    # gen_cli writes its shards through async writer threads; the rows
+    # below keep that suffix in their names. The same kill, resume and
+    # disk-fault paths under inline (sync) writers are gtests: fault_test's
+    # ResumeDeathTest and WriterShortCircuitTest cases.
+    #
     # One worker takes its own chunks in order, so die@chunk=3 always lands
     # after exactly two journaled commits; the resumed run must reproduce
-    # the uninterrupted bytes of the sync reference under either transport,
-    # torn tail and all.
+    # the uninterrupted bytes, torn tail and all.
     one = ["--scale", "18", "--workers", "1"]
-    for io in ("sync", "async"):
-        rows.append(Row(
-            "chaos.resume." + io,
-            [Run(one + ["--io=sync", "--out", "{ref}"])],
-            [Run(one + ["--io=" + io, "--fault_plan=m0:die@chunk=3",
-                        "--journal", "--out", "{var}"],
-                 exit_code=KILLED_EXIT_CODE,
-                 after=[check_journal_and_tear_shard]),
-             Run(one + ["--io=" + io, "--resume", "--out", "{var}"])],
-            [same_shards("adj6", 1)]))
+    rows.append(Row(
+        "chaos.resume.async",
+        [Run(one + ["--out", "{ref}"])],
+        [Run(one + ["--fault_plan=m0:die@chunk=3", "--journal",
+                    "--out", "{var}"],
+             exit_code=KILLED_EXIT_CODE,
+             after=[check_journal_and_tear_shard]),
+         Run(one + ["--resume", "--out", "{var}"])],
+        [same_shards("adj6", 1)]))
     # Machine k's disk dies at its second chunk boundary. The run must fail
     # rather than pass truncated shards off as a graph, the error must name
     # k's own shard whichever thread wrote it, and a --resume without the
     # fault must then finish the bytes of a clean run.
     two = ["--scale", "18", "--workers", "2", "--format", "adj6"]
-    for machine, name in ((0, "chaos.iofail."), (1, "chaos.iofail_m1.")):
-        for io in ("sync", "async"):
-            rows.append(Row(
-                name + io,
-                [Run(two + ["--io=sync", "--out", "{ref}"])],
-                [Run(two + ["--io=" + io,
-                            "--fault_plan=m%d:iofail@chunk=2" % machine,
-                            "--journal", "--out", "{var}"],
-                     exit_code=WRITE_FAILED_EXIT_CODE,
-                     after=[check_journal_not_done,
-                            write_error_names(".w%d." % machine)]),
-                 Run(two + ["--io=" + io, "--resume", "--out", "{var}"])],
-                [same_shards("adj6", 2)]))
+    for machine, name in ((0, "chaos.iofail.async"),
+                          (1, "chaos.iofail_m1.async")):
+        rows.append(Row(
+            name,
+            [Run(two + ["--out", "{ref}"])],
+            [Run(two + ["--fault_plan=m%d:iofail@chunk=2" % machine,
+                        "--journal", "--out", "{var}"],
+                 exit_code=WRITE_FAILED_EXIT_CODE,
+                 after=[check_journal_not_done,
+                        write_error_names(".w%d." % machine)]),
+             Run(two + ["--resume", "--out", "{var}"])],
+            [same_shards("adj6", 2)]))
     rows.append(Row(
         "admin",
         [Run(S18 + ["--out", "{ref}"])],
@@ -476,6 +466,9 @@ def build_rows():
                     "--metrics_json={var}.json", "--out", "{var}"],
              during=scrape_pprof)],
         [same_shards("adj6", 4), check_prof]))
+    # The daemon writes its spool inline (sync) and gen_cli through writer
+    # threads (async): this row is also the two transports' byte check, in
+    # all three formats.
     rows.append(Row(
         "serve",
         [Run(["--scale", "14", "--edge_factor", "8",

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -398,34 +399,99 @@ TEST(WriterShortCircuitTest, Csr6FreezesAfterInjectedIoError) {
   std::remove(format::Csr6Writer::SidecarPath(path).c_str());
 }
 
+constexpr storage::IoMode kModes[] = {storage::IoMode::kSync,
+                                      storage::IoMode::kAsync};
+
 // A latched write error fails the run: each writer's Finish() returns it
-// and Generate reports it, on the one-worker path and the scheduler path.
+// and Generate reports it, on the one-worker path and the scheduler path,
+// whichever thread writes the shard.
 TEST(WriterShortCircuitTest, GenerateReportsALatchedWriteError) {
   IoHookGuard guard;
-  for (const int workers : {1, 2}) {
+  for (const storage::IoMode mode : kModes) {
+    for (const int workers : {1, 2}) {
+      core::TrillionGConfig config;
+      config.scale = 12;
+      config.edge_factor = 8;
+      config.num_workers = workers;
+      const std::string prefix = ::testing::TempDir() + "tg_fault_latched";
+      auto shard = [&](int w) { return prefix + std::to_string(w) + ".adj6"; };
+      auto run = [&] {
+        return core::Generate(config, [&](int w, VertexId, VertexId) {
+          return std::make_unique<format::Adj6Writer>(shard(w), mode);
+        });
+      };
+      EXPECT_TRUE(run().sink_status.ok()) << workers;
+      const std::string bad = shard(workers - 1);
+      storage::IoFailureHookRef() = [bad](const std::string& path) {
+        return path == bad;
+      };
+      const core::GenerateStats stats = run();
+      storage::IoFailureHookRef() = nullptr;
+      EXPECT_FALSE(stats.cancelled);
+      EXPECT_EQ(stats.sink_status.code(), Status::Code::kIoError) << workers;
+      EXPECT_NE(stats.sink_status.ToString().find(bad), std::string::npos)
+          << stats.sink_status.ToString();
+      for (int w = 0; w < workers; ++w) std::remove(shard(w).c_str());
+    }
+  }
+}
+
+// `m1:iofail` kills machine 1's disk only: shard w1 fails and the run
+// reports it, while machine 0's shard w0 keeps the bytes of a clean run.
+// Both drivers report it, under both writer modes.
+TEST(WriterShortCircuitTest, MachineDiskFaultFailsOnlyItsShard) {
+  const std::string prefix = ::testing::TempDir() + "tg_fault_m1";
+  auto shard = [&](const std::string& run, int w) {
+    return prefix + "_" + run + ".w" + std::to_string(w) + ".adj6";
+  };
+  // One run of `driver` writing shards `run` under `mode`; `plan` empty for
+  // a clean run.
+  auto generate = [&](const std::string& driver, const std::string& run,
+                      storage::IoMode mode, const std::string& plan) {
     core::TrillionGConfig config;
     config.scale = 12;
     config.edge_factor = 8;
-    config.num_workers = workers;
-    const std::string prefix = ::testing::TempDir() + "tg_fault_latched";
-    auto shard = [&](int w) { return prefix + std::to_string(w) + ".adj6"; };
-    auto run = [&] {
-      return core::Generate(config, [&](int w, VertexId, VertexId) {
-        return std::make_unique<format::Adj6Writer>(shard(w));
-      });
+    config.num_workers = 2;
+    std::unique_ptr<FaultInjector> injector;
+    if (!plan.empty()) {
+      injector = std::make_unique<FaultInjector>(MustParse(plan), 2);
+      config.fault_injector = injector.get();
+    }
+    auto sinks = [&](int w, VertexId, VertexId) {
+      return std::make_unique<format::Adj6Writer>(shard(run, w), mode);
     };
-    EXPECT_TRUE(run().sink_status.ok()) << workers;
-    const std::string bad = shard(workers - 1);
-    storage::IoFailureHookRef() = [bad](const std::string& path) {
-      return path == bad;
+    if (driver == "cluster") {
+      // One worker per machine, and chunks never cross machines.
+      cluster::SimCluster sim({2, 1, 0, {}});
+      return cluster::GenerateOnCluster(&sim, config, sinks)
+          .generate.sink_status;
+    }
+    // Here worker 0 may steal range 1's chunks. Run worker 1 first and
+    // alone, so machine 1 reaches its second chunk boundary however the
+    // threads are scheduled.
+    config.worker_runner = [](std::vector<std::function<void()>>& bodies) {
+      for (auto body = bodies.rbegin(); body != bodies.rend(); ++body) {
+        (*body)();
+      }
     };
-    const core::GenerateStats stats = run();
-    storage::IoFailureHookRef() = nullptr;
-    EXPECT_FALSE(stats.cancelled);
-    EXPECT_EQ(stats.sink_status.code(), Status::Code::kIoError) << workers;
-    EXPECT_NE(stats.sink_status.ToString().find(bad), std::string::npos)
-        << stats.sink_status.ToString();
-    for (int w = 0; w < workers; ++w) std::remove(shard(w).c_str());
+    return core::Generate(config, sinks).sink_status;
+  };
+  for (const char* driver : {"local", "cluster"}) {
+    ASSERT_TRUE(generate(driver, "ref", storage::IoMode::kSync, "").ok());
+    for (const storage::IoMode mode : kModes) {
+      const std::string what = std::string(driver) +
+                               (mode == storage::IoMode::kSync ? " sync"
+                                                               : " async");
+      const Status status = generate(driver, "cut", mode, "m1:iofail@chunk=2");
+      EXPECT_EQ(status.code(), Status::Code::kIoError) << what;
+      EXPECT_NE(status.ToString().find(shard("cut", 1)), std::string::npos)
+          << what << ": " << status.ToString();
+      EXPECT_EQ(ReadFileBytes(shard("cut", 0)), ReadFileBytes(shard("ref", 0)))
+          << what;
+    }
+  }
+  for (const char* run : {"ref", "cut"}) {
+    for (int w = 0; w < 2; ++w) std::remove(shard(run, w).c_str());
   }
 }
 
@@ -651,7 +717,9 @@ TEST(ResumeTest, ResumedWriterRejectsMalformedToken) {
 // ---------------------------------------------------------------------------
 // die@chunk: the process is hard-killed; a new process resumes from the
 // journal file and reproduces the uninterrupted bytes (the gen_cli --resume
-// contract, exercised at the library level).
+// contract, exercised at the library level). The killed and resumed runs
+// write inline (IoMode::kSync); the equivalence matrix's chaos.resume row
+// covers gen_cli's async writers.
 
 using ResumeDeathTest = ::testing::Test;
 
@@ -699,7 +767,8 @@ TEST(ResumeDeathTest, DieThenResumeFromJournalIsByteIdentical) {
       }
     };
     core::Generate(config, [&](int w, VertexId, VertexId) {
-      return std::make_unique<format::Adj6Writer>(shard("cut", w));
+      return std::make_unique<format::Adj6Writer>(shard("cut", w),
+                                                  storage::IoMode::kSync);
     });
     std::_Exit(0);  // not reached: the injector kills the run first
   };
@@ -724,9 +793,11 @@ TEST(ResumeDeathTest, DieThenResumeFromJournalIsByteIdentical) {
       const auto it = state.ranges.find(w);
       if (it != state.ranges.end()) {
         return std::make_unique<format::Adj6Writer>(
-            shard("cut", w), core::ResumeFrom{it->second.sink_state});
+            shard("cut", w), core::ResumeFrom{it->second.sink_state},
+            storage::IoMode::kSync);
       }
-      return std::make_unique<format::Adj6Writer>(shard("cut", w));
+      return std::make_unique<format::Adj6Writer>(shard("cut", w),
+                                                  storage::IoMode::kSync);
     });
   }
 

@@ -743,12 +743,18 @@ TEST(GoldenBytesTest, Scale16ShardDigestsArePinned) {
       {"tsv", 1, 0x4b4583ccd2ef06f8ULL},  {"tsv", 3, 0x4b4583ccd2ef06f8ULL},
       {"csr6", 1, 0xabfbebc75b1ec492ULL}, {"csr6", 3, 0x953824050fedad5aULL},
   };
-  for (const Golden& g : goldens) {
-    const std::uint64_t digest = GoldenDigest(g.ext, g.workers);
-    EXPECT_EQ(digest, g.digest) << std::hex << "ext=" << g.ext
-                                << " workers=" << g.workers << " digest=0x"
-                                << digest;
+  // Once under the fill the CPU selects (AVX2 where present) and once
+  // under the portable fill, so every ctest pins both kernels.
+  for (const bool force_portable : {false, true}) {
+    rng::SetLaneForcePortable(force_portable);
+    for (const Golden& g : goldens) {
+      const std::uint64_t digest = GoldenDigest(g.ext, g.workers);
+      EXPECT_EQ(digest, g.digest)
+          << std::hex << "ext=" << g.ext << " workers=" << g.workers
+          << " force_portable=" << force_portable << " digest=0x" << digest;
+    }
   }
+  rng::SetLaneForcePortable(false);
 }
 
 }  // namespace

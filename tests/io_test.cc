@@ -64,35 +64,25 @@ std::vector<std::vector<VertexId>> TestScopes(int count, std::uint64_t seed) {
   return scopes;
 }
 
+/// The writer modes, and a file-name tag for each.
+constexpr storage::IoMode kAsync = storage::IoMode::kAsync;
+constexpr storage::IoMode kModes[] = {storage::IoMode::kSync, kAsync};
+std::string ModeName(storage::IoMode mode) {
+  return mode == storage::IoMode::kSync ? "sync" : "async";
+}
+
 // ---------------------------------------------------------------------------
-// I/O spec parsing and writer selection.
-
-TEST(IoSpecTest, ParseRoundTripsEveryMode) {
-  for (const char* spec : {"sync", "async"}) {
-    storage::IoConfig config;
-    ASSERT_TRUE(storage::ParseIoSpec(spec, &config).ok()) << spec;
-    EXPECT_EQ(storage::IoSpecString(config), spec);
-  }
-}
-
-TEST(IoSpecTest, RejectsUnknownSpecs) {
-  storage::IoConfig config;
-  for (const char* spec : {"", "fast", "async,", "async,pwrite", "Sync"}) {
-    EXPECT_FALSE(storage::ParseIoSpec(spec, &config).ok()) << spec;
-  }
-}
+// Writer mode selection.
 
 // The modes differ only in who calls WriteAt, and the failure hook runs
 // inside WriteAt: on the producer's thread under kSync, on the writer
 // thread under kAsync.
-TEST(IoSpecTest, ScopedConfigPicksTheWriteAtThread) {
+TEST(IoModeTest, ModePicksTheWriteAtThread) {
   IoHookGuard guard;
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
-    const std::string tag = storage::IoSpecString({mode});
-    storage::ScopedIoConfig scoped({mode});
-    storage::FileWriter writer(64);
+  for (const storage::IoMode mode : kModes) {
+    const std::string tag = ModeName(mode);
+    storage::FileWriter writer(64, mode);
     std::mutex mu;
     std::vector<std::thread::id> callers;
     storage::IoFailureHookRef() = [&](const std::string&) {
@@ -171,14 +161,11 @@ TEST(TransportIdentityTest, RawWritersProduceIdenticalBytes) {
 TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
   storage::TempDir dir;
   const auto scopes = TestScopes(500, 7);
-  const storage::IoConfig modes[] = {{storage::IoMode::kSync},
-                                     {storage::IoMode::kAsync}};
   std::vector<std::string> tsv_bytes, adj6_bytes, csr6_bytes;
-  for (const storage::IoConfig& mode : modes) {
-    storage::ScopedIoConfig scoped(mode);
-    const std::string tag = storage::IoSpecString(mode);
+  for (const storage::IoMode mode : kModes) {
+    const std::string tag = ModeName(mode);
     {
-      format::TsvWriter writer(dir.File(tag + ".tsv"));
+      format::TsvWriter writer(dir.File(tag + ".tsv"), false, mode);
       for (std::size_t u = 0; u < scopes.size(); ++u) {
         writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
       }
@@ -186,7 +173,7 @@ TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
       ASSERT_TRUE(writer.status().ok());
     }
     {
-      format::Adj6Writer writer(dir.File(tag + ".adj6"));
+      format::Adj6Writer writer(dir.File(tag + ".adj6"), mode);
       for (std::size_t u = 0; u < scopes.size(); ++u) {
         writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
       }
@@ -194,7 +181,8 @@ TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
       ASSERT_TRUE(writer.status().ok());
     }
     {
-      format::Csr6Writer writer(dir.File(tag + ".csr6"), 0, scopes.size());
+      format::Csr6Writer writer(dir.File(tag + ".csr6"), 0, scopes.size(),
+                                mode);
       for (std::size_t u = 0; u < scopes.size(); ++u) {
         writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
       }
@@ -218,9 +206,8 @@ TEST(TransportIdentityTest, FormatWritersBitIdenticalSyncVsAsync) {
 TEST(AsyncContractTest, InjectedFailureIsStickyAndFreezesBytes) {
   IoHookGuard guard;
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
-    const std::string tag = storage::IoSpecString({mode});
+  for (const storage::IoMode mode : kModes) {
+    const std::string tag = ModeName(mode);
     storage::FileWriter writer(64, mode);  // tiny buffer: appends hand off
     ASSERT_TRUE(writer.Open(dir.File("sticky." + tag)).ok());
     const std::vector<char> chunk(64, 'x');
@@ -254,8 +241,7 @@ TEST(AsyncContractTest, InjectedFailureIsStickyAndFreezesBytes) {
 TEST(AsyncContractTest, CommitStateFailureLeavesTokenUntouched) {
   IoHookGuard guard;
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
-  format::Adj6Writer writer(dir.File("commit.adj6"));
+  format::Adj6Writer writer(dir.File("commit.adj6"), kAsync);
   const VertexId adj[3] = {4, 5, 6};
   writer.ConsumeScope(0, adj, 3);
   std::string token = "unset";
@@ -275,11 +261,9 @@ TEST(AsyncContractTest, CommitStateFailureLeavesTokenUntouched) {
 
 TEST(AsyncContractTest, FlushToOsIsTheDurabilityBarrier) {
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+  for (const storage::IoMode mode : kModes) {
     storage::FileWriter writer(1 << 20, mode);
-    const std::string path =
-        dir.File("durable." + storage::IoSpecString({mode}));
+    const std::string path = dir.File("durable." + ModeName(mode));
     ASSERT_TRUE(writer.Open(path).ok());
     const std::string payload(100000, 'd');
     writer.Append(payload.data(), payload.size());
@@ -294,10 +278,9 @@ TEST(AsyncContractTest, FlushToOsIsTheDurabilityBarrier) {
 
 TEST(AsyncContractTest, RewriteAtPatchesEarlierBytesInPlace) {
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+  for (const storage::IoMode mode : kModes) {
     auto writer = std::make_unique<storage::FileWriter>(64, mode);
-    const std::string path = dir.File("rw." + storage::IoSpecString({mode}));
+    const std::string path = dir.File("rw." + ModeName(mode));
     ASSERT_TRUE(writer->Open(path).ok());
     std::string body(200, '.');
     writer->Append(body.data(), body.size());
@@ -313,15 +296,13 @@ TEST(AsyncContractTest, RewriteAtPatchesEarlierBytesInPlace) {
 
 TEST(AsyncContractTest, OpenAfterFailedOpenStartsClean) {
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
+  for (const storage::IoMode mode : kModes) {
     auto writer = std::make_unique<storage::FileWriter>(1 << 16, mode);
     EXPECT_FALSE(writer->Open("/nonexistent_dir_xyz/out").ok());
     writer->Append("stale bytes", 11);  // dropped: nothing is open
     // Reopening the same object must start from a clean slate: empty buffer,
     // cleared error state.
-    const std::string path =
-        dir.File("clean." + storage::IoSpecString({mode}));
+    const std::string path = dir.File("clean." + ModeName(mode));
     ASSERT_TRUE(writer->Open(path).ok());
     EXPECT_TRUE(writer->status().ok());
     writer->Append("B", 1);
@@ -334,15 +315,12 @@ TEST(AsyncContractTest, IoCountersCompareExactlyBetweenModes) {
   storage::TempDir dir;
   const auto scopes = TestScopes(300, 3);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> deltas;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
-    storage::ScopedIoConfig scoped({mode});
+  for (const storage::IoMode mode : kModes) {
     obs::Counter* bytes = obs::GetCounter("io.bytes_written");
     obs::Counter* flushes = obs::GetCounter("io.flushes");
     const std::uint64_t bytes_before = bytes->value();
     const std::uint64_t flushes_before = flushes->value();
-    format::Adj6Writer writer(
-        dir.File(mode == storage::IoMode::kSync ? "c.sync" : "c.async"));
+    format::Adj6Writer writer(dir.File("c." + ModeName(mode)), mode);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -367,13 +345,12 @@ struct WriterRun {
   std::uint64_t flushes = 0;  ///< io.flushes handoffs during the run
 };
 
-/// Runs `write(path)` under `mode`, failing the `fail_at`-th raw write of
-/// the backend (0: none). `write` returns the writer's final status.ok().
+/// Runs `write(path, mode)`, failing the `fail_at`-th raw write of the
+/// backend (0: none). `write` returns the writer's final status.ok().
 template <typename Fn>
-WriterRun RunWriter(const storage::IoConfig& mode, const std::string& path,
+WriterRun RunWriter(storage::IoMode mode, const std::string& path,
                     int fail_at, Fn&& write) {
   IoHookGuard guard;
-  storage::ScopedIoConfig scoped(mode);
   std::atomic<int> writes{0};
   if (fail_at > 0) {
     storage::IoFailureHookRef() = [&writes, fail_at](const std::string&) {
@@ -383,7 +360,7 @@ WriterRun RunWriter(const storage::IoConfig& mode, const std::string& path,
   obs::Counter* flushes = obs::GetCounter("io.flushes");
   const std::uint64_t before = flushes->value();
   WriterRun run;
-  run.ok = write(path);
+  run.ok = write(path, mode);
   run.flushes = flushes->value() - before;
   storage::IoFailureHookRef() = nullptr;
   run.bytes = ReadFileBytes(path);
@@ -418,16 +395,17 @@ void ExpectSameRun(const WriterRun& encoded, const WriterRun& reference,
 TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
   storage::TempDir dir;
   const auto scopes = ScopesWithHugeOnes();
-  auto encoded = [&](const std::string& path) {
-    format::Adj6Writer writer(path);
+  auto encoded = [&](const std::string& path, storage::IoMode mode) {
+    format::Adj6Writer writer(path, mode);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
     writer.Finish();
     return writer.status().ok();
   };
-  auto per_value = [&](const std::string& path) {
-    storage::FileWriter writer;
+  auto per_value = [&](const std::string& path, storage::IoMode mode) {
+    storage::FileWriter writer(storage::FileWriter::kDefaultBufferBytes,
+                               mode);
     writer.Open(path);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       if (scopes[u].empty()) continue;
@@ -438,12 +416,10 @@ TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
     writer.Close();
     return writer.status().ok();
   };
-  for (const storage::IoConfig& mode :
-       {storage::IoConfig{storage::IoMode::kSync},
-        storage::IoConfig{storage::IoMode::kAsync}}) {
+  for (const storage::IoMode mode : kModes) {
     for (const int fail_at : {0, 2}) {
-      const std::string what = storage::IoSpecString(mode) +
-                               " fail_at=" + std::to_string(fail_at);
+      const std::string what =
+          ModeName(mode) + " fail_at=" + std::to_string(fail_at);
       const WriterRun enc = RunWriter(mode, dir.File("enc.adj6"), fail_at,
                                       encoded);
       const WriterRun ref = RunWriter(mode, dir.File("ref.adj6"), fail_at,
@@ -451,8 +427,8 @@ TEST(ScopeEncoderTest, Adj6MatchesPerValueAppendsAcrossFlushesAndFaults) {
       EXPECT_EQ(enc.ok, fail_at == 0) << what;
       // After an injected failure the async producer notices it at a
       // timing-dependent handoff; the bytes on disk are still exact.
-      ExpectSameRun(enc, ref,
-                    fail_at == 0 || mode.mode == storage::IoMode::kSync, what);
+      ExpectSameRun(enc, ref, fail_at == 0 || mode == storage::IoMode::kSync,
+                    what);
     }
   }
 }
@@ -461,16 +437,16 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
   storage::TempDir dir;
   const auto scopes = ScopesWithHugeOnes();
   for (const bool transposed : {false, true}) {
-    auto encoded = [&](const std::string& path) {
-      format::TsvWriter writer(path, transposed);
+    auto encoded = [&](const std::string& path, storage::IoMode mode) {
+      format::TsvWriter writer(path, transposed, mode);
       for (std::size_t u = 0; u < scopes.size(); ++u) {
         writer.ConsumeScope(u, scopes[u].data(), scopes[u].size());
       }
       writer.Finish();
       return writer.status().ok();
     };
-    auto per_edge = [&](const std::string& path) {
-      format::TsvWriter writer(path);
+    auto per_edge = [&](const std::string& path, storage::IoMode mode) {
+      format::TsvWriter writer(path, false, mode);
       for (std::size_t u = 0; u < scopes.size(); ++u) {
         for (VertexId v : scopes[u]) {
           if (transposed) {
@@ -483,12 +459,10 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
       writer.Finish();
       return writer.status().ok();
     };
-    for (const storage::IoConfig& mode :
-         {storage::IoConfig{storage::IoMode::kSync},
-          storage::IoConfig{storage::IoMode::kAsync}}) {
+    for (const storage::IoMode mode : kModes) {
       for (const int fail_at : {0, 2}) {
         const std::string what =
-            storage::IoSpecString(mode) + " fail_at=" +
+            ModeName(mode) + " fail_at=" +
             std::to_string(fail_at) + " transposed=" +
             std::to_string(transposed);
         const WriterRun enc = RunWriter(mode, dir.File("enc.tsv"), fail_at,
@@ -496,9 +470,8 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
         const WriterRun ref = RunWriter(mode, dir.File("ref.tsv"), fail_at,
                                         per_edge);
         EXPECT_EQ(enc.ok, fail_at == 0) << what;
-        ExpectSameRun(
-            enc, ref, fail_at == 0 || mode.mode == storage::IoMode::kSync,
-            what);
+        ExpectSameRun(enc, ref,
+                      fail_at == 0 || mode == storage::IoMode::kSync, what);
       }
     }
   }
@@ -512,10 +485,8 @@ TEST(ScopeEncoderTest, TsvMatchesPerEdgeWritesAcrossFlushesAndFaults) {
 // run that rewrites the tail would hide a skipped ftruncate.
 TEST(TransportResumeTest, OpenForResumeTruncatesToTheOffset) {
   storage::TempDir dir;
-  for (const storage::IoMode mode :
-       {storage::IoMode::kSync, storage::IoMode::kAsync}) {
-    const std::string path =
-        dir.File(mode == storage::IoMode::kSync ? "r.sync" : "r.async");
+  for (const storage::IoMode mode : kModes) {
+    const std::string path = dir.File("r." + ModeName(mode));
     {
       std::ofstream out(path, std::ios::binary);
       out << std::string(4096, 'x');
@@ -525,18 +496,17 @@ TEST(TransportResumeTest, OpenForResumeTruncatesToTheOffset) {
     EXPECT_EQ(writer.bytes_written(), 1000u);
     ASSERT_TRUE(writer.Close().ok());
     EXPECT_EQ(std::filesystem::file_size(path), 1000u)
-        << storage::IoSpecString({mode});
+        << ModeName(mode);
     EXPECT_TRUE(ReadFileBytes(path) == std::string(1000, 'x'));
   }
 }
 
 TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 11);
   const std::string ref_path = dir.File("ref.tsv");
   {
-    format::TsvWriter ref(ref_path);
+    format::TsvWriter ref(ref_path, false, kAsync);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       ref.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -546,7 +516,7 @@ TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
   const std::string cut_path = dir.File("cut.tsv");
   std::string token;
   {
-    format::TsvWriter cut(cut_path, false);
+    format::TsvWriter cut(cut_path, false, kAsync);
     for (std::size_t u = 0; u < 40; ++u) {
       cut.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -558,7 +528,8 @@ TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
     }
   }
   {
-    format::TsvWriter resumed(cut_path, false, core::ResumeFrom{token});
+    format::TsvWriter resumed(cut_path, false, core::ResumeFrom{token},
+                              kAsync);
     for (std::size_t u = 40; u < scopes.size(); ++u) {
       resumed.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -570,11 +541,10 @@ TEST(AsyncResumeTest, TsvResumeIsByteIdentical) {
 
 TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 13);
   const std::string ref_path = dir.File("ref.adj6");
   {
-    format::Adj6Writer ref(ref_path);
+    format::Adj6Writer ref(ref_path, kAsync);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       ref.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -584,7 +554,7 @@ TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
   const std::string cut_path = dir.File("cut.adj6");
   std::string token;
   {
-    format::Adj6Writer cut(cut_path);
+    format::Adj6Writer cut(cut_path, kAsync);
     for (std::size_t u = 0; u < 40; ++u) {
       cut.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -594,7 +564,7 @@ TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
     }
   }
   {
-    format::Adj6Writer resumed(cut_path, core::ResumeFrom{token});
+    format::Adj6Writer resumed(cut_path, core::ResumeFrom{token}, kAsync);
     for (std::size_t u = 40; u < scopes.size(); ++u) {
       resumed.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -606,12 +576,11 @@ TEST(AsyncResumeTest, Adj6ResumeIsByteIdentical) {
 
 TEST(AsyncResumeTest, Csr6ResumeIsByteIdentical) {
   storage::TempDir dir;
-  storage::ScopedIoConfig scoped({storage::IoMode::kAsync});
   const auto scopes = TestScopes(64, 17);
   const VertexId lo = 0, hi = scopes.size();
   const std::string ref_path = dir.File("ref.csr6");
   {
-    format::Csr6Writer ref(ref_path, lo, hi);
+    format::Csr6Writer ref(ref_path, lo, hi, kAsync);
     for (std::size_t u = 0; u < scopes.size(); ++u) {
       ref.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -621,7 +590,7 @@ TEST(AsyncResumeTest, Csr6ResumeIsByteIdentical) {
   const std::string cut_path = dir.File("cut.csr6");
   std::string token;
   {
-    format::Csr6Writer cut(cut_path, lo, hi);
+    format::Csr6Writer cut(cut_path, lo, hi, kAsync);
     for (std::size_t u = 0; u < 40; ++u) {
       cut.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }
@@ -634,7 +603,8 @@ TEST(AsyncResumeTest, Csr6ResumeIsByteIdentical) {
   }
   ASSERT_TRUE(std::filesystem::exists(format::Csr6Writer::SidecarPath(cut_path)));
   {
-    format::Csr6Writer resumed(cut_path, lo, hi, core::ResumeFrom{token});
+    format::Csr6Writer resumed(cut_path, lo, hi, core::ResumeFrom{token},
+                              kAsync);
     for (std::size_t u = 40; u < scopes.size(); ++u) {
       resumed.ConsumeScope(u, scopes[u].data(), scopes[u].size());
     }

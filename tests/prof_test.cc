@@ -10,12 +10,6 @@
 // process, so ordering only matters for manual `./prof_test` runs).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -33,55 +27,12 @@
 #include "prof/folded.h"
 #include "prof/profiler.h"
 #include "prof/symbolize.h"
+#include "serve/minihttp_client.h"
 
 namespace tg {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A tiny blocking test client (same shape as serve_test.cc).
-
-int ConnectTo(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  timeval timeout{/*tv_sec=*/10, /*tv_usec=*/0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string Get(int port, const std::string& path) {
-  const std::string raw =
-      "GET " + path + " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-  int fd = ConnectTo(port);
-  if (fd < 0) return "";
-  std::size_t sent = 0;
-  while (sent < raw.size()) {
-    const ssize_t n = ::write(fd, raw.data() + sent, raw.size() - sent);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string reply;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    reply.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return reply;
-}
-
-std::string BodyOf(const std::string& reply) {
-  const std::size_t split = reply.find("\r\n\r\n");
-  return split == std::string::npos ? "" : reply.substr(split + 4);
-}
+constexpr char kHost[] = "127.0.0.1";
 
 /// Every non-empty line of folded text must be `frames... <count>` with a
 /// positive integer count and a non-empty frame part.
@@ -120,13 +71,15 @@ TEST(ProfServeOrderFirstTest, ProfileEndpointConflictsWhenNeverStarted) {
   ASSERT_FALSE(prof::ProfilerRunning());
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start({}).ok());
-  const std::string reply = Get(admin.port(), "/pprof/profile");
-  EXPECT_NE(reply.find("HTTP/1.1 409"), std::string::npos) << reply;
-  EXPECT_NE(BodyOf(reply).find("profiler not running"), std::string::npos);
+  const serve::ClientResponse reply =
+      serve::HttpGet(kHost, admin.port(), "/pprof/profile");
+  EXPECT_EQ(reply.status, 409) << reply.error << reply.body;
+  EXPECT_NE(reply.body.find("profiler not running"), std::string::npos);
   // The status endpoint answers 200 regardless.
-  const std::string status = Get(admin.port(), "/pprof/status");
-  EXPECT_NE(status.find("HTTP/1.1 200 OK"), std::string::npos) << status;
-  EXPECT_NE(BodyOf(status).find("\"running\": false"), std::string::npos);
+  const serve::ClientResponse status =
+      serve::HttpGet(kHost, admin.port(), "/pprof/status");
+  EXPECT_EQ(status.status, 200) << status.error << status.body;
+  EXPECT_NE(status.body.find("\"running\": false"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,29 +366,33 @@ TEST(ProfServeTest, PprofProfileAndStatusRoundTrip) {
   for (int i = 0; i < 20000000; ++i) sink = sink + i * 0.5;
   prof::RecordStall("serve_unit", 0.1);
 
-  const std::string status_body = BodyOf(Get(admin.port(), "/pprof/status"));
+  const std::string status_body =
+      serve::HttpGet(kHost, admin.port(), "/pprof/status").body;
   EXPECT_NE(status_body.find("\"running\": true"), std::string::npos)
       << status_body;
   EXPECT_NE(status_body.find("\"hz\": 1000"), std::string::npos);
 
-  const std::string reply = Get(admin.port(), "/pprof/profile");
-  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
-  const std::string folded = BodyOf(reply);
+  const serve::ClientResponse reply =
+      serve::HttpGet(kHost, admin.port(), "/pprof/profile");
+  EXPECT_EQ(reply.status, 200) << reply.error << reply.body;
+  const std::string& folded = reply.body;
   EXPECT_TRUE(WellFormedFolded(folded)) << folded;
   EXPECT_NE(folded.find("[stall:serve_unit]"), std::string::npos) << folded;
 
   prof::StopProfiler();
   // A stopped-but-sampled profiler still serves its cumulative profile.
-  const std::string after = Get(admin.port(), "/pprof/profile");
-  EXPECT_NE(after.find("HTTP/1.1 200 OK"), std::string::npos) << after;
+  const serve::ClientResponse after =
+      serve::HttpGet(kHost, admin.port(), "/pprof/profile");
+  EXPECT_EQ(after.status, 200) << after.error << after.body;
 }
 
 TEST(ProfServeTest, BuildzNamesTheBinary) {
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start({}).ok());
-  const std::string reply = Get(admin.port(), "/buildz");
-  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
-  const std::string body = BodyOf(reply);
+  const serve::ClientResponse reply =
+      serve::HttpGet(kHost, admin.port(), "/buildz");
+  EXPECT_EQ(reply.status, 200) << reply.error << reply.body;
+  const std::string& body = reply.body;
   EXPECT_NE(body.find("\"git\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"compiler\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"cxx_standard\""), std::string::npos) << body;

@@ -476,21 +476,35 @@ TEST_F(DaemonFixture, ShardWriteErrorFailsTheRequest) {
 TEST(ArtifactCacheTest, TableBytesGaugeCountsLiveModels) {
   serve::ArtifactCache::Options options;
   options.max_models = 2;
-  serve::ArtifactCache cache(options);
+  options.graph_cache_bytes = 1000;
   obs::Gauge* gauge = obs::GetGauge("serve.cache.table_bytes");
+  obs::Gauge* graph_bytes = obs::GetGauge("serve.cache.graph_bytes");
+  obs::Gauge* graph_entries = obs::GetGauge("serve.cache.graph_entries");
   const double before = gauge->value();
-
-  std::vector<std::shared_ptr<const core::AvsPrefixTables>> tables;
-  for (int scale : {8, 9, 10}) {  // max_models + 1 models
-    GenRequest request;
-    request.scale = scale;
-    tables.push_back(cache.PrefixTables(request, nullptr));
-    ASSERT_NE(tables.back(), nullptr);
+  const double graph_bytes_before = graph_bytes->value();
+  const double graph_entries_before = graph_entries->value();
+  {
+    serve::ArtifactCache cache(options);
+    std::vector<std::shared_ptr<const core::AvsPrefixTables>> tables;
+    for (int scale : {8, 9, 10}) {  // max_models + 1 models
+      GenRequest request;
+      request.scale = scale;
+      tables.push_back(cache.PrefixTables(request, nullptr));
+      ASSERT_NE(tables.back(), nullptr);
+    }
+    // The scale-8 model aged out; its bytes left the gauge.
+    EXPECT_EQ(gauge->value() - before,
+              static_cast<double>(tables[1]->MemoryBytes() +
+                                  tables[2]->MemoryBytes()));
+    ASSERT_TRUE(cache.InsertGraph(1, std::string(200, 'a')));
+    EXPECT_EQ(graph_bytes->value() - graph_bytes_before, 200);
+    EXPECT_EQ(graph_entries->value() - graph_entries_before, 1);
   }
-  // The scale-8 model aged out; its bytes left the gauge.
-  EXPECT_EQ(gauge->value() - before,
-            static_cast<double>(tables[1]->MemoryBytes() +
-                                tables[2]->MemoryBytes()));
+  // A destroyed cache (the daemon's Shutdown) frees its models and graphs,
+  // so all three gauges drop back.
+  EXPECT_EQ(gauge->value(), before);
+  EXPECT_EQ(graph_bytes->value(), graph_bytes_before);
+  EXPECT_EQ(graph_entries->value(), graph_entries_before);
 }
 
 TEST(ArtifactCacheTest, ModelArtifactsAreMemoizedAndGraphLruEvicts) {

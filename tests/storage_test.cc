@@ -35,12 +35,15 @@ TEST(TempDirTest, CreatesAndCleansUp) {
 // The contract tests run the one writer in both modes: they differ only in
 // which thread calls WriteAt.
 constexpr IoMode kModes[] = {IoMode::kSync, IoMode::kAsync};
+std::string ModeName(IoMode mode) {
+  return mode == IoMode::kSync ? "sync" : "async";
+}
 
 TEST(FileIoTest, RoundTrip48And64) {
   TempDir dir;
   for (const IoMode mode : kModes) {
-    SCOPED_TRACE(IoSpecString({mode}));
-    const std::string path = dir.File("io." + IoSpecString({mode}));
+    SCOPED_TRACE(ModeName(mode));
+    const std::string path = dir.File("io." + ModeName(mode));
     {
       FileWriter w(1 << 20, mode);
       ASSERT_TRUE(w.Open(path).ok());
@@ -73,8 +76,8 @@ TEST(FileIoTest, LargeWriteBypassesBuffer) {
   std::vector<char> payload(5 << 20, 'x');
   for (std::size_t i = 0; i < payload.size(); i += 4099) payload[i] = 'y';
   for (const IoMode mode : kModes) {
-    SCOPED_TRACE(IoSpecString({mode}));
-    const std::string path = dir.File("big." + IoSpecString({mode}));
+    SCOPED_TRACE(ModeName(mode));
+    const std::string path = dir.File("big." + ModeName(mode));
     {
       FileWriter w(1 << 16, mode);  // small buffer, payload much bigger
       ASSERT_TRUE(w.Open(path).ok());
@@ -94,7 +97,7 @@ TEST(FileIoTest, LargeWriteBypassesBuffer) {
 
 TEST(FileIoTest, OpenFailureIsStatusNotCrash) {
   for (const IoMode mode : kModes) {
-    SCOPED_TRACE(IoSpecString({mode}));
+    SCOPED_TRACE(ModeName(mode));
     FileWriter w(1 << 20, mode);
     EXPECT_FALSE(w.Open("/nonexistent_dir_xyz/file.bin").ok());
     EXPECT_FALSE(w.Close().ok());  // the open error stays latched
