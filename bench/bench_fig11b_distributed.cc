@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "cluster/sim_cluster.h"
 #include "cluster/trilliong_cluster.h"
-#include "core/scheduler.h"
 #include "core/trilliong.h"
 #include "format/adj6.h"
 #include "format/tsv.h"
@@ -93,7 +92,6 @@ int main() {
         tg::core::TrillionGConfig config;
         config.scale = scale;
         config.edge_factor = 16;
-        config.chunks_per_worker = tg::core::ChunksPerWorkerFromEnv();
         tg::cluster::ClusterGenerateStats stats =
             tg::cluster::GenerateOnCluster(
                 &cluster, config,

@@ -75,14 +75,13 @@ int main() {
   // would take with one core per worker (same convention as Figure 11(b)).
   {
     const int workers = 8;
-    const int steal_chunks = tg::core::ChunksPerWorkerFromEnv();
     std::printf(
         "\nwork-stealing vs static, %d workers, scale 21, skewed seed "
         "(a=0.70)\n",
         workers);
     std::printf("%-22s %10s %10s %12s %10s %10s\n", "schedule", "seconds",
                 "sim-par s", "imbalance", "chunks", "steals");
-    for (int chunks : {1, steal_chunks}) {
+    for (int chunks : {1, tg::core::kDefaultChunksPerWorker}) {
       tg::core::TrillionGConfig config;
       config.scale = 21;
       config.edge_factor = 16;

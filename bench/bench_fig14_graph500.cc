@@ -12,7 +12,6 @@
 #include "baseline/graph500.h"
 #include "bench_util.h"
 #include "cluster/sim_cluster.h"
-#include "core/scheduler.h"
 #include "core/trilliong.h"
 #include "format/csr6.h"
 #include "storage/temp_dir.h"
@@ -64,7 +63,6 @@ int main() {
       config.edge_factor = 16;
       config.noise = 0.1;
       config.num_workers = kMachines;
-      config.chunks_per_worker = tg::core::ChunksPerWorkerFromEnv();
 
       tg::core::GenerateStats gen_only = tg::core::Generate(
           config,

@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
         "no completion.\n"
         "--chunks_per_worker sets the work-stealing granularity (default "
         "16;\n1 = static one-range-per-worker schedule; output is "
-        "bit-identical\nfor any value; TG_CHUNKS_PER_WORKER in the "
-        "environment overrides\nthe default).\n"
+        "bit-identical\nfor any value).\n"
         "--no_prefix_tables selects the legacy per-edge descent kernel\n"
         "(different RNG stream — a different, still deterministic graph;\n"
         "see docs/PERFORMANCE.md).\n",
@@ -120,7 +119,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.GetInt("edge_factor", 16));
   config.num_workers = static_cast<int>(flags.GetInt("workers", 4));
   config.chunks_per_worker = static_cast<int>(
-      flags.GetInt("chunks_per_worker", tg::core::ChunksPerWorkerFromEnv()));
+      flags.GetInt("chunks_per_worker", tg::core::kDefaultChunksPerWorker));
   config.noise = flags.GetDouble("noise", 0.0);
   config.rng_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.seed = tg::model::SeedMatrix(

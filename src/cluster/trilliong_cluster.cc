@@ -1,11 +1,9 @@
 #include "cluster/trilliong_cluster.h"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "core/avs_generator.h"
-#include "core/scheduler.h"
 #include "model/noise.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -118,97 +116,26 @@ ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
   stats.gather_scatter_seconds += cluster->network().ChargeTransfer(
       static_cast<std::uint64_t>(workers) * sizeof(VertexId), workers - 1);
 
-  // Generation runs on the work-stealing engine, with stealing confined to
-  // each simulated machine: the threads of one machine share memory, so a
-  // thief can pick up a machine-mate's chunk, but chunks never migrate
-  // across the (simulated) wire. Scope RNG streams are forked per vertex,
-  // so the stolen schedule produces bit-identical output.
-  const rng::Rng root(config.rng_seed, /*stream=*/1);
-  std::vector<core::AvsWorkerStats> worker_stats(workers);
-  const int chunks_per_worker = std::max(config.chunks_per_worker, 1);
-  const std::vector<std::vector<core::Chunk>> queues =
-      core::BuildChunkQueues(noise, boundaries, chunks_per_worker);
-
-  std::vector<std::unique_ptr<core::ScopeSink>> sinks;
-  std::vector<core::ScopeSink*> sink_ptrs;
-  sinks.reserve(workers);
-  sink_ptrs.reserve(workers);
+  // Generation: one core::Generate over the cluster's topology. The threads
+  // of one machine share its budget, so they share one table set and one
+  // steal domain; chunks never migrate across the simulated wire (except to
+  // recover a crashed machine's chunks). Scope RNG streams are forked per
+  // vertex, so the output is bit-identical to an in-process run. An explicit
+  // injector on the config wins over one attached to the cluster.
+  core::TrillionGConfig run = config;
+  run.num_workers = workers;
+  run.precomputed_boundaries = std::move(boundaries);
+  if (run.fault_injector == nullptr) {
+    run.fault_injector = cluster->fault_injector();
+  }
+  core::WorkerTopology topology;
   for (int w = 0; w < workers; ++w) {
-    // The shard's files belong to the worker's machine (its disk faults).
-    obs::ScopedMachine owner(cluster->MachineOfWorker(w));
-    sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
-    TG_CHECK(sinks.back() != nullptr);
-    sink_ptrs.push_back(sinks.back().get());
+    topology.machine.push_back(cluster->MachineOfWorker(w));
+    topology.budget.push_back(cluster->worker_budget(w));
   }
-
-  core::SchedulerOptions sched_options;
-  sched_options.steal_domain.resize(workers);
-  sched_options.machine_tags.resize(workers);
-  for (int w = 0; w < workers; ++w) {
-    sched_options.steal_domain[w] = cluster->MachineOfWorker(w);
-    sched_options.machine_tags[w] = cluster->MachineOfWorker(w);
-  }
-
-  // Fault injection: an explicit injector on the config wins, then one
-  // attached to the cluster, then the TG_FAULT_PLAN environment hook. A
-  // machine that crashes mid-generation stops taking chunks, its queued
-  // chunks migrate to surviving machines through the scheduler's recovery
-  // queue, and — scope streams being forked per vertex — the output stays
-  // bit-identical to the fault-free run.
-  std::unique_ptr<fault::FaultInjector> env_injector;
-  fault::FaultInjector* injector = config.fault_injector != nullptr
-                                       ? config.fault_injector
-                                       : cluster->fault_injector();
-  if (injector == nullptr) {
-    env_injector =
-        fault::FaultInjector::FromEnvOrNull(cluster->num_machines());
-    injector = env_injector.get();
-  }
-  sched_options.fault_injector = injector;
-  sched_options.resume_next_seq = config.resume_next_seq;
-  sched_options.on_chunk_commit = config.chunk_commit_hook;
-
-  obs::SetCurrentPhase("generate");
-  auto run_generation = [&]<typename Real>() {
-    auto make_worker = [&](int w) -> core::ChunkFn {
-      auto generator = std::make_shared<core::AvsRangeGenerator<Real>>(
-          &noise, num_edges, config.determiner, cluster->worker_budget(w),
-          config.exclude_self_loops);
-      auto scratch = std::make_shared<core::ScopeScratch<Real>>();
-      core::AvsWorkerStats* stats_slot = &worker_stats[w];
-      return [generator, scratch, stats_slot, &root](
-                 const core::Chunk& c, core::ChunkBuffer* buffer) {
-        generator->GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
-                                 buffer);
-      };
-    };
-    return core::RunWorkStealing(queues, sink_ptrs, make_worker,
-                                 sched_options);
-  };
-  const core::SchedulerStats sched =
-      config.precision == core::Precision::kDoubleDouble
-          ? run_generation.template operator()<numeric::DoubleDouble>()
-          : run_generation.template operator()<double>();
-  stats.generate.max_worker_cpu_seconds = sched.max_worker_cpu_seconds;
-  stats.generate.sched_chunks = sched.num_chunks;
-  stats.generate.sched_steals = sched.num_steals;
-  stats.generate.sched_recovered = sched.num_recovered;
-  stats.generate.sched_imbalance = sched.imbalance;
-  stats.generate.sink_status = sched.sink_status;
-
-  core::AvsWorkerStats merged;
-  for (const core::AvsWorkerStats& s : worker_stats) merged.MergeFrom(s);
-  stats.generate.num_edges = merged.num_edges;
-  stats.generate.num_scopes = merged.num_scopes;
-  stats.generate.max_degree = merged.max_degree;
-  stats.generate.peak_scope_bytes = merged.peak_scope_bytes;
-  stats.generate.rec_vec_builds = merged.rec_vec_builds;
-  stats.generate.cdf_evaluations = merged.cdf_evaluations;
+  stats.generate = core::Generate(run, sink_factory, topology);
   stats.peak_machine_bytes = cluster->MaxMachinePeakBytes();
-  core::RecordAvsStats(merged);
-  obs::GetGauge("avs.recvec_levels")->Set(static_cast<double>(scale));
   cluster->RecordMachineStats();
-  obs::SetCurrentPhase("idle");
   return stats;
 }
 

@@ -15,11 +15,13 @@ namespace tg::cluster {
 ///   3. repartition — the master re-cuts bin boundaries to equal mass;
 ///   4. scatter  — boundaries travel back and every worker generates its
 ///                 ranges with the recursive vector model.
-/// Unlike the in-process core::Generate (which uses the closed-form CDF
-/// partitioner), this driver exercises the protocol the paper describes,
-/// charges per-machine memory budgets, and reports simulated phase times.
+/// Steps 1-3 replace the in-process closed-form CDF partitioner. Step 4 is
+/// one core::Generate call with those boundaries over the cluster's
+/// WorkerTopology: worker w is tagged with its machine and charges that
+/// machine's budget, so each machine builds one prefix-table set and steals
+/// only among its own threads.
 struct ClusterGenerateStats {
-  core::GenerateStats generate;      ///< per-worker aggregate (phase 4)
+  core::GenerateStats generate;      ///< core::Generate's stats (phase 4)
   double combine_seconds = 0;        ///< phase 1 (max per-worker CPU)
   double gather_scatter_seconds = 0; ///< phases 2+4 wire time
   double repartition_seconds = 0;    ///< phase 3 (master CPU)
@@ -35,8 +37,12 @@ struct ClusterGenerateStats {
 
 /// Runs TrillionG across the cluster. `config.num_workers` is ignored — the
 /// cluster's worker count is used; `config.budget` is ignored in favor of
-/// the per-machine budgets. Output is identical to core::Generate with the
-/// same seed (scope RNG streams are partition-independent).
+/// the per-machine budgets; steps 1-3 replace
+/// `config.precomputed_boundaries`; and a null `config.fault_injector` falls
+/// back to the cluster's. Every other field (cancel_flag, worker_runner,
+/// resume and commit hooks, precision) means what it means for
+/// core::Generate. Output is identical to core::Generate with the same seed
+/// (scope RNG streams are partition-independent).
 ClusterGenerateStats GenerateOnCluster(SimCluster* cluster,
                                        const core::TrillionGConfig& config,
                                        const core::SinkFactory& sink_factory);

@@ -64,7 +64,7 @@ struct AvsWorkerStats {
 
 /// Folds a merged per-run AvsWorkerStats into the global obs registry under
 /// the canonical `avs.*` metric names (docs/OBSERVABILITY.md). Called once
-/// per run by the in-process and cluster drivers.
+/// per run by core::Generate.
 inline void RecordAvsStats(const AvsWorkerStats& merged) {
   obs::GetCounter("avs.edges_generated")->Add(merged.num_edges);
   obs::GetCounter("avs.scopes_generated")->Add(merged.num_scopes);

@@ -50,13 +50,6 @@ std::vector<std::vector<Chunk>> BuildChunkQueues(
   return queues;
 }
 
-int ChunksPerWorkerFromEnv(int fallback) {
-  const char* value = std::getenv("TG_CHUNKS_PER_WORKER");
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed >= 1 ? parsed : fallback;
-}
-
 namespace {
 
 /// One worker's deque of runnable chunks. The owner pops from the front

@@ -107,13 +107,13 @@ class ChunkBuffer : public ScopeSink {
 /// Scheduling policy knobs.
 struct SchedulerOptions {
   /// Steal domain of each worker; a worker only steals from deques in its
-  /// own domain. Empty means one shared domain (the in-process driver). The
-  /// cluster driver maps each simulated machine to its own domain — threads
-  /// of one machine share memory, machines do not.
+  /// own domain. Empty means one shared domain. core::Generate gives each
+  /// memory budget of its WorkerTopology its own domain — threads of one
+  /// machine share memory, machines do not.
   std::vector<int> steal_domain;
   /// Simulated-machine tag installed on each worker thread (obs span and
   /// per-machine stat attribution). Empty means tag worker w as machine w,
-  /// matching the in-process driver's convention.
+  /// the identity WorkerTopology.
   std::vector<int> machine_tags;
 
   /// Fault injector consulted at every chunk boundary (see fault/*). When
@@ -208,11 +208,6 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
                                const std::vector<ScopeSink*>& sinks,
                                const WorkerFactory& make_worker,
                                const SchedulerOptions& options = {});
-
-/// The TG_CHUNKS_PER_WORKER environment hook used by the figure benches
-/// (mirrors obs::SessionOptions::FromEnv's TG_* hooks): returns the parsed
-/// value when the variable is set to a positive integer, else `fallback`.
-int ChunksPerWorkerFromEnv(int fallback = kDefaultChunksPerWorker);
 
 }  // namespace tg::core
 

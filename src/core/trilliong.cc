@@ -32,8 +32,8 @@ namespace {
 
 template <typename Real>
 GenerateStats RunTyped(const TrillionGConfig& config,
-                       const SinkFactory& sink_factory) {
-  TG_CHECK(config.num_workers >= 1);
+                       const SinkFactory& sink_factory,
+                       const WorkerTopology& topology) {
   GenerateStats stats;
   Stopwatch watch;
 
@@ -55,10 +55,25 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   obs::SetCurrentPhase("generate");
   TG_SPAN("generate");
   const rng::Rng root(config.rng_seed, /*stream=*/1);
-  AvsRangeGenerator<Real> generator(&noise, config.NumEdges(),
-                                    config.determiner, config.budget,
-                                    config.exclude_self_loops,
-                                    config.shared_prefix_tables);
+
+  // Workers that share a budget share memory: one generator per budget (one
+  // prefix-table set, charged once to it) and one steal domain, so chunks
+  // never migrate between machines.
+  SchedulerOptions sched_options;
+  sched_options.machine_tags = topology.machine;
+  std::vector<MemoryBudget*> domain_budgets;
+  std::vector<std::unique_ptr<AvsRangeGenerator<Real>>> generators;
+  for (MemoryBudget* budget : topology.budget) {
+    const auto it =
+        std::find(domain_budgets.begin(), domain_budgets.end(), budget);
+    sched_options.steal_domain.push_back(
+        static_cast<int>(it - domain_budgets.begin()));
+    if (it != domain_budgets.end()) continue;
+    domain_budgets.push_back(budget);
+    generators.push_back(std::make_unique<AvsRangeGenerator<Real>>(
+        &noise, config.NumEdges(), config.determiner, budget,
+        config.exclude_self_loops, config.shared_prefix_tables));
+  }
 
   std::vector<AvsWorkerStats> worker_stats(config.num_workers);
 
@@ -75,9 +90,9 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   sinks.reserve(config.num_workers);
   sink_ptrs.reserve(config.num_workers);
   for (int w = 0; w < config.num_workers; ++w) {
-    // Worker w is machine w here: the shard's files belong to it, so an
-    // injected disk fault hits this shard whichever thread writes it.
-    obs::ScopedMachine owner(w);
+    // The shard's files belong to the worker's machine, so an injected disk
+    // fault hits this shard whichever thread writes it.
+    obs::ScopedMachine owner(topology.machine[w]);
     sinks.push_back(sink_factory(w, boundaries[w], boundaries[w + 1]));
     TG_CHECK(sinks.back() != nullptr);
     sink_ptrs.push_back(sinks.back().get());
@@ -88,14 +103,15 @@ GenerateStats RunTyped(const TrillionGConfig& config,
     // scratch itself is only ever touched by worker w's thread.
     auto scratch = std::make_shared<ScopeScratch<Real>>();
     AvsWorkerStats* stats_slot = &worker_stats[w];
-    return [&generator, &root, scratch, stats_slot](const Chunk& c,
-                                                    ChunkBuffer* buffer) {
-      generator.GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
-                              buffer);
+    const AvsRangeGenerator<Real>* generator =
+        generators[sched_options.steal_domain[w]].get();
+    return [generator, &root, scratch, stats_slot](const Chunk& c,
+                                                   ChunkBuffer* buffer) {
+      generator->GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,
+                               buffer);
     };
   };
 
-  SchedulerOptions sched_options;
   sched_options.fault_injector = config.fault_injector;
   sched_options.resume_next_seq = config.resume_next_seq;
   sched_options.on_chunk_commit = config.chunk_commit_hook;
@@ -125,11 +141,12 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   RecordAvsStats(merged);
   obs::GetGauge("avs.recvec_levels")
       ->Set(static_cast<double>(noise.levels()));
+  obs::Registry& reg = obs::Registry::Global();
   for (int w = 0; w < config.num_workers; ++w) {
-    obs::Registry& reg = obs::Registry::Global();
-    reg.MaxMachineStat(w, "peak_scope_bytes",
+    reg.MaxMachineStat(topology.machine[w], "peak_scope_bytes",
                        static_cast<double>(worker_stats[w].peak_scope_bytes));
-    reg.MaxMachineStat(w, "cpu_seconds", sched.worker_cpu_seconds[w]);
+    reg.MaxMachineStat(topology.machine[w], "cpu_seconds",
+                       sched.worker_cpu_seconds[w]);
   }
   obs::SetCurrentPhase("idle");
   return stats;
@@ -139,21 +156,38 @@ GenerateStats RunTyped(const TrillionGConfig& config,
 
 GenerateStats Generate(const TrillionGConfig& config,
                        const SinkFactory& sink_factory) {
+  WorkerTopology identity;
+  for (int w = 0; w < config.num_workers; ++w) {
+    identity.machine.push_back(w);
+    identity.budget.push_back(config.budget);
+  }
+  return Generate(config, sink_factory, identity);
+}
+
+GenerateStats Generate(const TrillionGConfig& config,
+                       const SinkFactory& sink_factory,
+                       const WorkerTopology& topology) {
+  TG_CHECK(config.num_workers >= 1);
+  TG_CHECK(static_cast<int>(topology.machine.size()) == config.num_workers &&
+           static_cast<int>(topology.budget.size()) == config.num_workers);
   // The TG_FAULT_PLAN chaos hook: a run that did not wire an injector of its
-  // own still honors the environment plan (machine = worker index for the
-  // in-process driver). Keeps existing tests/benches usable as chaos tests.
+  // own still honors the environment plan, over the topology's machines.
+  // Keeps existing tests/benches usable as chaos tests.
   if (config.fault_injector == nullptr) {
+    const int num_machines =
+        *std::max_element(topology.machine.begin(), topology.machine.end()) +
+        1;
     if (std::unique_ptr<fault::FaultInjector> env_injector =
-            fault::FaultInjector::FromEnvOrNull(config.num_workers)) {
+            fault::FaultInjector::FromEnvOrNull(num_machines)) {
       TrillionGConfig armed = config;
       armed.fault_injector = env_injector.get();
-      return Generate(armed, sink_factory);
+      return Generate(armed, sink_factory, topology);
     }
   }
   if (config.precision == Precision::kDoubleDouble) {
-    return RunTyped<numeric::DoubleDouble>(config, sink_factory);
+    return RunTyped<numeric::DoubleDouble>(config, sink_factory, topology);
   }
-  return RunTyped<double>(config, sink_factory);
+  return RunTyped<double>(config, sink_factory, topology);
 }
 
 GenerateStats GenerateToSink(const TrillionGConfig& config, ScopeSink* sink) {

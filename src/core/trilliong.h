@@ -47,7 +47,7 @@ struct TrillionGConfig {
   /// static one-range-per-worker schedule. Output is bit-identical for any
   /// value. With one worker it sets the commit granularity: how many chunks
   /// the journal, cancellation and fault injection see.
-  int chunks_per_worker = 16;
+  int chunks_per_worker = kDefaultChunksPerWorker;
   Precision precision = Precision::kDouble;
   Direction direction = Direction::kOut;
   /// Ablation toggles for the three key ideas (Figure 13).
@@ -60,8 +60,7 @@ struct TrillionGConfig {
 
   /// Optional fault injector (not owned) consulted at every chunk boundary;
   /// see src/fault/. When left null, Generate() arms one from TG_FAULT_PLAN
-  /// if that variable is set — the hook CI's TSan job arms, mirroring
-  /// TG_CHUNKS_PER_WORKER.
+  /// if that variable is set — the hook CI's TSan job arms.
   fault::FaultInjector* fault_injector = nullptr;
   /// Resume support: per worker range, the next chunk seq still to commit
   /// (all earlier chunks were journaled as durable by an interrupted
@@ -163,6 +162,25 @@ using SinkFactory = std::function<std::unique_ptr<ScopeSink>(
 /// of num_workers.
 GenerateStats Generate(const TrillionGConfig& config,
                        const SinkFactory& sink_factory);
+
+/// Where the workers of a Generate() run live. Worker w belongs to simulated
+/// machine `machine[w]`: its sink is created under that tag, and the
+/// scheduler, per-machine stats and fault injector attribute its chunks to
+/// it. It charges `budget[w]` (null: unlimited). Workers that share a budget
+/// share memory, so they share one generator (one prefix-table set, charged
+/// once to that budget) and one steal domain.
+struct WorkerTopology {
+  std::vector<int> machine;
+  std::vector<MemoryBudget*> budget;
+};
+
+/// Generate() over an explicit topology (one entry per config.num_workers);
+/// config.budget is not read. The two-argument form is the identity
+/// topology: worker w is machine w and every worker charges config.budget.
+/// cluster::GenerateOnCluster passes one machine per SimCluster machine.
+GenerateStats Generate(const TrillionGConfig& config,
+                       const SinkFactory& sink_factory,
+                       const WorkerTopology& topology);
 
 /// Convenience: generation into a single caller-provided sink; only valid
 /// with num_workers == 1.

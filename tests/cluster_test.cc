@@ -1,19 +1,72 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <vector>
-
+#include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "cluster/network_model.h"
 #include "cluster/sim_cluster.h"
 #include "cluster/trilliong_cluster.h"
+#include "core/prefix_tables.h"
 #include "core/trilliong.h"
 
 namespace tg::cluster {
 namespace {
+
+/// Each worker's scopes as bytes (vertex, degree, adjacency), one string per
+/// shard, the boundaries the sinks were created with, and how many sinks
+/// received Finish().
+struct ShardBytes {
+  explicit ShardBytes(int workers)
+      : shards(workers), boundaries(workers + 1) {}
+
+  core::SinkFactory Factory() {
+    class Sink : public core::ScopeSink {
+     public:
+      Sink(std::string* out, std::atomic<int>* finished)
+          : out_(out), finished_(finished) {}
+      void ConsumeScope(VertexId u, const VertexId* adj,
+                        std::size_t n) override {
+        Append(u);
+        Append(n);
+        for (std::size_t i = 0; i < n; ++i) Append(adj[i]);
+      }
+      Status Finish() override {
+        finished_->fetch_add(1);
+        return Status::Ok();
+      }
+
+     private:
+      void Append(std::uint64_t v) {
+        out_->append(reinterpret_cast<const char*>(&v), sizeof(v));
+      }
+      std::string* out_;
+      std::atomic<int>* finished_;
+    };
+    return [this](int w, VertexId lo,
+                  VertexId hi) -> std::unique_ptr<core::ScopeSink> {
+      boundaries[w] = lo;
+      boundaries[w + 1] = hi;
+      return std::make_unique<Sink>(&shards[w], &finished);
+    };
+  }
+
+  std::vector<std::string> shards;
+  std::vector<VertexId> boundaries;
+  std::atomic<int> finished{0};
+};
+
+core::TrillionGConfig SmallConfig() {
+  core::TrillionGConfig config;
+  config.scale = 12;
+  config.edge_factor = 8;
+  config.rng_seed = 77;
+  return config;
+}
 
 TEST(NetworkModelTest, TransferTimeScalesWithBytes) {
   NetworkModel net = NetworkModel::OneGigabitEthernet();
@@ -200,6 +253,93 @@ TEST(TrillionGClusterTest, ControlTrafficIsTiny) {
   // Control bytes are orders of magnitude below the edge data volume.
   EXPECT_LT(stats.control_bytes, config.NumEdges() * sizeof(tg::Edge) / 1000);
   EXPECT_LT(stats.gather_scatter_seconds, 0.01);
+}
+
+// The cluster driver is Figure 6's repartition plus one core::Generate: on
+// the boundaries it computed, an in-process run writes the same shards and
+// reports the same GenerateStats.
+TEST(TrillionGClusterTest, AgreesWithCoreGenerateOnItsBoundaries) {
+  core::TrillionGConfig config = SmallConfig();
+  SimCluster cluster({2, 2, 0, {}});
+  ShardBytes on_cluster(4);
+  const core::GenerateStats c =
+      GenerateOnCluster(&cluster, config, on_cluster.Factory()).generate;
+
+  config.num_workers = 4;
+  config.precomputed_boundaries = on_cluster.boundaries;
+  ShardBytes in_process(4);
+  const core::GenerateStats p = core::Generate(config, in_process.Factory());
+
+  EXPECT_EQ(in_process.boundaries, on_cluster.boundaries);
+  EXPECT_EQ(in_process.shards, on_cluster.shards);
+  EXPECT_EQ(c.num_edges, p.num_edges);
+  EXPECT_EQ(c.num_scopes, p.num_scopes);
+  EXPECT_EQ(c.max_degree, p.max_degree);
+  EXPECT_EQ(c.cdf_evaluations, p.cdf_evaluations);
+  EXPECT_EQ(c.rec_vec_builds, p.rec_vec_builds);
+  EXPECT_EQ(c.table_scopes, p.table_scopes);
+  EXPECT_EQ(c.table_edges, p.table_edges);
+  EXPECT_EQ(c.sched_chunks, p.sched_chunks);
+  EXPECT_GT(c.table_edges, 0u);
+  EXPECT_GT(c.generate_seconds, 0.0);
+  EXPECT_EQ(on_cluster.finished.load(), 4);
+}
+
+TEST(TrillionGClusterTest, HonorsCancelFlagAndWorkerRunner) {
+  core::TrillionGConfig config = SmallConfig();
+
+  // A flag set before the run: no chunk runs and no sink sees Finish().
+  std::atomic<bool> cancel{true};
+  config.cancel_flag = &cancel;
+  SimCluster cancelled_cluster({2, 2, 0, {}});
+  ShardBytes cancelled(4);
+  const core::GenerateStats stopped =
+      GenerateOnCluster(&cancelled_cluster, config, cancelled.Factory())
+          .generate;
+  EXPECT_TRUE(stopped.cancelled);
+  EXPECT_EQ(stopped.sched_chunks, 0u);
+  EXPECT_EQ(cancelled.finished.load(), 0);
+  config.cancel_flag = nullptr;
+
+  SimCluster threaded_cluster({2, 2, 0, {}});
+  ShardBytes threaded(4);
+  GenerateOnCluster(&threaded_cluster, config, threaded.Factory());
+
+  // One thread runs the worker bodies last to first; each machine's last
+  // worker drains its machine-mate's chunks by stealing.
+  int bodies_run = 0;
+  config.worker_runner = [&](std::vector<std::function<void()>>& bodies) {
+    for (auto body = bodies.rbegin(); body != bodies.rend(); ++body) {
+      ++bodies_run;
+      (*body)();
+    }
+  };
+  SimCluster sequential_cluster({2, 2, 0, {}});
+  ShardBytes sequential(4);
+  GenerateOnCluster(&sequential_cluster, config, sequential.Factory());
+  EXPECT_EQ(bodies_run, 4);
+  EXPECT_EQ(sequential.shards, threaded.shards);
+  EXPECT_EQ(sequential.finished.load(), 4);
+}
+
+// Threads of one machine share its memory, so they share one prefix-table
+// set, charged once to the machine's budget.
+TEST(TrillionGClusterTest, BuildsOneTableSetPerMachine) {
+  const core::TrillionGConfig config = SmallConfig();
+  SimCluster cluster({2, 2, 0, {}});
+  GenerateOnCluster(&cluster, config,
+                    [](int, VertexId, VertexId)
+                        -> std::unique_ptr<core::ScopeSink> {
+                      return std::make_unique<core::CountingSink>();
+                    });
+  const core::AvsPrefixTables tables(core::MakeRunNoise(config));
+  for (int m = 0; m < cluster.num_machines(); ++m) {
+    std::uint64_t peak = 0;
+    for (const auto& usage : cluster.machine_budget(m)->TagBreakdown()) {
+      if (usage.tag == "core.prefix_tables") peak = usage.peak_bytes;
+    }
+    EXPECT_EQ(peak, tables.MemoryBytes()) << "machine " << m;
+  }
 }
 
 TEST(SimClusterTest, MachineBudgetsAreIndependent) {

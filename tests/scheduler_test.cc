@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <thread>
@@ -359,19 +358,6 @@ TEST(SchedulerTest, CpuImbalanceMaxOverMean) {
   EXPECT_DOUBLE_EQ(CpuImbalance({0.0, 0.0}), 1.0);
   EXPECT_DOUBLE_EQ(CpuImbalance({1.0, 1.0, 1.0}), 1.0);
   EXPECT_DOUBLE_EQ(CpuImbalance({3.0, 1.0}), 1.5);
-}
-
-TEST(SchedulerTest, ChunksPerWorkerEnvHook) {
-  unsetenv("TG_CHUNKS_PER_WORKER");
-  EXPECT_EQ(ChunksPerWorkerFromEnv(), kDefaultChunksPerWorker);
-  EXPECT_EQ(ChunksPerWorkerFromEnv(5), 5);
-  setenv("TG_CHUNKS_PER_WORKER", "32", 1);
-  EXPECT_EQ(ChunksPerWorkerFromEnv(5), 32);
-  setenv("TG_CHUNKS_PER_WORKER", "0", 1);
-  EXPECT_EQ(ChunksPerWorkerFromEnv(5), 5);  // invalid -> fallback
-  setenv("TG_CHUNKS_PER_WORKER", "garbage", 1);
-  EXPECT_EQ(ChunksPerWorkerFromEnv(5), 5);
-  unsetenv("TG_CHUNKS_PER_WORKER");
 }
 
 TEST(TrillionGConfigTest, NumEdgesLargeInBoundsProduct) {

@@ -32,13 +32,15 @@
 #include "obs/sampler.h"
 #include "obs/serve/admin_server.h"
 #include "obs/serve/prometheus.h"
+#include "serve/minihttp_client.h"
 #include "util/json.h"
 
 namespace tg {
 namespace {
 
 // ---------------------------------------------------------------------------
-// A tiny blocking test client.
+// Raw-socket helpers for the malformed and partial-write cases; well-formed
+// GETs go through serve::HttpGet.
 
 /// Connects to 127.0.0.1:port with a receive timeout; -1 on failure. A
 /// non-zero `rcvbuf` shrinks the receive buffer (set before connect, so the
@@ -83,17 +85,7 @@ std::string Transact(int port, const std::string& raw) {
   return reply;
 }
 
-/// One-liner GET with Connection: close.
-std::string Get(int port, const std::string& path) {
-  return Transact(port, "GET " + path +
-                            " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-}
-
-/// Body of a Content-Length response (empty when malformed).
-std::string BodyOf(const std::string& reply) {
-  const std::size_t split = reply.find("\r\n\r\n");
-  return split == std::string::npos ? "" : reply.substr(split + 4);
-}
+constexpr char kHost[] = "127.0.0.1";
 
 net::HttpServer::Options EphemeralOptions() {
   net::HttpServer::Options options;
@@ -199,9 +191,10 @@ TEST(HttpServerTest, BindsEphemeralPortAndStops) {
   ASSERT_TRUE(server.Start(EphemeralOptions(), EchoHandler).ok());
   EXPECT_TRUE(server.running());
   EXPECT_GT(server.port(), 0);
-  const std::string reply = Get(server.port(), "/x");
-  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_EQ(BodyOf(reply), "path=/x\n");
+  const serve::ClientResponse reply =
+      serve::HttpGet(kHost, server.port(), "/x");
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.body, "path=/x\n");
   server.Stop();
   EXPECT_FALSE(server.running());
   EXPECT_EQ(server.port(), -1);
@@ -277,7 +270,8 @@ TEST(HttpServerTest, HeadAdvertisesLengthWithoutBody) {
       server.port(), "HEAD /abc HTTP/1.1\r\nConnection: close\r\n\r\n");
   EXPECT_NE(reply.find("Content-Length: 10"), std::string::npos)
       << reply;  // "path=/abc\n" is 10 bytes
-  EXPECT_EQ(BodyOf(reply), "");
+  // Nothing follows the header block.
+  EXPECT_EQ(reply.find("\r\n\r\n") + 4, reply.size());
 }
 
 TEST(HttpServerTest, BroadcastReachesStreamSubscribers) {
@@ -451,8 +445,7 @@ TEST(HttpServerTest, ChannelBacklogCountsUnsentBytes) {
   // The client reads nothing, so most of this stays queued.
   const std::string blob = Pattern(16u << 20);
   server.Broadcast("chan", blob);
-  ASSERT_NE(Get(server.port(), "/probe").find("HTTP/1.1 200"),
-            std::string::npos);
+  ASSERT_EQ(serve::HttpGet(kHost, server.port(), "/probe").status, 200);
   EXPECT_GT(before.load(), 0u);
   EXPECT_LE(before.load(), Chunk(blob).size());
   EXPECT_EQ(after.load(), before.load() + Chunk(more).size());
@@ -549,23 +542,22 @@ TEST_F(AdminServerTest, HealthzReportsPhase) {
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start({}).ok());
   obs::SetCurrentPhase("generate");
-  const std::string reply = Get(admin.port(), "/healthz");
-  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(BodyOf(reply).find("ok phase=generate uptime_s="),
-            std::string::npos)
-      << reply;
+  const serve::ClientResponse reply =
+      serve::HttpGet(kHost, admin.port(), "/healthz");
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_NE(reply.body.find("ok phase=generate uptime_s="), std::string::npos)
+      << reply.body;
 }
 
 TEST_F(AdminServerTest, MetricsServesLiveRegistry) {
   obs::GetCounter("progress.edges")->Add(12345);
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start({}).ok());
-  const std::string reply = Get(admin.port(), "/metrics");
-  EXPECT_NE(reply.find("Content-Type: text/plain; version=0.0.4"),
+  serve::ClientResponse reply = serve::HttpGet(kHost, admin.port(), "/metrics");
+  EXPECT_NE(reply.headers["content-type"].find("text/plain; version=0.0.4"),
             std::string::npos)
-      << reply;
-  EXPECT_NE(BodyOf(reply).find("tg_progress_edges 12345\n"),
-            std::string::npos);
+      << reply.headers["content-type"];
+  EXPECT_NE(reply.body.find("tg_progress_edges 12345\n"), std::string::npos);
 }
 
 TEST_F(AdminServerTest, ReportJsonRoundTripsWithLiveMeta) {
@@ -574,7 +566,8 @@ TEST_F(AdminServerTest, ReportJsonRoundTripsWithLiveMeta) {
   options.meta["scale"] = "20";
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start(options).ok());
-  const std::string body = BodyOf(Get(admin.port(), "/report.json"));
+  const std::string body =
+      serve::HttpGet(kHost, admin.port(), "/report.json").body;
   obs::RunReport report;
   ASSERT_TRUE(obs::RunReport::FromJson(body, &report).ok()) << body;
   EXPECT_EQ(report.meta["live"], "1");
@@ -586,12 +579,13 @@ TEST_F(AdminServerTest, ReportJsonRoundTripsWithLiveMeta) {
 TEST_F(AdminServerTest, TraceAndIndexAndNotFound) {
   obs::serve::AdminServer admin;
   ASSERT_TRUE(admin.Start({}).ok());
-  EXPECT_NE(Get(admin.port(), "/trace").find("traceEvents"),
+  EXPECT_NE(serve::HttpGet(kHost, admin.port(), "/trace").body.find(
+                "traceEvents"),
             std::string::npos);
-  EXPECT_NE(BodyOf(Get(admin.port(), "/")).find("GET /metrics"),
-            std::string::npos);
-  EXPECT_NE(Get(admin.port(), "/no-such").find("HTTP/1.1 404 Not Found"),
-            std::string::npos);
+  EXPECT_NE(
+      serve::HttpGet(kHost, admin.port(), "/").body.find("GET /metrics"),
+      std::string::npos);
+  EXPECT_EQ(serve::HttpGet(kHost, admin.port(), "/no-such").status, 404);
 }
 
 TEST_F(AdminServerTest, SseStreamsTicksAndFaultEvents) {
@@ -676,8 +670,7 @@ TEST_F(AdminServerTest, ConcurrentScrapesDuringActiveRun) {
   for (const char* path : paths) {
     scrapers.emplace_back([port, path, &done] {
       while (!done.load(std::memory_order_relaxed)) {
-        const std::string reply = Get(port, path);
-        EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << path;
+        EXPECT_EQ(serve::HttpGet(kHost, port, path).status, 200) << path;
       }
     });
   }
@@ -713,7 +706,7 @@ TEST_F(AdminServerTest, ConcurrentScrapesDuringActiveRun) {
   EXPECT_EQ(stats.num_edges, total_edges);
   // The post-run scrape agrees with the registry's final counter. The
   // needle is newline-anchored so it cannot match the "# TYPE" line.
-  const std::string text = BodyOf(Get(port, "/metrics"));
+  const std::string text = serve::HttpGet(kHost, port, "/metrics").body;
   const std::string needle = "\ntg_avs_edges_generated ";
   const std::size_t at = text.find(needle);
   ASSERT_NE(at, std::string::npos) << text;
