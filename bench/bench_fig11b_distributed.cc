@@ -50,7 +50,7 @@ int main() {
 
   std::printf(
       "\n%-7s %12s %12s %14s %14s   (simulated cluster seconds: max "
-      "per-worker CPU + wire)\n",
+      "per-worker CPU + wire; TrillionG adds its table build)\n",
       "scale", "RMAT/p-mem", "RMAT/p-disk", "TrillionG-TSV",
       "TrillionG-ADJ6");
 

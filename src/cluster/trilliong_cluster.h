@@ -15,7 +15,10 @@ namespace tg::cluster {
 ///   3. repartition — the master re-cuts bin boundaries to equal mass;
 ///   4. scatter  — boundaries travel back and every worker generates its
 ///                 ranges with the recursive vector model.
-/// Steps 1-3 replace the in-process closed-form CDF partitioner. Step 4 is
+/// Steps 1 and 3 are core::CombineThreadBins and core::RepartitionBins
+/// (core/partitioner.h), so the boundaries are exactly
+/// PartitionByCombine(noise, |E|, p, p); they replace the in-process
+/// closed-form CDF partitioner. Step 4 is
 /// one core::Generate call with those boundaries over the cluster's
 /// WorkerTopology: worker w is tagged with its machine and charges that
 /// machine's budget, so each machine builds one prefix-table set and steals
@@ -28,10 +31,12 @@ struct ClusterGenerateStats {
   std::uint64_t control_bytes = 0;   ///< bin summaries on the wire
   std::uint64_t peak_machine_bytes = 0;
 
-  /// End-to-end simulated elapsed time.
+  /// End-to-end simulated elapsed time. Every machine builds its prefix
+  /// tables in parallel before its workers start, so the longest build is
+  /// paid once.
   double TotalSeconds() const {
     return combine_seconds + gather_scatter_seconds + repartition_seconds +
-           generate.max_worker_cpu_seconds;
+           generate.max_table_build_seconds + generate.max_worker_cpu_seconds;
   }
 };
 

@@ -45,8 +45,9 @@ struct AvsWorkerStats {
   /// Scopes and edges produced by the table kernel (vs the descent kernel).
   std::uint64_t table_scopes = 0;
   std::uint64_t table_edges = 0;
-  /// Bitmap words the dense dedup wiped lazily (regression canary: must stay
-  /// proportional to inserted entries, not to |V| per dense scope).
+  /// Bitmap words the dense scopes dirtied, each wiped as its scope ends,
+  /// so the total is the same under any schedule (regression canary: must
+  /// stay proportional to inserted entries, not to |V| per dense scope).
   std::uint64_t dedup_wiped_words = 0;
 
   void MergeFrom(const AvsWorkerStats& o) {
@@ -337,7 +338,6 @@ class AvsRangeGenerator {
     ScopeDedup& dedup = scratch->dedup;
     const std::uint64_t wiped_before = dedup.wiped_words();
     dedup.Reset(degree, num_vertices_);
-    stats->dedup_wiped_words += dedup.wiped_words() - wiped_before;
     if (scratch->adj.size() < degree) scratch->adj.resize(degree);
     VertexId* adj = scratch->adj.data();
 
@@ -376,6 +376,8 @@ class AvsRangeGenerator {
         n += dedup.Insert(v) ? 1 : 0;
       }
     }
+    dedup.WipeDirty();
+    stats->dedup_wiped_words += dedup.wiped_words() - wiped_before;
 
     stats->num_edges += n;
     stats->num_scopes += 1;

@@ -30,38 +30,6 @@ double CumulativeRowProbability(const model::NoiseVector& noise, VertexId u) {
   return cum;
 }
 
-std::vector<VertexId> PartitionByCdf(const model::NoiseVector& noise,
-                                     int num_bins) {
-  TG_CHECK(num_bins >= 1);
-  const VertexId num_vertices = VertexId{1} << noise.levels();
-  const double total = CumulativeRowProbability(noise, num_vertices);
-
-  std::vector<VertexId> boundaries(num_bins + 1);
-  boundaries[0] = 0;
-  boundaries[num_bins] = num_vertices;
-  for (int i = 1; i < num_bins; ++i) {
-    double target = total * static_cast<double>(i) / num_bins;
-    // Smallest u with Cum(u) >= target.
-    VertexId lo = 0;
-    VertexId hi = num_vertices;
-    while (lo < hi) {
-      VertexId mid = lo + (hi - lo) / 2;
-      if (CumulativeRowProbability(noise, mid) < target) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    boundaries[i] = lo;
-  }
-  // Monotonicity guard: extremely skewed seeds can push several boundaries
-  // onto the same vertex; keep them non-decreasing.
-  for (int i = 1; i <= num_bins; ++i) {
-    boundaries[i] = std::max(boundaries[i], boundaries[i - 1]);
-  }
-  return boundaries;
-}
-
 std::vector<VertexId> PartitionRangeByCdf(const model::NoiseVector& noise,
                                           VertexId lo, VertexId hi,
                                           int num_bins) {
@@ -88,75 +56,75 @@ std::vector<VertexId> PartitionRangeByCdf(const model::NoiseVector& noise,
     }
     boundaries[i] = a;
   }
+  // Monotonicity guard: extremely skewed seeds can push several boundaries
+  // onto the same vertex; keep them non-decreasing.
   for (int i = 1; i <= num_bins; ++i) {
     boundaries[i] = std::max(boundaries[i], boundaries[i - 1]);
   }
   return boundaries;
 }
 
-namespace {
+std::vector<VertexId> PartitionByCdf(const model::NoiseVector& noise,
+                                     int num_bins) {
+  return PartitionRangeByCdf(noise, 0, VertexId{1} << noise.levels(),
+                             num_bins);
+}
 
-/// One bin of Figure 6's combining step: a contiguous vertex range plus its
-/// combined expected edge mass.
-struct Bin {
-  VertexId begin = 0;
-  VertexId end = 0;
-  double mass = 0.0;
-};
-
-}  // namespace
-
-std::vector<VertexId> PartitionByCombine(const model::NoiseVector& noise,
-                                         std::uint64_t num_edges,
-                                         int num_threads, int num_bins) {
+std::vector<MassBin> CombineThreadBins(const model::NoiseVector& noise,
+                                       std::uint64_t num_edges, int thread,
+                                       int num_threads, int num_bins) {
   TG_CHECK(num_threads >= 1);
+  TG_CHECK(thread >= 0 && thread < num_threads);
   TG_CHECK(num_bins >= 1);
   const int scale = noise.levels();
   const VertexId num_vertices = VertexId{1} << scale;
   const double per_bin_target =
       static_cast<double>(num_edges) / static_cast<double>(num_bins);
-
-  // Combining step: each thread takes an equal contiguous vertex range and
-  // greedily packs consecutive scopes into bins of ~|E|/p expected mass.
-  std::vector<Bin> gathered;  // gathering step: ordered concatenation
   const VertexId chunk = std::max<VertexId>(num_vertices / num_threads, 1);
-  for (int t = 0; t < num_threads; ++t) {
-    VertexId begin = std::min<VertexId>(static_cast<VertexId>(t) * chunk,
-                                        num_vertices);
-    VertexId end = (t == num_threads - 1)
-                       ? num_vertices
-                       : std::min<VertexId>(begin + chunk, num_vertices);
-    Bin current{begin, begin, 0.0};
-    for (VertexId u = begin; u < end; ++u) {
-      double mass = static_cast<double>(num_edges);
-      for (int p = 0; p < scale; ++p) {
-        mass *= noise.RowSumAtBit(p, static_cast<int>((u >> p) & 1u));
-      }
-      current.mass += mass;
-      current.end = u + 1;
-      if (current.mass >= per_bin_target) {
-        gathered.push_back(current);
-        current = Bin{u + 1, u + 1, 0.0};
-      }
+  const VertexId begin =
+      std::min<VertexId>(static_cast<VertexId>(thread) * chunk, num_vertices);
+  const VertexId end = (thread == num_threads - 1)
+                           ? num_vertices
+                           : std::min<VertexId>(begin + chunk, num_vertices);
+  std::vector<MassBin> bins;
+  MassBin current{begin, begin, 0.0};
+  for (VertexId u = begin; u < end; ++u) {
+    double mass = static_cast<double>(num_edges);
+    for (int p = 0; p < scale; ++p) {
+      mass *= noise.RowSumAtBit(p, static_cast<int>((u >> p) & 1u));
     }
-    if (current.end > current.begin) gathered.push_back(current);
+    current.mass += mass;
+    current.end = u + 1;
+    if (current.mass >= per_bin_target) {
+      bins.push_back(current);
+      current = MassBin{u + 1, u + 1, 0.0};
+    }
   }
+  if (current.end > current.begin) bins.push_back(current);
+  return bins;
+}
 
-  // Repartitioning step (master): walk the gathered bins, cutting at
-  // cumulative-mass multiples of total/num_bins.
+std::vector<VertexId> RepartitionBins(
+    const std::vector<std::vector<MassBin>>& gathered, VertexId num_vertices,
+    int num_bins) {
+  TG_CHECK(num_bins >= 1);
   double total_mass = 0.0;
-  for (const Bin& b : gathered) total_mass += b.mass;
+  for (const std::vector<MassBin>& bins : gathered) {
+    for (const MassBin& b : bins) total_mass += b.mass;
+  }
   std::vector<VertexId> boundaries;
   boundaries.reserve(num_bins + 1);
   boundaries.push_back(0);
   double cum = 0.0;
   int next_cut = 1;
-  for (const Bin& b : gathered) {
-    cum += b.mass;
-    while (next_cut < num_bins &&
-           cum >= total_mass * next_cut / num_bins) {
-      boundaries.push_back(b.end);
-      ++next_cut;
+  for (const std::vector<MassBin>& bins : gathered) {
+    for (const MassBin& b : bins) {
+      cum += b.mass;
+      while (next_cut < num_bins &&
+             cum >= total_mass * next_cut / num_bins) {
+        boundaries.push_back(b.end);
+        ++next_cut;
+      }
     }
   }
   while (static_cast<int>(boundaries.size()) < num_bins) {
@@ -167,6 +135,17 @@ std::vector<VertexId> PartitionByCombine(const model::NoiseVector& noise,
     boundaries[i] = std::max(boundaries[i], boundaries[i - 1]);
   }
   return boundaries;
+}
+
+std::vector<VertexId> PartitionByCombine(const model::NoiseVector& noise,
+                                         std::uint64_t num_edges,
+                                         int num_threads, int num_bins) {
+  TG_CHECK(num_threads >= 1);
+  std::vector<std::vector<MassBin>> gathered(num_threads);
+  for (int t = 0; t < num_threads; ++t) {
+    gathered[t] = CombineThreadBins(noise, num_edges, t, num_threads, num_bins);
+  }
+  return RepartitionBins(gathered, VertexId{1} << noise.levels(), num_bins);
 }
 
 }  // namespace tg::core

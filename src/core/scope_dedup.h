@@ -32,8 +32,9 @@ namespace tg::core {
 ///    the current scope's is empty. Reset bumps the stamp — O(1), with one
 ///    full wipe every 65535 sparse scopes when the stamp wraps. Vertex ids
 ///    are below 2^48 (kMaxScale), so the shifted id never loses a bit;
-///  * a dense Reset wipes only the words the previous dense scope actually
-///    dirtied (a touched-word log) — O(d) per scope, never O(|V|/64).
+///  * a dense scope wipes only the words it actually dirtied (a touched-word
+///    log) — O(d) per scope, never O(|V|/64). WipeDirty() does it as the
+///    scope ends; a dense Reset wipes whatever a caller left dirty.
 ///    wiped_words() counts the wiped words cumulatively so tests can pin
 ///    this down.
 class ScopeDedup {
@@ -59,9 +60,7 @@ class ScopeDedup {
       // are wiped from the touched log — the only O(words_) cost is the
       // one-time high-water-mark growth.
       if (bits_.size() < words_) bits_.resize(words_, 0);
-      for (std::size_t w : dirty_) bits_[w] = 0;
-      wiped_words_ += dirty_.size();
-      dirty_.clear();
+      WipeDirty();
     } else {
       // This scope probes only its own power-of-two prefix of the table,
       // sized for a load of at most 1/4 once all `degree` values are in
@@ -120,10 +119,20 @@ class ScopeDedup {
     }
   }
 
+  /// Zeroes the bitmap words logged since the last wipe and counts them in
+  /// wiped_words(); a no-op after a sparse scope. Calling it as each dense
+  /// scope ends charges every scope's wipe to that scope, so the count does
+  /// not depend on which scopes shared this instance.
+  void WipeDirty() {
+    for (std::size_t w : dirty_) bits_[w] = 0;
+    wiped_words_ += dirty_.size();
+    dirty_.clear();
+  }
+
   std::size_t size() const { return size_; }
   bool dense() const { return dense_; }
 
-  /// Cumulative count of bitmap words zeroed by dense Resets. With lazy
+  /// Cumulative count of bitmap words zeroed by WipeDirty. With lazy
   /// clearing this tracks inserted entries, not scopes * |V|/64; the
   /// generator_test regression assertion relies on exactly that.
   std::uint64_t wiped_words() const { return wiped_words_; }

@@ -70,9 +70,15 @@ GenerateStats RunTyped(const TrillionGConfig& config,
         static_cast<int>(it - domain_budgets.begin()));
     if (it != domain_budgets.end()) continue;
     domain_budgets.push_back(budget);
+    Stopwatch build_watch;
     generators.push_back(std::make_unique<AvsRangeGenerator<Real>>(
         &noise, config.NumEdges(), config.determiner, budget,
         config.exclude_self_loops, config.shared_prefix_tables));
+    if (generators.back()->uses_table_kernel() &&
+        config.shared_prefix_tables == nullptr) {
+      stats.max_table_build_seconds = std::max(stats.max_table_build_seconds,
+                                               build_watch.ElapsedSeconds());
+    }
   }
 
   std::vector<AvsWorkerStats> worker_stats(config.num_workers);

@@ -78,10 +78,11 @@ struct TrillionGConfig {
   /// resume).
   const std::atomic<bool>* cancel_flag = nullptr;
 
-  /// Precomputed worker-range boundaries (size num_workers + 1), exactly
-  /// what PartitionByCdf(noise, num_workers) would return for this config.
-  /// Empty (the default) computes them; the serve daemon's artifact cache
-  /// injects memoized plans here. Output bytes are identical either way.
+  /// Precomputed worker-range boundaries (size num_workers + 1). Empty (the
+  /// default) computes PartitionByCdf(noise, num_workers);
+  /// cluster::GenerateOnCluster injects the boundaries its Figure 6
+  /// repartition step computed. Output bytes are identical for any
+  /// boundaries (scope RNG streams are partition-independent).
   std::vector<VertexId> precomputed_boundaries;
 
   /// Prefix tables already built for this config's noise vector (not
@@ -132,6 +133,11 @@ struct GenerateStats {
   /// every worker has its own core (used by the cluster-comparison benches
   /// on oversubscribed hosts).
   double max_worker_cpu_seconds = 0.0;
+  /// Longest prefix-table build of the run's generators (one per budget,
+  /// built on the calling thread before the workers start). Simulated
+  /// machines build in parallel, so the cluster driver charges this once.
+  /// 0 when shared_prefix_tables was injected or the descent kernel ran.
+  double max_table_build_seconds = 0.0;
   /// Work-stealing scheduler observations. Every run goes through the
   /// scheduler, so sched_chunks counts num_workers * chunks_per_worker
   /// (less any resumed or cancelled chunks) even with one worker; steals
@@ -189,7 +195,8 @@ GenerateStats GenerateToSink(const TrillionGConfig& config, ScopeSink* sink);
 /// The per-level noise vector a Generate() run over `config` would build
 /// (AVS-I transposes the seed; NSKG perturbs from the run's dedicated RNG
 /// stream). Exposed so the serve daemon's artifact cache can precompute
-/// partition plans and prefix tables bit-identical to the run's own.
+/// prefix tables, and the cluster driver range boundaries, bit-identical to
+/// the run's own.
 model::NoiseVector MakeRunNoise(const TrillionGConfig& config);
 
 }  // namespace tg::core

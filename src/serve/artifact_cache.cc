@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/partitioner.h"
 #include "core/trilliong.h"
 #include "model/noise.h"
 #include "obs/metrics.h"
@@ -27,51 +26,12 @@ ArtifactCache::ArtifactCache(const Options& options) : options_(options) {
 
 ArtifactCache::~ArtifactCache() {
   double table_bytes = 0;
-  for (const auto& [key, entry] : models_) {
-    if (entry.tables != nullptr) table_bytes += entry.tables->MemoryBytes();
+  for (const auto& [key, tables] : models_) {
+    table_bytes += tables->MemoryBytes();
   }
   obs::GetGauge("serve.cache.table_bytes")->Add(-table_bytes);
   AddGraphGauges(-static_cast<double>(graph_bytes_),
                  -static_cast<double>(graphs_.size()));
-}
-
-ArtifactCache::ModelEntry* ArtifactCache::ModelFor(std::uint64_t key) {
-  auto it = models_.find(key);
-  if (it != models_.end()) return &it->second;
-  if (models_.size() >= options_.max_models && !model_age_.empty()) {
-    // Age out the oldest model. In-flight runs keep their artifacts alive
-    // through their shared_ptr pins; only the memoization is lost.
-    auto oldest = models_.find(model_age_.front());
-    if (oldest->second.tables != nullptr) {
-      obs::GetGauge("serve.cache.table_bytes")
-          ->Add(-static_cast<double>(oldest->second.tables->MemoryBytes()));
-    }
-    models_.erase(oldest);
-    model_age_.pop_front();
-  }
-  model_age_.push_back(key);
-  return &models_[key];
-}
-
-std::shared_ptr<const std::vector<VertexId>> ArtifactCache::PartitionPlan(
-    const GenRequest& request, bool* computed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ModelEntry* entry = ModelFor(ModelKey(request));
-  auto it = entry->plans.find(request.workers);
-  if (it != entry->plans.end()) {
-    if (computed != nullptr) *computed = false;
-    return it->second;
-  }
-  // Building under mu_ is deliberate: the closed-form CDF inversion is
-  // milliseconds even at max scale, and holding the lock makes concurrent
-  // identical requests share one build instead of racing duplicates.
-  const model::NoiseVector noise = core::MakeRunNoise(ToConfig(request));
-  auto plan = std::make_shared<const std::vector<VertexId>>(
-      core::PartitionByCdf(noise, request.workers));
-  entry->plans[request.workers] = plan;
-  obs::GetCounter("serve.cache.plan_builds")->Add(1);
-  if (computed != nullptr) *computed = true;
-  return plan;
 }
 
 std::shared_ptr<const core::AvsPrefixTables> ArtifactCache::PrefixTables(
@@ -84,18 +44,30 @@ std::shared_ptr<const core::AvsPrefixTables> ArtifactCache::PrefixTables(
     return nullptr;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  ModelEntry* entry = ModelFor(ModelKey(request));
-  if (entry->tables == nullptr) {
-    const model::NoiseVector noise = core::MakeRunNoise(ToConfig(request));
-    auto tables = std::make_shared<core::AvsPrefixTables>();
-    tables->Build(noise);
-    entry->tables = tables;
-    obs::GetCounter("serve.cache.table_builds")->Add(1);
+  const std::uint64_t key = ModelKey(request);
+  auto it = models_.find(key);
+  if (it != models_.end()) return it->second;
+  if (models_.size() >= options_.max_models && !model_age_.empty()) {
+    // Age out the oldest model. In-flight runs keep their tables alive
+    // through their shared_ptr pins; only the memoization is lost.
+    auto oldest = models_.find(model_age_.front());
     obs::GetGauge("serve.cache.table_bytes")
-        ->Add(static_cast<double>(tables->MemoryBytes()));
-    if (built != nullptr) *built = true;
+        ->Add(-static_cast<double>(oldest->second->MemoryBytes()));
+    models_.erase(oldest);
+    model_age_.pop_front();
   }
-  return entry->tables;
+  // Building under mu_ makes concurrent identical requests share one build
+  // instead of racing duplicates.
+  const model::NoiseVector noise = core::MakeRunNoise(ToConfig(request));
+  auto tables = std::make_shared<core::AvsPrefixTables>();
+  tables->Build(noise);
+  models_[key] = tables;
+  model_age_.push_back(key);
+  obs::GetCounter("serve.cache.table_builds")->Add(1);
+  obs::GetGauge("serve.cache.table_bytes")
+      ->Add(static_cast<double>(tables->MemoryBytes()));
+  if (built != nullptr) *built = true;
+  return tables;
 }
 
 std::shared_ptr<const std::string> ArtifactCache::LookupGraph(

@@ -4,14 +4,14 @@
 // (shuffle-free AVS partitioning, per-scope RNG forking), which makes two
 // kinds of reuse correct by construction:
 //
-//  * Model artifacts. The prefix tables (core/prefix_tables.h) and the CDF
-//    partition plan (core/partitioner.h) depend only on the noise vector —
-//    seed matrix, scale, noise, direction, and the rng seed only when
-//    noise > 0 (it draws the NSKG noise) — and, for the plan, the worker
-//    count. Requests sharing a model reuse one read-only
-//    instance instead of rebuilding per request; TrillionGConfig's
-//    shared_prefix_tables / precomputed_boundaries inject them into the
-//    run, whose output bytes are identical either way.
+//  * Model artifacts. The prefix tables (core/prefix_tables.h) depend only
+//    on the noise vector — seed matrix, scale, noise, direction, and the
+//    rng seed only when noise > 0 (it draws the NSKG noise). Requests
+//    sharing a model reuse one read-only instance instead of rebuilding per
+//    request; TrillionGConfig::shared_prefix_tables injects it into the
+//    run, whose output bytes are identical either way. The worker-range
+//    plan is not cached: core::Generate recomputes it in microseconds
+//    (core/partitioner.h), as it does for gen_cli.
 //
 //  * Whole graphs. Small popular configurations are kept content-addressed
 //    by fault::ConfigFingerprint (the hash the resume journal already uses
@@ -29,19 +29,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "core/prefix_tables.h"
 #include "serve/request.h"
-#include "util/common.h"
 
 namespace tg::serve {
 
 class ArtifactCache {
  public:
   struct Options {
-    /// Total whole-graph cache budget; 0 disables graph caching (model
-    /// artifacts are always memoized — they are small and always correct).
+    /// Total whole-graph cache budget; 0 disables graph caching (prefix
+    /// tables are always memoized — they are small and always correct).
     std::uint64_t graph_cache_bytes = 0;
     /// Largest single graph admitted; 0 means graph_cache_bytes / 4.
     std::uint64_t graph_entry_max_bytes = 0;
@@ -58,12 +57,6 @@ class ArtifactCache {
 
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
-
-  /// The memoized partition plan for (request's model, request's workers) —
-  /// exactly PartitionByCdf(MakeRunNoise(config), workers), computed on
-  /// first use. `*computed` reports whether this call built it (a miss).
-  std::shared_ptr<const std::vector<VertexId>> PartitionPlan(
-      const GenRequest& request, bool* computed);
 
   /// The memoized prefix tables for the request's model, or nullptr when
   /// the table kernel is ineligible for this request (dd precision or
@@ -89,21 +82,16 @@ class ArtifactCache {
   }
 
  private:
-  struct ModelEntry {
-    std::shared_ptr<const core::AvsPrefixTables> tables;  ///< null until built
-    std::map<int, std::shared_ptr<const std::vector<VertexId>>> plans;
-  };
   struct GraphEntry {
     std::uint64_t fingerprint = 0;
     std::shared_ptr<const std::string> payload;
   };
 
-  ModelEntry* ModelFor(std::uint64_t key);  ///< mu_ held
-
   Options options_;
   mutable std::mutex mu_;
-  /// Model key -> artifacts, with FIFO age order for eviction.
-  std::map<std::uint64_t, ModelEntry> models_;
+  /// Model key -> prefix tables, with FIFO age order for eviction.
+  std::map<std::uint64_t, std::shared_ptr<const core::AvsPrefixTables>>
+      models_;
   std::list<std::uint64_t> model_age_;
   /// Whole-graph LRU: front of lru_ is most recently used.
   std::list<GraphEntry> lru_;

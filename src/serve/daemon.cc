@@ -472,11 +472,8 @@ void ServeDaemon::RunRequest(const std::shared_ptr<Request>& req) {
     pool_->Run(bodies);
   };
 
-  // Cached model artifacts: the plan and tables a fresh run would compute,
-  // shared read-only across every request with the same model.
-  std::shared_ptr<const std::vector<VertexId>> plan =
-      cache_->PartitionPlan(req->gen, nullptr);
-  config.precomputed_boundaries = *plan;
+  // Cached model artifact: the tables a fresh run would build, shared
+  // read-only across every request with the same model.
   std::shared_ptr<const core::AvsPrefixTables> tables =
       cache_->PrefixTables(req->gen, nullptr);
   config.shared_prefix_tables = tables.get();

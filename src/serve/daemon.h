@@ -34,8 +34,8 @@
 // in-flight counts (429 + Retry-After beyond them), so one tenant cannot
 // monopolize the pool or the queue. Completed graphs small enough for the
 // artifact cache are kept content-addressed by ConfigFingerprint and served
-// from memory on repeat; prefix tables and partition plans are memoized
-// across requests regardless of size (serve/artifact_cache.h).
+// from memory on repeat; prefix tables are memoized across requests
+// regardless of size (serve/artifact_cache.h).
 //
 // docs/SERVING.md is the operator's guide.
 #ifndef TRILLIONG_SERVE_DAEMON_H_

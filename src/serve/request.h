@@ -13,7 +13,7 @@
 // function of its parameters: Fingerprint() (the same hash the resume
 // journal uses to refuse splicing mismatched outputs) keys the daemon's
 // whole-graph cache, and ModelKey() — the subset of parameters that shape
-// the noise vector — keys the shared prefix tables and partition plans.
+// the noise vector — keys the shared prefix tables.
 #ifndef TRILLIONG_SERVE_REQUEST_H_
 #define TRILLIONG_SERVE_REQUEST_H_
 
@@ -75,8 +75,7 @@ std::uint64_t Fingerprint(const GenRequest& request);
 
 /// Hash of only the parameters that shape the noise vector (seed matrix,
 /// scale, noise, direction, and the rng seed when noise > 0). Requests with
-/// equal model keys share prefix tables; plans additionally key on the
-/// worker count.
+/// equal model keys share prefix tables.
 std::uint64_t ModelKey(const GenRequest& request);
 
 }  // namespace tg::serve

@@ -11,6 +11,7 @@
 #include "cluster/network_model.h"
 #include "cluster/sim_cluster.h"
 #include "cluster/trilliong_cluster.h"
+#include "core/partitioner.h"
 #include "core/prefix_tables.h"
 #include "core/trilliong.h"
 
@@ -283,6 +284,50 @@ TEST(TrillionGClusterTest, AgreesWithCoreGenerateOnItsBoundaries) {
   EXPECT_GT(c.table_edges, 0u);
   EXPECT_GT(c.generate_seconds, 0.0);
   EXPECT_EQ(on_cluster.finished.load(), 4);
+}
+
+// Phases 1 and 3 are the partitioner's Figure 6 steps: the boundaries the
+// sinks are created with are PartitionByCombine's, bit for bit.
+TEST(TrillionGClusterTest, BoundariesArePartitionByCombine) {
+  const core::TrillionGConfig config = SmallConfig();
+  for (const SimCluster::Options& topology :
+       {SimCluster::Options{2, 2, 0, {}}, SimCluster::Options{4, 1, 0, {}}}) {
+    SimCluster cluster(topology);
+    const int p = cluster.num_workers();
+    ShardBytes shards(p);
+    GenerateOnCluster(&cluster, config, shards.Factory());
+    EXPECT_EQ(shards.boundaries,
+              core::PartitionByCombine(core::MakeRunNoise(config),
+                                       config.NumEdges(), p, p))
+        << topology.num_machines << "x" << topology.threads_per_machine;
+  }
+}
+
+// Each machine builds its prefix tables before its workers start, in
+// parallel with the others: the simulated total pays the longest build once.
+TEST(TrillionGClusterTest, TotalSecondsChargesTheTableBuild) {
+  core::TrillionGConfig config = SmallConfig();
+  const core::SinkFactory counting =
+      [](int, VertexId, VertexId) -> std::unique_ptr<core::ScopeSink> {
+    return std::make_unique<core::CountingSink>();
+  };
+  SimCluster cluster({2, 2, 0, {}});
+  const ClusterGenerateStats stats =
+      GenerateOnCluster(&cluster, config, counting);
+  EXPECT_GT(stats.generate.max_table_build_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.TotalSeconds(),
+                   stats.combine_seconds + stats.gather_scatter_seconds +
+                       stats.repartition_seconds +
+                       stats.generate.max_table_build_seconds +
+                       stats.generate.max_worker_cpu_seconds);
+
+  // Injected tables are not built, and the descent kernel has none.
+  const core::AvsPrefixTables tables(core::MakeRunNoise(config));
+  config.shared_prefix_tables = &tables;
+  EXPECT_EQ(core::Generate(config, counting).max_table_build_seconds, 0.0);
+  config.shared_prefix_tables = nullptr;
+  config.determiner.use_prefix_tables = false;
+  EXPECT_EQ(core::Generate(config, counting).max_table_build_seconds, 0.0);
 }
 
 TEST(TrillionGClusterTest, HonorsCancelFlagAndWorkerRunner) {

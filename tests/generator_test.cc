@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -693,6 +694,35 @@ TEST(AvsGeneratorTest, DedupWipeWorkIsProportionalToEdges) {
   const std::uint64_t wiped =
       obs::GetCounter("kernel.dedup_wiped_words")->value() - before;
   EXPECT_LE(wiped, stats.num_edges);
+}
+
+TEST(AvsGeneratorTest, DedupWipeCountIsScheduleIndependent) {
+  // Each dense scope wipes its own dirtied words before it returns, so the
+  // gated counter is a function of the scopes alone: it must not move with
+  // the worker count or with which worker's dedup buffer ran which scope.
+  TrillionGConfig config = SmallConfig(10);
+  config.edge_factor = 32;  // most scopes are dense
+  auto wiped_words = [&](int workers, bool reversed) {
+    TrillionGConfig run = config;
+    run.num_workers = workers;
+    if (reversed) {
+      run.worker_runner = [](std::vector<std::function<void()>>& bodies) {
+        for (auto body = bodies.rbegin(); body != bodies.rend(); ++body) {
+          (*body)();
+        }
+      };
+    }
+    obs::Counter* counter = obs::GetCounter("kernel.dedup_wiped_words");
+    const std::uint64_t before = counter->value();
+    Generate(run, [](int, VertexId, VertexId) -> std::unique_ptr<ScopeSink> {
+      return std::make_unique<CountingSink>();
+    });
+    return counter->value() - before;
+  };
+  const std::uint64_t one_worker = wiped_words(1, false);
+  EXPECT_GT(one_worker, 0u);
+  EXPECT_EQ(wiped_words(4, false), one_worker);
+  EXPECT_EQ(wiped_words(4, true), one_worker);
 }
 
 /// FNV-1a over the concatenated shards a scale-16, seed-42 run writes in

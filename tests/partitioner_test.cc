@@ -122,6 +122,35 @@ TEST(PartitionerTest, CombineProtocolAgreesWithCdfApproximately) {
   EXPECT_EQ(by_combine.back(), VertexId{1} << scale);
 }
 
+TEST(PartitionerTest, CombineStepsComposeToPartitionByCombine) {
+  // The cluster driver runs the two Figure 6 steps on separate threads;
+  // composed by hand they must give PartitionByCombine's boundaries
+  // exactly, and each thread's bins must tile its equal-vertex chunk.
+  const int scale = 12;
+  NoiseVector noise(SeedMatrix(0.7, 0.15, 0.1, 0.05), scale);
+  const VertexId num_vertices = VertexId{1} << scale;
+  const std::uint64_t num_edges = 16ULL << scale;
+  for (int threads : {1, 2, 3, 4, 7}) {
+    for (int bins : {1, 2, 4, 6, 16}) {
+      std::vector<std::vector<MassBin>> gathered;
+      VertexId next = 0;
+      for (int t = 0; t < threads; ++t) {
+        gathered.push_back(
+            CombineThreadBins(noise, num_edges, t, threads, bins));
+        for (const MassBin& b : gathered.back()) {
+          EXPECT_EQ(b.begin, next);
+          EXPECT_GT(b.end, b.begin);
+          next = b.end;
+        }
+      }
+      EXPECT_EQ(next, num_vertices);
+      EXPECT_EQ(RepartitionBins(gathered, num_vertices, bins),
+                PartitionByCombine(noise, num_edges, threads, bins))
+          << "threads=" << threads << " bins=" << bins;
+    }
+  }
+}
+
 TEST(PartitionerTest, RangeCdfMatchesWholeRangePartition) {
   // Restricting to [0, |V|) uses the same targets as PartitionByCdf, so the
   // boundaries must agree exactly.

@@ -343,7 +343,6 @@ TEST_F(DaemonFixture, NoiselessModelIsBuiltOnceAcrossSeeds) {
   Start(DaemonOptions{});
   const std::uint64_t tables_before =
       CounterValue("serve.cache.table_builds");
-  const std::uint64_t plans_before = CounterValue("serve.cache.plan_builds");
   for (std::uint64_t seed : {101, 102, 103}) {
     const std::string json = NoisyRequestJson(seed, 0.0);
     ClientResponse got = Post(json);
@@ -354,14 +353,12 @@ TEST_F(DaemonFixture, NoiselessModelIsBuiltOnceAcrossSeeds) {
         << "seed " << seed;
   }
   EXPECT_EQ(CounterValue("serve.cache.table_builds"), tables_before + 1);
-  EXPECT_EQ(CounterValue("serve.cache.plan_builds"), plans_before + 1);
 }
 
 TEST_F(DaemonFixture, NoisyModelsAreBuiltPerSeed) {
   Start(DaemonOptions{});
   const std::uint64_t tables_before =
       CounterValue("serve.cache.table_builds");
-  const std::uint64_t plans_before = CounterValue("serve.cache.plan_builds");
   for (std::uint64_t seed : {201, 202}) {
     const std::string json = NoisyRequestJson(seed, 0.1);
     ClientResponse got = Post(json);
@@ -371,7 +368,6 @@ TEST_F(DaemonFixture, NoisyModelsAreBuiltPerSeed) {
         << "seed " << seed;
   }
   EXPECT_EQ(CounterValue("serve.cache.table_builds"), tables_before + 2);
-  EXPECT_EQ(CounterValue("serve.cache.plan_builds"), plans_before + 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,15 +511,6 @@ TEST(ArtifactCacheTest, ModelArtifactsAreMemoizedAndGraphLruEvicts) {
 
   GenRequest request;
   request.scale = 10;
-  bool computed = false;
-  auto plan = cache.PartitionPlan(request, &computed);
-  EXPECT_TRUE(computed);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->size(), static_cast<std::size_t>(request.workers) + 1);
-  auto again = cache.PartitionPlan(request, &computed);
-  EXPECT_FALSE(computed);
-  EXPECT_EQ(plan.get(), again.get());
-
   bool built = false;
   auto tables = cache.PrefixTables(request, &built);
   EXPECT_TRUE(built);
