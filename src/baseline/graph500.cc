@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "baseline/rmat.h"
+#include "baseline/wesp.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "rng/random.h"
-#include "util/stopwatch.h"
 
 namespace tg::baseline {
 
@@ -35,70 +34,39 @@ Graph500Stats RunGraph500(cluster::SimCluster* cluster,
   const VertexId block = (num_vertices + machines - 1) / machines;
   const std::uint64_t scramble_key = rng::MixSeeds(options.rng_seed, 0x6500);
 
-  const model::NoiseVector noise = [&] {
-    if (options.noise <= 0.0) {
-      return model::NoiseVector(options.seed, options.scale);
-    }
-    rng::Rng noise_rng(options.rng_seed, 0xA015E1ULL);
-    return model::NoiseVector(options.seed, options.scale, options.noise,
-                              &noise_rng);
-  }();
-
-  // Shared read-only prefix tables (Sample is const); per-worker RNG
-  // streams are unchanged.
-  const RmatPrefixTables tables(noise);
+  // Shared read-only prefix tables (Sample is const); each worker keeps its
+  // own RNG stream.
+  const RmatPrefixTables tables(model::MakeNskgNoise(
+      options.seed, options.scale, options.noise, options.rng_seed));
+  // Each worker owns a contiguous slice of edge indices; ownership of
+  // vertices is irrelevant thanks to scrambling.
+  std::vector<std::uint64_t> edges_per_worker(workers);
+  for (int w = 0; w < workers; ++w) {
+    const std::uint64_t begin =
+        std::min(static_cast<std::uint64_t>(w) * per_worker, total_edges);
+    edges_per_worker[w] = std::min(per_worker, total_edges - begin);
+  }
 
   Graph500Stats stats;
 
-  // --- Phase 1: edge generation (each worker owns a contiguous slice of
-  // edge indices; ownership of vertices is irrelevant thanks to scrambling).
+  // --- Phase 1: edge generation, then the shuffle that starts phase 2.
   // Phase times are simulated cluster times: max per-worker CPU time (what
   // the phase takes when every worker has its own core) plus wire time.
-  std::vector<std::vector<std::vector<Edge>>> outbox(workers);
-  stats.generation_seconds = cluster->RunParallel([&](int w) {
-    TG_SPAN("g500.generate");
-    rng::Rng rng(options.rng_seed, 2000 + static_cast<std::uint64_t>(w));
-    auto& buckets = outbox[w];
-    buckets.resize(workers);
-    MemoryBudget* budget = cluster->worker_budget(w);
-    MemoryBudget::TagStats* shuffle_tag = budget->Tag("cluster.shuffle_buf");
-    std::uint64_t begin = static_cast<std::uint64_t>(w) * per_worker;
-    std::uint64_t end = std::min(begin + per_worker, total_edges);
-    std::uint64_t registered = 0;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      Edge e = tables.Sample(&rng);
-      e.src = ScrambleVertex(e.src, options.scale, scramble_key);
-      e.dst = ScrambleVertex(e.dst, options.scale, scramble_key);
-      // Route to the machine owning the source block; spread across that
-      // machine's workers by source for a deterministic layout.
-      int machine = static_cast<int>(e.src / block);
-      int dst_worker = machine * (workers / machines);
-      buckets[dst_worker].push_back(e);
-      if (((i - begin) & 0xFFFF) == 0) {
-        std::uint64_t now = (i - begin) * sizeof(Edge);
-        budget->Allocate(now - registered, shuffle_tag);
-        registered = now;
-      }
-    }
-    budget->Allocate((end - begin) * sizeof(Edge) - registered, shuffle_tag);
-  });
+  ShuffledEdges shuffled = GenerateAndShuffle(
+      cluster, tables, options.rng_seed, /*stream_base=*/2000,
+      "g500.generate", edges_per_worker,
+      [&](Edge* e) {
+        e->src = ScrambleVertex(e->src, options.scale, scramble_key);
+        e->dst = ScrambleVertex(e->dst, options.scale, scramble_key);
+        // Route to the lead worker of the machine owning the source block.
+        return static_cast<int>(e->src / block) * (workers / machines);
+      },
+      /*charge_buffers=*/true);
+  std::vector<std::vector<Edge>>& inbox = shuffled.inbox;
+  stats.generation_seconds = shuffled.generate_seconds;
   stats.num_edges = total_edges;
 
   // --- Phase 2: construction = shuffle + per-machine CSR assembly.
-  cluster->ResetNetworkClock();
-  double shuffle_cpu_start = ThreadCpuSeconds();
-  std::vector<std::vector<Edge>> inbox = cluster->Shuffle(std::move(outbox));
-  // The in-memory concatenation work would be spread over the machines.
-  double shuffle_cpu = (ThreadCpuSeconds() - shuffle_cpu_start) / machines;
-  for (int m = 0; m < machines; ++m) {
-    cluster->machine_budget(m)->ReleaseAll();
-  }
-  for (int w = 0; w < workers; ++w) {
-    MemoryBudget* budget = cluster->worker_budget(w);
-    budget->Allocate(inbox[w].size() * sizeof(Edge),
-                     budget->Tag("cluster.shuffle_buf"));
-  }
-
   // One CSR per machine (built by its first worker; Graph500's construction
   // is not the parallel-friendly part, which is the point of Figure 14(b)).
   double assembly_seconds = cluster->RunParallel([&](int w) {
@@ -133,8 +101,8 @@ Graph500Stats RunGraph500(cluster::SimCluster* cluster,
   });
   stats.network_seconds = cluster->network_seconds();
   stats.shuffled_bytes = cluster->shuffled_bytes();
-  stats.construction_seconds =
-      shuffle_cpu + assembly_seconds + stats.network_seconds;
+  stats.construction_seconds = shuffled.shuffle_cpu_seconds +
+                               assembly_seconds + stats.network_seconds;
   stats.peak_machine_bytes = cluster->MaxMachinePeakBytes();
   obs::GetCounter("g500.edges_generated")->Add(stats.num_edges);
   cluster->RecordMachineStats();

@@ -6,118 +6,21 @@
 #include <vector>
 
 #include "numeric/bits.h"
-#include "rng/alias_table.h"
-#include "util/flat_set64.h"
 
 namespace tg::baseline {
 
-namespace {
-
-/// Prefix tables for the n x n recursive descent: the joint cell choices of
-/// up to `m` consecutive levels (n^2m outcomes, zero-padded to a power of
-/// two) become one PackedAliasTable draw, decoded into m base-n source and
-/// destination digits. The n = 2 case matches RmatPrefixTables; the general
-/// case keeps the group outcome count at or below 256.
-struct KroneckerPrefixTables {
-  struct Group {
-    VertexId radix;  ///< n^levels-in-group: the per-group digit multiplier
-    rng::PackedAliasTable table;
-    std::vector<VertexId> u_val;  ///< outcome -> source digits value
-    std::vector<VertexId> v_val;  ///< outcome -> destination digits value
-  };
-  std::vector<Group> groups;
-
-  KroneckerPrefixTables(const model::SeedMatrixN& seed, int levels) {
-    const int n = seed.n();
-    const int cells = n * n;
-    int per_group = 1;
-    while (std::pow(cells, per_group + 1) <= 256.0) ++per_group;
-    for (int l0 = 0; l0 < levels; l0 += per_group) {
-      const int m = std::min(per_group, levels - l0);
-      int outcomes = 1;
-      for (int j = 0; j < m; ++j) outcomes *= cells;
-      std::size_t padded = 1;
-      while (padded < static_cast<std::size_t>(outcomes)) padded *= 2;
-
-      Group group;
-      group.radix = 1;
-      for (int j = 0; j < m; ++j) group.radix *= n;
-      group.u_val.resize(padded, 0);
-      group.v_val.resize(padded, 0);
-      std::vector<double> weights(padded, 0.0);
-      for (int p = 0; p < outcomes; ++p) {
-        // Outcome p in base `cells`, first level of the group in the most
-        // significant digit (matching the MSB-first descent).
-        double w = 1.0;
-        VertexId u = 0, v = 0;
-        int rest = p;
-        int divisor = outcomes / cells;
-        for (int j = 0; j < m; ++j) {
-          const int cell = rest / divisor;
-          rest %= divisor;
-          divisor = divisor == 1 ? 1 : divisor / cells;
-          const int row = cell / n;
-          const int col = cell % n;
-          w *= seed.Entry(row, col);
-          u = u * n + static_cast<VertexId>(row);
-          v = v * n + static_cast<VertexId>(col);
-        }
-        weights[p] = w;
-        group.u_val[p] = u;
-        group.v_val[p] = v;
-      }
-      group.table = rng::PackedAliasTable(weights);
-      groups.push_back(std::move(group));
-    }
-  }
-
-  Edge Sample(rng::Rng* rng) const {
-    VertexId u = 0, v = 0;
-    for (const Group& group : groups) {
-      const std::uint32_t p = group.table.Sample(rng->NextUint64());
-      u = u * group.radix + group.u_val[p];
-      v = v * group.radix + group.v_val[p];
-    }
-    return Edge{u, v};
-  }
-};
-
-}  // namespace
-
 WesStats FastKronecker(const FastKroneckerOptions& options,
                        const EdgeConsumer& consume) {
-  const model::SeedMatrixN& seed = options.seed;
-  const int levels = seed.LevelsFor(options.num_vertices);
-  TG_CHECK_MSG(
-      options.num_edges <= options.num_vertices * options.num_vertices / 2,
-      "|E| must be well below |V|^2 for rejection to terminate");
-  rng::Rng rng(options.rng_seed, /*stream=*/3);
-
-  WesStats stats;
-  FlatSet64 dedup(static_cast<std::size_t>(options.num_edges));
-  ScopedAllocation dedup_mem(options.budget, dedup.MemoryBytes(),
-                             "baseline.kron.edge_set");
-  stats.peak_bytes = dedup_mem.bytes();
-
+  const RmatPrefixTables tables(options.seed,
+                                options.seed.LevelsFor(options.num_vertices));
   // Dedup key: u * |V| + v (fits 64 bits whenever |V|^2 does; the paper's
   // WES baselines die of memory long before that).
   TG_CHECK_MSG(options.num_vertices <= (VertexId{1} << 31),
                "FastKronecker dedup key overflows past |V| = 2^31");
-
-  const KroneckerPrefixTables tables(seed, levels);
-  while (dedup.size() < options.num_edges) {
-    const Edge e = tables.Sample(&rng);
-    ++stats.num_generated;
-    if (dedup.Insert(e.src * options.num_vertices + e.dst)) {
-      consume(e);
-      ++stats.num_edges;
-      if (dedup.MemoryBytes() > dedup_mem.bytes()) {
-        dedup_mem.ResizeTo(dedup.MemoryBytes());
-        stats.peak_bytes = std::max(stats.peak_bytes, dedup_mem.bytes());
-      }
-    }
-  }
-  return stats;
+  rng::Rng rng(options.rng_seed, /*stream=*/3);
+  return SampleUniqueEdges(tables, &rng, options.num_vertices,
+                           options.num_edges, options.budget,
+                           "baseline.kron.edge_set", consume);
 }
 
 AesStats KroneckerAes(const KroneckerAesOptions& options,

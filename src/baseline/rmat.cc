@@ -1,93 +1,91 @@
 #include "baseline/rmat.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "storage/external_sorter.h"
 #include "util/flat_set64.h"
 
 namespace tg::baseline {
 
-RmatPrefixTables::RmatPrefixTables(const model::NoiseVector& noise) {
-  const int levels = noise.levels();
-  for (int l0 = 0; l0 < levels; l0 += kGroupLevels) {
-    const int m = std::min(kGroupLevels, levels - l0);
-    const int outcomes = 1 << (2 * m);
+RmatPrefixTables::RmatPrefixTables(int n, int levels,
+                                   const LevelEntry& entry) {
+  const int cells = n * n;
+  TG_CHECK_MSG(cells <= 256, "a level must fit one 256-outcome group");
+  int per_group = 1;
+  for (int outcomes = cells * cells; outcomes <= 256; outcomes *= cells) {
+    ++per_group;
+  }
+  for (int l0 = 0; l0 < levels; l0 += per_group) {
+    const int m = std::min(per_group, levels - l0);
     Group group;
-    group.levels = m;
-    group.u_bits.resize(outcomes);
-    group.v_bits.resize(outcomes);
-    std::vector<double> weights(outcomes);
+    group.radix = 1;
+    int outcomes = 1;
+    for (int j = 0; j < m; ++j) {
+      group.radix *= n;
+      outcomes *= cells;
+    }
+    const std::size_t padded = std::bit_ceil(static_cast<unsigned>(outcomes));
+    group.u_digits.resize(padded, 0);
+    group.v_digits.resize(padded, 0);
+    std::vector<double> weights(padded, 0.0);
     for (int p = 0; p < outcomes; ++p) {
-      // Outcome encoding: two bits per level (row bit high), first level of
-      // the group in the most significant position: the MSB-first order of
-      // the recursive descent.
+      // Outcome p in base n^2, one cell (row * n + col) per level, first
+      // level of the group in the most significant digit: the MSB-first
+      // order of the recursive descent.
       double w = 1.0;
-      std::uint8_t ub = 0, vb = 0;
-      for (int j = 0; j < m; ++j) {
-        const int cell = (p >> (2 * (m - 1 - j))) & 3;
-        const int row = cell >> 1;
-        const int col = cell & 1;
-        w *= noise.Entry(l0 + j, row, col);
-        ub = static_cast<std::uint8_t>((ub << 1) | row);
-        vb = static_cast<std::uint8_t>((vb << 1) | col);
+      int u = 0, v = 0;
+      for (int j = 0, place = outcomes / cells; j < m; ++j, place /= cells) {
+        const int cell = p / place % cells;
+        const int row = cell / n;
+        const int col = cell % n;
+        w *= entry(l0 + j, row, col);
+        u = u * n + row;
+        v = v * n + col;
       }
       weights[p] = w;
-      group.u_bits[p] = ub;
-      group.v_bits[p] = vb;
+      group.u_digits[p] = static_cast<std::uint8_t>(u);
+      group.v_digits[p] = static_cast<std::uint8_t>(v);
     }
     group.table = rng::PackedAliasTable(weights);
     groups_.push_back(std::move(group));
   }
 }
 
+RmatPrefixTables::RmatPrefixTables(const model::NoiseVector& noise)
+    : RmatPrefixTables(2, noise.levels(), [&](int level, int row, int col) {
+        return noise.Entry(level, row, col);
+      }) {}
+
+RmatPrefixTables::RmatPrefixTables(const model::SeedMatrixN& seed, int levels)
+    : RmatPrefixTables(seed.n(), levels, [&](int, int row, int col) {
+        return seed.Entry(row, col);
+      }) {}
+
 Edge RmatPrefixTables::Sample(rng::Rng* rng) const {
   VertexId u = 0, v = 0;
   for (const Group& group : groups_) {
     const std::uint32_t p = group.table.Sample(rng->NextUint64());
-    u = (u << group.levels) | group.u_bits[p];
-    v = (v << group.levels) | group.v_bits[p];
+    u = u * group.radix + group.u_digits[p];
+    v = v * group.radix + group.v_digits[p];
   }
   return Edge{u, v};
 }
 
-namespace {
-
-model::NoiseVector MakeNoise(const RmatOptions& options, int extra_stream) {
-  if (options.noise <= 0.0) {
-    return model::NoiseVector(options.seed, options.scale);
-  }
-  rng::Rng noise_rng(options.rng_seed,
-                     0xA015E1ULL + static_cast<std::uint64_t>(extra_stream));
-  return model::NoiseVector(options.seed, options.scale, options.noise,
-                            &noise_rng);
-}
-
-std::uint64_t PackEdge(const Edge& e, int scale) {
-  return (e.src << scale) | e.dst;
-}
-
-}  // namespace
-
-WesStats RmatMem(const RmatOptions& options, const EdgeConsumer& consume) {
-  TG_CHECK_MSG(2 * options.scale <= 48,
-               "RMAT-mem packs edges into 48-bit keys; scale too large");
-  const model::NoiseVector noise = MakeNoise(options, 0);
-  rng::Rng rng(options.rng_seed, /*stream=*/2);
-  const std::uint64_t target = options.NumEdges();
-  TG_CHECK_MSG(target <= (options.NumVertices() * options.NumVertices()) / 2,
+WesStats SampleUniqueEdges(const RmatPrefixTables& tables, rng::Rng* rng,
+                           VertexId num_vertices, std::uint64_t target,
+                           MemoryBudget* budget, const char* tag,
+                           const EdgeConsumer& consume) {
+  TG_CHECK_MSG(target <= num_vertices * num_vertices / 2,
                "|E| must be well below |V|^2 for rejection to terminate");
-
   WesStats stats;
   FlatSet64 dedup(static_cast<std::size_t>(target));
-  ScopedAllocation dedup_mem(options.budget, dedup.MemoryBytes(),
-                             "baseline.rmat.edge_set");
+  ScopedAllocation dedup_mem(budget, dedup.MemoryBytes(), tag);
   stats.peak_bytes = dedup_mem.bytes();
-
-  const RmatPrefixTables tables(noise);
   while (dedup.size() < target) {
-    Edge e = tables.Sample(&rng);
+    const Edge e = tables.Sample(rng);
     ++stats.num_generated;
-    if (dedup.Insert(PackEdge(e, options.scale))) {
+    if (dedup.Insert(e.src * num_vertices + e.dst)) {
       consume(e);
       ++stats.num_edges;
       if (dedup.MemoryBytes() > dedup_mem.bytes()) {
@@ -99,8 +97,20 @@ WesStats RmatMem(const RmatOptions& options, const EdgeConsumer& consume) {
   return stats;
 }
 
+WesStats RmatMem(const RmatOptions& options, const EdgeConsumer& consume) {
+  TG_CHECK_MSG(2 * options.scale <= 48,
+               "RMAT-mem packs edges into 48-bit keys; scale too large");
+  const RmatPrefixTables tables(model::MakeNskgNoise(
+      options.seed, options.scale, options.noise, options.rng_seed));
+  rng::Rng rng(options.rng_seed, /*stream=*/2);
+  return SampleUniqueEdges(tables, &rng, options.NumVertices(),
+                           options.NumEdges(), options.budget,
+                           "baseline.rmat.edge_set", consume);
+}
+
 WesStats RmatDisk(const RmatDiskOptions& options, const EdgeConsumer& consume) {
-  const model::NoiseVector noise = MakeNoise(options, 0);
+  const RmatPrefixTables tables(model::MakeNskgNoise(
+      options.seed, options.scale, options.noise, options.rng_seed));
   rng::Rng rng(options.rng_seed, /*stream=*/2);
   const std::uint64_t target = options.NumEdges();
   const auto raw_target = static_cast<std::uint64_t>(
@@ -113,7 +123,6 @@ WesStats RmatDisk(const RmatDiskOptions& options, const EdgeConsumer& consume) {
        options.budget});
   stats.peak_bytes = sorter.buffer_bytes();
 
-  const RmatPrefixTables tables(noise);
   for (std::uint64_t i = 0; i < raw_target; ++i) {
     sorter.Add(tables.Sample(&rng));
   }

@@ -8,6 +8,7 @@
 
 #include "model/noise.h"
 #include "model/seed_matrix.h"
+#include "model/seed_matrix_n.h"
 #include "rng/alias_table.h"
 #include "rng/random.h"
 #include "util/common.h"
@@ -18,31 +19,39 @@ namespace tg::baseline {
 /// Per-edge consumer used by the edge-at-a-time baselines.
 using EdgeConsumer = std::function<void(const Edge&)>;
 
-/// The edge kernel of every R-MAT-style baseline: recursive quadrant
+/// The edge kernel of every R-MAT-family baseline: recursive region
 /// selection on the adjacency matrix (Section 2.1, Figure 1(b)), sampled
 /// through path-prefix probability tables (the arXiv 1905.03525 trick,
-/// mirrored on the AVS side by core/prefix_tables.h). Levels are grouped
-/// four at a time, the 4^m joint quadrant choices of a group form one
-/// PackedAliasTable, and each sampled outcome decodes into m source bits
-/// and m destination bits: one raw 64-bit draw per group, ceil(levels/4)
-/// draws per edge. The per-level matrices come from a NoiseVector, so the
-/// same kernel serves RMAT, SKG and NSKG (Graph500) generation. Build once
-/// per NoiseVector; Sample is const and thread-safe.
+/// mirrored on the AVS side by core/prefix_tables.h). Each level picks one
+/// of the n x n cells of that level's matrix. As many consecutive levels as
+/// keep n^2m <= 256 form one group: the joint cell choices of a group are
+/// one PackedAliasTable (zero-padded to a power of two), and a sampled
+/// outcome decodes into m base-n source and destination digits. One raw
+/// 64-bit draw per group: for n = 2 levels go four at a time, ceil(levels/4)
+/// draws per edge. A NoiseVector (RMAT, SKG and NSKG; n = 2) and a constant
+/// SeedMatrixN (FastKronecker) are the two sources of per-level matrices.
+/// Build once; Sample is const and thread-safe.
 class RmatPrefixTables {
  public:
-  static constexpr int kGroupLevels = 4;
-
   explicit RmatPrefixTables(const model::NoiseVector& noise);
+  RmatPrefixTables(const model::SeedMatrixN& seed, int levels);
 
   /// Draws one edge; consumes exactly one NextUint64 per level group.
   Edge Sample(rng::Rng* rng) const;
 
  private:
+  /// Weight of cell (row, col) of the level-`level` matrix, level 0 being
+  /// the most significant (the first choice of the descent).
+  using LevelEntry = std::function<double(int level, int row, int col)>;
+
+  /// `levels` levels of n x n matrices; n <= 16 so one level fits a group.
+  RmatPrefixTables(int n, int levels, const LevelEntry& entry);
+
   struct Group {
-    int levels;  ///< levels covered (1..kGroupLevels)
+    VertexId radix;  ///< n^(levels in the group): the digit multiplier
     rng::PackedAliasTable table;
-    std::vector<std::uint8_t> u_bits;  ///< outcome -> source bit pattern
-    std::vector<std::uint8_t> v_bits;  ///< outcome -> destination pattern
+    std::vector<std::uint8_t> u_digits;  ///< outcome -> source digits
+    std::vector<std::uint8_t> v_digits;  ///< outcome -> destination digits
   };
   std::vector<Group> groups_;
 };
@@ -76,6 +85,15 @@ struct RmatOptions {
 /// exist — O(|E|) space, O(|E| log |V|) time. Requires 2 * scale <= 48 so an
 /// edge packs into one dedup key.
 WesStats RmatMem(const RmatOptions& options, const EdgeConsumer& consume);
+
+/// The WES rejection loop of RMAT-mem and FastKronecker: draws edges from
+/// `tables` until `target` distinct ones exist and delivers each new one.
+/// The O(|E|) dedup set, keyed src * |V| + dst, is charged to `budget`
+/// under `tag` and regrown there as it grows.
+WesStats SampleUniqueEdges(const RmatPrefixTables& tables, rng::Rng* rng,
+                           VertexId num_vertices, std::uint64_t target,
+                           MemoryBudget* budget, const char* tag,
+                           const EdgeConsumer& consume);
 
 /// RMAT-disk (Section 7.3): generates |E| * (1 + epsilon) raw edges without
 /// in-memory dedup, spilling sorted runs, then external-sort merges with

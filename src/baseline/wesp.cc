@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "storage/external_sorter.h"
-#include "util/stopwatch.h"
 
 namespace tg::baseline {
 
@@ -22,75 +21,32 @@ WespStats RunWesp(cluster::SimCluster* cluster, const WespOptions& options,
   // see header comment).
   const VertexId block = (num_vertices + workers - 1) / workers;
 
-  const model::NoiseVector noise = [&] {
-    if (options.noise <= 0.0) {
-      return model::NoiseVector(options.seed, options.scale);
-    }
-    rng::Rng noise_rng(options.rng_seed, 0xA015E1ULL);
-    return model::NoiseVector(options.seed, options.scale, options.noise,
-                              &noise_rng);
-  }();
-
   // Shared read-only prefix tables (Sample is const); each worker keeps its
-  // own RNG stream exactly as before.
-  const RmatPrefixTables tables(noise);
+  // own RNG stream.
+  const RmatPrefixTables tables(model::MakeNskgNoise(
+      options.seed, options.scale, options.noise, options.rng_seed));
 
   WespStats stats;
 
-  // --- Generation phase (Algorithm 3 lines 1-6). ---
+  // --- Generation and shuffle (Algorithm 3 lines 1-7). ---
   // The mem variant holds the generated edges in RAM and registers them
   // against the machine budget. The disk variant conceptually spools them
   // (a real implementation writes run files before the shuffle), so only
   // its bounded sort buffer counts against the budget.
-  const bool charge_buffers = !options.disk;
-  std::vector<std::vector<std::vector<Edge>>> outbox(workers);
-  stats.generate_seconds = cluster->RunParallel([&](int w) {
-    TG_SPAN("wesp.generate");
-    rng::Rng rng(options.rng_seed, 1000 + static_cast<std::uint64_t>(w));
-    auto& buckets = outbox[w];
-    buckets.resize(workers);
-    MemoryBudget* budget = cluster->worker_budget(w);
-    MemoryBudget::TagStats* shuffle_tag = budget->Tag("cluster.shuffle_buf");
-    std::uint64_t registered = 0;
-    for (std::uint64_t i = 0; i < per_worker_raw; ++i) {
-      Edge e = tables.Sample(&rng);
-      int owner = static_cast<int>(e.src / block);
-      buckets[owner].push_back(e);
-      // Register outbox growth in coarse chunks to keep the hot loop cheap.
-      if (charge_buffers && (i & 0xFFFF) == 0) {
-        std::uint64_t now = i * sizeof(Edge);
-        budget->Allocate(now - registered, shuffle_tag);
-        registered = now;
-      }
-    }
-    if (charge_buffers) {
-      budget->Allocate(per_worker_raw * sizeof(Edge) - registered,
-                       shuffle_tag);
-    }
-  });
+  ShuffledEdges shuffled = GenerateAndShuffle(
+      cluster, tables, options.rng_seed, /*stream_base=*/1000,
+      "wesp.generate", std::vector<std::uint64_t>(workers, per_worker_raw),
+      [&](Edge* e) { return static_cast<int>(e->src / block); },
+      /*charge_buffers=*/!options.disk);
+  std::vector<std::vector<Edge>>& inbox = shuffled.inbox;
+  stats.generate_seconds = shuffled.generate_seconds;
   stats.num_generated = static_cast<std::uint64_t>(per_worker_raw) * workers;
-
-  // --- Shuffle phase (Algorithm 3 line 7). The concatenation CPU would be
-  // spread across machines in a real cluster; the wire time is simulated.
-  cluster->ResetNetworkClock();
-  double shuffle_cpu_start = ThreadCpuSeconds();
-  std::vector<std::vector<Edge>> inbox = cluster->Shuffle(std::move(outbox));
-  double shuffle_cpu =
-      (ThreadCpuSeconds() - shuffle_cpu_start) / cluster->num_machines();
-  // Outboxes were freed by the shuffle; swap the registration to the inbox.
-  for (int m = 0; m < cluster->num_machines(); ++m) {
-    cluster->machine_budget(m)->ReleaseAll();
-  }
-  for (int w = 0; w < workers; ++w) {
-    if (charge_buffers) {
-      MemoryBudget* budget = cluster->worker_budget(w);
-      budget->Allocate(inbox[w].size() * sizeof(Edge),
-                       budget->Tag("cluster.shuffle_buf"));
-    }
+  for (const std::vector<Edge>& edges : inbox) {
     stats.max_partition_edges =
-        std::max<std::uint64_t>(stats.max_partition_edges, inbox[w].size());
+        std::max<std::uint64_t>(stats.max_partition_edges, edges.size());
   }
-  stats.shuffle_seconds = cluster->network_seconds() + shuffle_cpu;
+  stats.shuffle_seconds =
+      cluster->network_seconds() + shuffled.shuffle_cpu_seconds;
   stats.shuffled_bytes = cluster->shuffled_bytes();
 
   // --- Merge phase (Algorithm 3 lines 8-9). ---

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "prof/profiler.h"
 #include "util/common.h"
 #include "util/memory_budget.h"
 #include "util/stopwatch.h"
@@ -97,8 +98,10 @@ class SimCluster {
     for (int w = 0; w < n; ++w) {
       threads.emplace_back([&, w] {
         // Tag the thread with its simulated machine so any spans opened by
-        // fn aggregate per machine.
+        // fn aggregate per machine, and register it with the profiler so
+        // its sample ring returns to the pool when the thread exits.
         obs::ScopedMachine machine_tag(MachineOfWorker(w));
+        prof::EnsureThreadRegistered(w);
         double start = ThreadCpuSeconds();
         try {
           fn(w);

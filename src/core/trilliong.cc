@@ -18,14 +18,10 @@ namespace tg::core {
 /// transposed seed (the noisy transpose equals the transpose of the noisy
 /// matrix because Definition 3 perturbs b and c symmetrically).
 model::NoiseVector MakeRunNoise(const TrillionGConfig& config) {
-  model::SeedMatrix seed = config.direction == Direction::kOut
-                               ? config.seed
-                               : config.seed.Transposed();
-  if (config.noise <= 0.0) {
-    return model::NoiseVector(seed, config.scale);
-  }
-  rng::Rng noise_rng(config.rng_seed, /*stream=*/0xA015E1ULL);
-  return model::NoiseVector(seed, config.scale, config.noise, &noise_rng);
+  return model::MakeNskgNoise(config.direction == Direction::kOut
+                                  ? config.seed
+                                  : config.seed.Transposed(),
+                              config.scale, config.noise, config.rng_seed);
 }
 
 namespace {

@@ -90,6 +90,18 @@ class NoiseVector {
   std::vector<std::array<double, 2>> row_sums_;
 };
 
+/// The NSKG noise vector of a generation run with NSKG noise `noise` and
+/// run seed `rng_seed`: noise-free when noise <= 0, otherwise u_i drawn from
+/// the seed's dedicated noise stream. TrillionG (core::MakeRunNoise) and the
+/// R-MAT-family baselines all build their levels here, so one (seed, noise,
+/// rng_seed) gives every generator the same per-level matrices.
+inline NoiseVector MakeNskgNoise(const SeedMatrix& base, int levels,
+                                 double noise, std::uint64_t rng_seed) {
+  if (noise <= 0.0) return NoiseVector(base, levels);
+  rng::Rng noise_rng(rng_seed, /*stream=*/0xA015E1ULL);
+  return NoiseVector(base, levels, noise, &noise_rng);
+}
+
 }  // namespace tg::model
 
 #endif  // TRILLIONG_MODEL_NOISE_H_

@@ -59,9 +59,13 @@ struct ProfState {
   /// Bumped per StartProfiler so threads caching a ring pointer from a
   /// previous session re-register instead of writing into reset rings.
   std::atomic<std::uint64_t> generation{0};
-  std::atomic<int> next_ring{0};
-  /// Samples lost because every ring was taken (> kMaxProfiledThreads
-  /// distinct threads got sampled).
+  /// Ring i is held when lease[i] equals the current generation; any other
+  /// value (0 once returned, or a past session's generation) means free.
+  std::atomic<std::uint64_t> lease[kMaxProfiledThreads] = {};
+  /// One past the highest ring held this session: the rings to drain.
+  std::atomic<int> rings_used{0};
+  /// Samples lost because every ring was held (> kMaxProfiledThreads
+  /// threads sampled at once).
   std::atomic<std::uint64_t> lost_no_ring{0};
   SampleRing rings[kMaxProfiledThreads];
 };
@@ -79,19 +83,62 @@ thread_local std::uintptr_t t_stack_lo = 0;
 thread_local std::uintptr_t t_stack_hi = 0;
 thread_local bool t_bounds_resolved = false;
 
-/// Grabs (or revalidates) this thread's ring. Async-signal-safe: the pool
-/// is preallocated, so registration is one fetch_add plus thread_local
-/// stores. Returns nullptr when the pool is exhausted.
+/// Grabs (or revalidates) this thread's ring: the lowest free one.
+/// Async-signal-safe: the pool is preallocated, so registration is lock-free
+/// compare-exchanges plus thread_local stores. A reused ring keeps its head,
+/// so the collector drains the old and new owner's samples alike. Returns
+/// nullptr when every ring is held.
 SampleRing* AcquireRing(ProfState* state) {
   const std::uint64_t generation =
       state->generation.load(std::memory_order_acquire);
   if (t_ring != nullptr && t_ring_generation == generation) return t_ring;
-  const int idx = state->next_ring.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxProfiledThreads) return nullptr;
-  t_ring = &state->rings[idx];
-  t_ring_generation = generation;
-  return t_ring;
+  for (int idx = 0; idx < kMaxProfiledThreads; ++idx) {
+    std::uint64_t held = state->lease[idx].load(std::memory_order_relaxed);
+    if (held == generation ||
+        !state->lease[idx].compare_exchange_strong(
+            held, generation, std::memory_order_acq_rel)) {
+      continue;
+    }
+    int used = state->rings_used.load(std::memory_order_relaxed);
+    while (used <= idx && !state->rings_used.compare_exchange_weak(
+                              used, idx + 1, std::memory_order_release)) {
+    }
+    t_ring = &state->rings[idx];
+    t_ring_generation = generation;
+    return t_ring;
+  }
+  return nullptr;
 }
+
+/// Returns the thread's ring at thread exit. SIGPROF is blocked first: once
+/// the thread can no longer take the signal it can no longer write to the
+/// ring, so the ring's next owner is its only writer.
+void ReleaseRing() {
+  ProfState* state = g_state.load(std::memory_order_acquire);
+  if (state == nullptr || t_ring == nullptr) return;
+  sigset_t block;
+  sigemptyset(&block);
+  sigaddset(&block, SIGPROF);
+  pthread_sigmask(SIG_BLOCK, &block, nullptr);
+  // A restart since the ring was taken already freed it; leave its lease.
+  std::uint64_t held = t_ring_generation;
+  state->lease[t_ring - state->rings].compare_exchange_strong(
+      held, 0, std::memory_order_release);
+  t_ring = nullptr;
+}
+
+/// Calls ReleaseRing when its thread exits. Only EnsureThreadRegistered
+/// arms it: the first use of a thread_local with a destructor registers
+/// that destructor with the C++ runtime, which a signal handler must not
+/// do. A ring the handler takes lazily stays held until its thread
+/// registers or the profiler restarts.
+struct RingReturn {
+  bool armed = false;
+  ~RingReturn() {
+    if (armed) ReleaseRing();
+  }
+};
+thread_local RingReturn t_ring_return;
 
 /// Bounded frame-pointer walk. `pc` is recorded as the leaf; the chain is
 /// only followed when the thread's stack bounds are known (lo < hi), and
@@ -200,8 +247,7 @@ Collector& GlobalCollector() {
 
 /// Drains every ring into the stack table. Caller holds table_mu.
 void DrainIntoTables(ProfState* state, Collector& c) {
-  const int num_rings = std::min(
-      state->next_ring.load(std::memory_order_acquire), kMaxProfiledThreads);
+  const int num_rings = state->rings_used.load(std::memory_order_acquire);
   std::vector<std::uintptr_t> key;
   for (int r = 0; r < num_rings; ++r) {
     SampleRing& ring = state->rings[r];
@@ -318,7 +364,7 @@ Status StartProfiler(const ProfilerOptions& options) {
     }
   }
   state->lost_no_ring.store(0, std::memory_order_relaxed);
-  state->next_ring.store(0, std::memory_order_relaxed);
+  state->rings_used.store(0, std::memory_order_relaxed);
   state->generation.fetch_add(1, std::memory_order_release);
   {
     std::lock_guard<std::mutex> table_lock(c.table_mu);
@@ -420,8 +466,7 @@ ProfilerStatus GetStatus() {
   status.samples = c.samples;
   status.dropped =
       c.dropped + state->lost_no_ring.load(std::memory_order_relaxed);
-  const int num_rings = std::min(
-      state->next_ring.load(std::memory_order_acquire), kMaxProfiledThreads);
+  const int num_rings = state->rings_used.load(std::memory_order_acquire);
   status.threads = num_rings;
   for (int r = 0; r < num_rings; ++r) {
     const SampleRing& ring = state->rings[r];
@@ -488,6 +533,7 @@ void RecordStall(const char* kind, double seconds, int machine) {
 void EnsureThreadRegistered(int worker_id) {
   ResolveStackBounds();
   if (worker_id >= 0) t_worker = worker_id;
+  t_ring_return.armed = true;
   ProfState* state = g_state.load(std::memory_order_acquire);
   if (state != nullptr) AcquireRing(state);
 }

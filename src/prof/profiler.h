@@ -39,8 +39,9 @@ inline constexpr int kMaxStackDepth = 48;
 inline constexpr int kRingSlots = 256;
 
 /// Sample rings available. Threads self-register (explicitly via
-/// EnsureThreadRegistered, or lazily from the signal handler); threads past
-/// this count are sampled into the drop counter instead.
+/// EnsureThreadRegistered, or lazily from the signal handler); a thread
+/// that registered explicitly returns its ring when it exits. Threads
+/// sampled while every ring is held go to the drop counter instead.
 inline constexpr int kMaxProfiledThreads = 64;
 
 struct ProfilerOptions {
@@ -68,7 +69,7 @@ struct ProfilerStatus {
   int hz = 0;
   std::uint64_t samples = 0;  ///< collected into the stack table
   std::uint64_t dropped = 0;  ///< overwritten or ring-less, never collected
-  int threads = 0;            ///< sample rings handed out
+  int threads = 0;            ///< most sample rings held at once
   double ring_occupancy = 0.0;  ///< max undrained fraction across rings
 };
 ProfilerStatus GetStatus();
@@ -111,8 +112,11 @@ void RecordStall(const char* kind, double seconds, int machine = -2);
 
 /// Registers the calling thread for full-depth sampling: grabs a sample
 /// ring, resolves the thread's stack bounds (the unwinder refuses to walk
-/// without them), and tags future samples with `worker_id`. Threads that
-/// skip this still get leaf-only samples via lazy in-handler registration.
+/// without them), and tags future samples with `worker_id`. The ring goes
+/// back to the pool when the thread exits, so short-lived threads should
+/// call this. Threads that skip it still get leaf-only samples via lazy
+/// in-handler registration, but keep their ring until the next
+/// StartProfiler.
 void EnsureThreadRegistered(int worker_id = -1);
 
 /// Test hook: captures the calling thread's stack with the same bounded

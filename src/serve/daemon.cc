@@ -599,7 +599,8 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
   // passes the cache's entry cap and admitted only after the last shard's
   // last byte. Once generation is done and every shard's size is known, it
   // is moved into a buffer of exactly the graph's size (the cache accounts
-  // size()) and charged to the request's budget under the request's tag,
+  // size()) and charged to the request's budget under one fixed tag (a
+  // per-request tag would leave a peak gauge behind for every request),
   // where a trip drops it. Charging it only then keeps the payload from
   // ever being what makes generation itself trip the budget.
   const std::uint64_t entry_cap = cache_->entry_cap();
@@ -701,7 +702,7 @@ void ServeDaemon::StreamRequest(const std::shared_ptr<Request>& req) {
           bool fits = total <= entry_cap;
           if (fits) {
             try {
-              payload_mem.emplace(req->budget, total, channel.c_str());
+              payload_mem.emplace(req->budget, total, "serve.cache_payload");
             } catch (const OomError&) {
               fits = false;  // budget too tight: the graph just isn't cached
             }

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baseline/graph500.h"
@@ -439,6 +443,120 @@ TEST(Graph500Test, ScrambledDegreesAreSpreadAcrossIdSpace) {
   }
   // The hub is almost surely not in the first few IDs once scrambled.
   EXPECT_GT(argmax, 16u);
+}
+
+/// Order-sensitive FNV-1a over a stream of 64-bit words.
+struct StreamDigest {
+  std::uint64_t h = 14695981039346656037ULL;
+  void Add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  void Add(const Edge& e) {
+    Add(e.src);
+    Add(e.dst);
+  }
+};
+
+/// WES/p output digested per worker (each worker's merge emits a sorted,
+/// deterministic stream), then folded in worker order.
+std::uint64_t WespDigest(bool disk) {
+  storage::TempDir dir;
+  cluster::SimCluster cluster({/*machines=*/2, /*threads=*/2, 0, {}});
+  WespOptions options;
+  options.scale = 10;
+  options.num_edges = 8192;
+  options.noise = 0.05;
+  options.disk = disk;
+  options.temp_dir = dir.path();
+  options.sort_buffer_items = 1024;
+  std::vector<StreamDigest> per_worker(cluster.num_workers());
+  RunWesp(&cluster, options, [&](int w) {
+    return [&per_worker, w](const Edge& e) { per_worker[w].Add(e); };
+  });
+  StreamDigest all;
+  for (const StreamDigest& d : per_worker) all.Add(d.h);
+  return all.h;
+}
+
+// Pins every R-MAT-family baseline's output stream: a change to the prefix
+// tables, the rejection loop, the NSKG noise draw or the shuffle routing
+// that moves one edge (or reorders two) fails here. The distribution tests
+// above cannot see such a change.
+TEST(BaselineGoldenTest, EdgeStreamDigestsArePinned) {
+  std::map<std::string, std::uint64_t> digests;
+
+  RmatOptions rmat;
+  rmat.scale = 10;
+  rmat.num_edges = 4096;
+  rmat.noise = 0.1;
+  StreamDigest rmat_mem;
+  RmatMem(rmat, [&](const Edge& e) { rmat_mem.Add(e); });
+  digests["rmat_mem"] = rmat_mem.h;
+
+  storage::TempDir dir;
+  RmatDiskOptions rmat_disk_options;
+  rmat_disk_options.scale = 10;
+  rmat_disk_options.num_edges = 4096;
+  rmat_disk_options.temp_dir = dir.path();
+  rmat_disk_options.sort_buffer_items = 512;
+  StreamDigest rmat_disk;
+  RmatDisk(rmat_disk_options, [&](const Edge& e) { rmat_disk.Add(e); });
+  digests["rmat_disk"] = rmat_disk.h;
+
+  FastKroneckerOptions kron;
+  kron.num_vertices = VertexId{1} << 10;
+  kron.num_edges = 4096;
+  StreamDigest kron2;
+  FastKronecker(kron, [&](const Edge& e) { kron2.Add(e); });
+  digests["fastkronecker_2x2"] = kron2.h;
+
+  kron.seed = model::SeedMatrixN::Example3x3();
+  kron.num_vertices = 729;  // 3^6: three groups of two levels
+  kron.num_edges = 5000;
+  StreamDigest kron3;
+  FastKronecker(kron, [&](const Edge& e) { kron3.Add(e); });
+  digests["fastkronecker_3x3"] = kron3.h;
+
+  digests["wesp_mem"] = WespDigest(/*disk=*/false);
+  digests["wesp_disk"] = WespDigest(/*disk=*/true);
+
+  cluster::SimCluster cluster({/*machines=*/2, /*threads=*/2, 0, {}});
+  Graph500Options g500;
+  g500.scale = 10;
+  g500.edge_factor = 8;
+  std::vector<StreamDigest> per_machine(cluster.num_machines());
+  RunGraph500(&cluster, g500,
+              [&](int machine, VertexId lo,
+                  const std::vector<std::uint64_t>& offsets,
+                  const std::vector<VertexId>& adj) {
+                StreamDigest& d = per_machine[machine];
+                d.Add(lo);
+                for (std::uint64_t o : offsets) d.Add(o);
+                for (VertexId v : adj) d.Add(v);
+              });
+  StreamDigest g500_csr;
+  for (const StreamDigest& d : per_machine) g500_csr.Add(d.h);
+  digests["graph500_csr"] = g500_csr.h;
+
+  // Recorded before the R-MAT-family baselines shared one sampler, one
+  // rejection loop, one noise builder and one shuffle phase.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"rmat_mem", 0xfbc6150183a837feULL},
+      {"rmat_disk", 0x4769eedd5c45240cULL},
+      {"fastkronecker_2x2", 0xe944ca57389b0662ULL},
+      {"fastkronecker_3x3", 0x602305af2a85cf78ULL},
+      // Both variants merge the same inboxes into sorted unique streams.
+      {"wesp_mem", 0x7acc324a66d14fceULL},
+      {"wesp_disk", 0x7acc324a66d14fceULL},
+      {"graph500_csr", 0x1aa878ab5053c3e9ULL},
+  };
+  for (const auto& [name, digest] : golden) {
+    EXPECT_EQ(digests[name], digest)
+        << name << " digest=0x" << std::hex << digests[name];
+  }
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 // process, so ordering only matters for manual `./prof_test` runs).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +31,7 @@
 #include "prof/profiler.h"
 #include "prof/symbolize.h"
 #include "serve/minihttp_client.h"
+#include "util/stopwatch.h"
 
 namespace tg {
 namespace {
@@ -396,6 +400,44 @@ TEST(ProfServeTest, BuildzNamesTheBinary) {
   EXPECT_NE(body.find("\"git\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"compiler\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"cxx_standard\""), std::string::npos) << body;
+}
+
+// A registered thread hands its ring back when it exits, so a run that
+// starts far more short-lived threads than there are rings (the simulated
+// cluster starts fresh threads for every phase) keeps sampling all of them.
+TEST(ProfilerTest, ShortLivedThreadsReturnTheirRings) {
+  prof::ProfilerOptions options;
+  options.hz = 1000;
+  ASSERT_TRUE(prof::StartProfiler(options).ok());
+  // The CPU-time timer's signal goes to a thread that does not block it;
+  // with the joining thread blocking SIGPROF, that is the busy worker on
+  // every kernel.
+  sigset_t sigprof;
+  sigemptyset(&sigprof);
+  sigaddset(&sigprof, SIGPROF);
+  pthread_sigmask(SIG_BLOCK, &sigprof, nullptr);
+  constexpr int kThreads = 3 * prof::kMaxProfiledThreads;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i, &sigprof] {
+      pthread_sigmask(SIG_UNBLOCK, &sigprof, nullptr);
+      prof::EnsureThreadRegistered(i);
+      // ~5 ms of CPU: about five samples at 1000 Hz.
+      const double until = ThreadCpuSeconds() + 0.005;
+      volatile std::uint64_t sink = 0;
+      while (ThreadCpuSeconds() < until) sink = sink + 1;
+    }).join();
+  }
+  pthread_sigmask(SIG_UNBLOCK, &sigprof, nullptr);
+  prof::StopProfiler();
+
+  const prof::ProfileSnapshot snap = prof::TakeSnapshot();
+  std::uint64_t late = 0;  // samples of threads started after the pool ran out
+  for (const auto& stack : snap.stacks) {
+    if (stack.worker >= prof::kMaxProfiledThreads) late += stack.count;
+  }
+  EXPECT_GT(late, 0u);
+  EXPECT_EQ(snap.dropped, 0u);
+  EXPECT_LT(prof::GetStatus().threads, prof::kMaxProfiledThreads);
 }
 
 // ---------------------------------------------------------------------------

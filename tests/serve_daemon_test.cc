@@ -24,6 +24,7 @@
 #include "format/adj6.h"
 #include "format/csr6.h"
 #include "format/tsv.h"
+#include "obs/mem.h"
 #include "obs/metrics.h"
 #include "serve/artifact_cache.h"
 #include "serve/daemon.h"
@@ -327,6 +328,29 @@ TEST_F(DaemonFixture, RepeatedScale16RequestHitsCacheThroughSlowReader) {
   EXPECT_FALSE(hit.truncated) << hit.error;
   ASSERT_EQ(hit.body.size(), miss.body.size());
   EXPECT_TRUE(hit.body == miss.body) << "cache hit diverged from the miss";
+}
+
+// Daemon state stays bounded: a cached cold request charges its payload
+// under one fixed budget tag, so it leaves no per-request peak gauge behind
+// and the registry's gauge names stop growing after the first requests.
+TEST_F(DaemonFixture, ColdRequestsAddNoGaugeNames) {
+  obs::EnableMemoryObservability();  // retiring budgets fold in their tags
+  DaemonOptions options;
+  options.cache_bytes = 64ULL << 20;
+  Start(options);
+  std::size_t names_after_second = 0;
+  for (int request = 1; request <= 5; ++request) {
+    ClientResponse cold =
+        Post(RequestJson("gia", 10, "adj6", 2, /*seed=*/300 + request));
+    ASSERT_EQ(cold.status, 200);
+    EXPECT_EQ(cold.headers["x-tg-cache"], "miss");
+    WaitIdle();
+    const std::size_t names = obs::Registry::Global().GaugeValues().size();
+    if (request == 2) names_after_second = names;
+    if (request > 2) {
+      EXPECT_EQ(names, names_after_second) << "cold request " << request;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
