@@ -11,6 +11,7 @@
 // histograms are skipped by the CI gate: bench_check --no_histograms).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -134,6 +135,14 @@ int main() {
                 cold.p50_ms / std::max(warm.p50_ms, 1e-6));
   }
 
+  // Write the report while the daemon's cache is still up: Drain frees the
+  // cache, whose destructor takes its occupancy back out of the
+  // serve.cache.* gauges. Every client has its response by now; wait for
+  // the executors to finish their requests' bookkeeping first.
+  while (daemon.inflight() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs_session.Finish();
   daemon.Drain();
   tg::bench::PrintLastOom();
   return 0;

@@ -192,9 +192,14 @@ class AvsRangeGenerator {
   void GenerateRange(VertexId lo, VertexId hi, const rng::Rng& root,
                      ScopeScratch<Real>* scratch, AvsWorkerStats* stats,
                      ScopeSink* sink) const {
+    // Per-scope updates go to a local and reach `stats` once: the workers'
+    // slots sit next to each other, and a write per scope would bounce the
+    // shared cache lines between cores.
+    AvsWorkerStats local;
     for (VertexId u = lo; u < hi; ++u) {
-      GenerateScope(u, root, scratch, stats, sink);
+      GenerateScope(u, root, scratch, &local, sink);
     }
+    stats->MergeFrom(local);
     FlushObs(scratch);
   }
 
@@ -357,9 +362,10 @@ class AvsRangeGenerator {
     // Rejection loop (Algorithm 4 lines 4-7): repeat until `degree` distinct
     // neighbors are collected. The attempt cap only matters for near-dense
     // scopes, which realistic sparse configurations never produce. A block
-    // never asks for more than the edges still missing, so `adj[n]` below
-    // stays inside the scope's `degree` slots.
+    // never asks for more than the edges still missing, so InsertBlock's
+    // writes from `adj + n` stay inside the scope's `degree` slots.
     const std::uint64_t max_attempts = 100 * degree + 10000;
+    const VertexId skip = exclude_self_loops_ ? u : ScopeDedup::kNoSkip;
     std::uint64_t attempts = 0;
     std::uint64_t n = 0;
     VertexId dests[kDrawBatch];
@@ -369,12 +375,8 @@ class AvsRangeGenerator {
       draw(dests, static_cast<std::size_t>(block));
       attempts += block;
       stats->cdf_evaluations += block;
-      for (std::uint64_t i = 0; i < block; ++i) {
-        const VertexId v = dests[i];
-        if (exclude_self_loops_ && v == u) continue;
-        adj[n] = v;
-        n += dedup.Insert(v) ? 1 : 0;
-      }
+      n += dedup.InsertBlock(dests, static_cast<std::size_t>(block), adj + n,
+                             skip);
     }
     dedup.WipeDirty();
     stats->dedup_wiped_words += dedup.wiped_words() - wiped_before;

@@ -19,6 +19,10 @@
 #include <cstdint>
 #include <vector>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "core/rec_vec.h"
 #include "model/noise.h"
 #include "util/common.h"
@@ -237,10 +241,19 @@ class AvsPrefixTables {
       v = (v - bound[p]) * view.invw[g][p];
       // Renormalization guards: y is in [0, ~1+ulp) by construction; clamp
       // the rounding spill so the next group's guide lookup stays in range.
-      // std::min/max keep the exact comparisons. GCC 12 at -O2 does not
-      // emit minsd/maxsd here: inlined into InvertBlock, the clamp is two
-      // comisd + branch pairs.
-      *y = std::max(std::min(v, 0x1.fffffffffffffp-1), 0.0);
+      // GCC 12 at -O2 compiles std::max(std::min(v, C), 0.0) to two
+      // comisd + branch pairs inside InvertBlock, so SSE2 builds spell out
+      // the branch-free form. minsd(a, b) is `a < b ? a : b` and
+      // maxsd(a, b) is `a > b ? a : b`, which are std::min(v, C) and
+      // std::max(x, 0.0) with the operands swapped: the same result for
+      // every input, NaN and signed zero included.
+      constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+#ifdef __SSE2__
+      *y = _mm_cvtsd_f64(_mm_max_sd(
+          _mm_setzero_pd(), _mm_min_sd(_mm_set_sd(kBelowOne), _mm_set_sd(v))));
+#else
+      *y = std::max(std::min(v, kBelowOne), 0.0);
+#endif
     }
     return p;
   }

@@ -10,15 +10,17 @@
 namespace tg::core {
 
 /// Per-scope duplicate eliminator with two representations, picked per scope
-/// by expected density:
+/// by size:
 ///
 ///  * sparse scopes (the overwhelming majority under a power-law seed) use a
-///    stamped open-addressing table — O(d) memory for a degree-d scope;
-///  * dense scopes, where the sampled degree exceeds 1/64 of the scope's
-///    reachable destination range, use a plain bitmap over [0, |V|) — |V|/8
-///    bytes is then at most 8 bytes per expected entry, cheaper than the
-///    16-32 bytes/entry the hash table costs, and Insert degrades to a
-///    branch-free test-and-set with no probe chains.
+///    stamped open-addressing table sized for a load of at most 1/4 — O(d)
+///    memory for a degree-d scope, and short probe runs;
+///  * dense scopes, where the sampled degree exceeds 1/256 of the scope's
+///    reachable destination range, use a plain bitmap over [0, |V|). For a
+///    power-of-two |V| >= 1024 that is exactly where the bitmap's |V|/8
+///    bytes are smaller than the table would be, so no scope holds more
+///    than max(|V|/8, 128) bytes; Insert is then a branch-free test-and-set
+///    with no probe chains.
 ///
 /// The mode depends only on (degree, universe), both of which are derived
 /// from the scope's own RNG stream, so the choice — and therefore the
@@ -39,13 +41,15 @@ namespace tg::core {
 ///    this down.
 class ScopeDedup {
  public:
-  /// Entries per bitmap word: the density threshold is degree > universe/64,
-  /// i.e. at least one expected entry per word of the bitmap.
-  static constexpr std::uint64_t kDenseDivisor = 64;
+  /// A scope is dense above universe/256 distinct destinations: its table
+  /// (4 slots per entry) would then be larger than the bitmap (1 bit per
+  /// vertex).
+  static constexpr std::uint64_t kDenseDivisor = 256;
   /// Largest sparse stamp; the 16 low bits of a slot.
   static constexpr std::uint32_t kMaxStamp = 0xFFFF;
-  /// Sparse slots up to which a scope gets a load of 1/4 instead of 1/2.
-  static constexpr std::uint64_t kSmallSlots = 512;
+  /// InsertBlock's `skip` when no candidate is to be dropped (no vertex id
+  /// reaches 2^48).
+  static constexpr VertexId kNoSkip = ~VertexId{0};
 
   ScopeDedup() { Reset(0, 0); }
 
@@ -63,15 +67,9 @@ class ScopeDedup {
       WipeDirty();
     } else {
       // This scope probes only its own power-of-two prefix of the table,
-      // sized for a load of at most 1/4 once all `degree` values are in
-      // while that prefix fits in 4 KiB (short probe runs for the many
-      // small scopes), and at most 1/2 beyond (O(d) bytes for the few
-      // large ones).
-      const std::uint64_t want =
-          std::max<std::uint64_t>(2 * degree, std::min<std::uint64_t>(
-                                                  4 * degree, kSmallSlots));
+      // sized for a load of at most 1/4 once all `degree` values are in.
       int bits = 4;
-      while ((std::uint64_t{1} << bits) < want) ++bits;
+      while ((std::uint64_t{1} << bits) < 4 * degree) ++bits;
       const std::size_t cap = std::size_t{1} << bits;
       if (slots_.size() < cap) slots_.resize(cap, 0);
       mask_ = cap - 1;
@@ -86,8 +84,9 @@ class ScopeDedup {
     size_ = 0;
   }
 
-  /// Inserts `v`; returns true if it was newly added. Forced inline: this
-  /// is the per-candidate probe of every rejection loop.
+  /// Inserts `v`; returns true if it was newly added. The one-value form of
+  /// InsertBlock, for callers that test candidates one at a time; the tests
+  /// also use it as InsertBlock's per-candidate reference.
   [[gnu::always_inline]] bool Insert(VertexId v) {
     if (dense_) {
       std::uint64_t& word = bits_[static_cast<std::size_t>(v >> 6)];
@@ -112,11 +111,72 @@ class ScopeDedup {
       if ((slot & kMaxStamp) != stamp_) {
         slots_[i] = key;
         ++size_;
-        TG_DCHECK(size_ * 2 <= mask_ + 1);
+        TG_DCHECK(size_ * 4 <= mask_ + 1);
         return true;
       }
       i = (i + 1) & mask_;
     }
+  }
+
+  /// Inserts the candidates cand[0..m) in order, except any equal to
+  /// `skip` (kNoSkip drops none), and appends each newly added value to
+  /// `adj` in first-occurrence order; returns how many it appended. Writes
+  /// stay within adj[0..m). Same result as calling Insert per candidate,
+  /// but the table state lives in locals, so the `adj` stores (which may
+  /// alias the members as far as the compiler knows) force no reloads.
+  [[gnu::always_inline]] std::size_t InsertBlock(const VertexId* cand,
+                                                 std::size_t m, VertexId* adj,
+                                                 VertexId skip) {
+    std::size_t k = 0;
+    if (dense_) {
+      std::uint64_t* const bits = bits_.data();
+      // Room to log every candidate's word; a word is kept in the log only
+      // on its first bit (see Insert), so the log stays branch-free.
+      const std::size_t logged = dirty_.size();
+      dirty_.resize(logged + m);
+      std::size_t* const log = dirty_.data() + logged;
+      std::size_t nlog = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const VertexId v = cand[i];
+        if (v == skip) continue;
+        const std::size_t w = static_cast<std::size_t>(v >> 6);
+        const std::uint64_t word = bits[w];
+        log[nlog] = w;
+        nlog += word == 0 ? 1 : 0;
+        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+        bits[w] = word | bit;
+        adj[k] = v;
+        k += (word & bit) == 0 ? 1 : 0;
+      }
+      dirty_.resize(logged + nlog);
+    } else {
+      std::uint64_t* const slots = slots_.data();
+      const std::size_t mask = mask_;
+      const int shift = hash_shift_;
+      const std::uint64_t stamp = stamp_;
+      for (std::size_t i = 0; i < m; ++i) {
+        const VertexId v = cand[i];
+        if (v == skip) continue;
+        TG_DCHECK(v < (VertexId{1} << 48));
+        const std::uint64_t key = v << 16 | stamp;
+        std::size_t j =
+            static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ULL) >> shift);
+        std::uint64_t slot = slots[j];
+        // Walk past slots this scope holds for other values; stop on v's
+        // slot (a duplicate) or on a free one.
+        while (slot != key && (slot & kMaxStamp) == stamp) {
+          j = (j + 1) & mask;
+          slot = slots[j];
+        }
+        if (slot != key) {
+          slots[j] = key;
+          adj[k++] = v;
+        }
+      }
+      TG_DCHECK((size_ + k) * 4 <= mask_ + 1);
+    }
+    size_ += k;
+    return k;
   }
 
   /// Zeroes the bitmap words logged since the last wipe and counts them in

@@ -479,11 +479,12 @@ def build_rows():
               "--work_dir", "{dir}", "--metrics_json={var}.json"],
              tool="serve_cli", during=drive_daemon)],
         [check_serve]))
-    # A 5 ms sampler gives a scale-16 run a series of >= 5 points.
+    # A 1 ms sampler gives a scale-16 run a series of >= 5 points however
+    # fast the kernel is (at 5 ms a fast run could end with fewer).
     rows.append(Row(
         "smoke.metrics",
         [Run(["--scale", "16", "--out", "{ref}"])],
-        [Run(["--scale", "16", "--sample_interval_ms", "5",
+        [Run(["--scale", "16", "--sample_interval_ms", "1",
               "--metrics_json={var}.json", "--trace_json={var}.trace.json",
               "--metrics_prom={var}.prom", "--out", "{var}"])],
         [same_shards("adj6", 4), check_metrics_report]))

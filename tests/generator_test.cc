@@ -567,7 +567,7 @@ TEST(ScopeDedupTest, DenseWipesAreLazy) {
   // wipe only the words the previous dense scope dirtied, and sparse
   // Resets must not touch the bitmap at all.
   ScopeDedup dedup;
-  const VertexId universe = 1 << 16;  // 1024 bitmap words
+  const VertexId universe = 1 << 16;  // 1024 bitmap words; dense above 256
   const std::uint64_t dense_degree = universe / 16;
 
   dedup.Reset(dense_degree, universe);
@@ -659,7 +659,7 @@ TEST(ScopeDedupTest, SmallScopeAfterLargeScope) {
 
 TEST(ScopeDedupTest, SparseDenseAlternationMatchesSet) {
   ScopeDedup dedup;
-  const VertexId universe = 1 << 12;  // dense above degree 64
+  const VertexId universe = 1 << 12;  // dense above degree 16
   for (int round = 0; round < 40; ++round) {
     const bool dense = round % 2 == 0;
     const std::size_t degree = dense ? 100 + round : 10 + round % 7;
@@ -678,6 +678,105 @@ TEST(ScopeDedupTest, DuplicateHeavyScopesMatchSet) {
     const std::size_t degree = 1 + seed % 40;
     ExpectDedupMatchesSet(&dedup, degree, universe,
                           DedupDraws(50 * degree, degree, 64, seed));
+  }
+}
+
+/// Runs one scope through `ref`, one Insert per candidate, and through
+/// `blk`, one InsertBlock per block of 1 to 64 candidates, both dropping
+/// `skip`: every block's count, the appended sequence, the sizes and the
+/// wiped words must agree.
+void ExpectInsertBlockMatchesInsert(ScopeDedup* ref, ScopeDedup* blk,
+                                    std::uint64_t degree, VertexId universe,
+                                    const std::vector<VertexId>& values,
+                                    VertexId skip) {
+  ref->Reset(degree, universe);
+  blk->Reset(degree, universe);
+  ASSERT_EQ(blk->dense(), ref->dense());
+  std::vector<VertexId> want;
+  std::vector<VertexId> got(values.size());
+  std::size_t n = 0;
+  for (std::size_t at = 0, b = 0; at < values.size(); ++b) {
+    const std::size_t m =
+        std::min<std::size_t>(values.size() - at, 1 + (b * 37) % 64);
+    std::size_t appended = 0;
+    for (std::size_t i = at; i < at + m; ++i) {
+      if (values[i] == skip || !ref->Insert(values[i])) continue;
+      want.push_back(values[i]);
+      ++appended;
+    }
+    ASSERT_EQ(blk->InsertBlock(values.data() + at, m, got.data() + n, skip),
+              appended)
+        << "degree=" << degree << " block at " << at;
+    n += appended;
+    at += m;
+  }
+  got.resize(n);
+  EXPECT_EQ(got, want) << "degree=" << degree;
+  EXPECT_EQ(blk->size(), ref->size());
+  ref->WipeDirty();
+  blk->WipeDirty();
+  EXPECT_EQ(blk->wiped_words(), ref->wiped_words());
+}
+
+TEST(ScopeDedupTest, InsertBlockMatchesInsert) {
+  ScopeDedup ref;
+  ScopeDedup blk;
+  const VertexId universe = VertexId{1} << 16;  // dense above degree 256
+  std::uint64_t seed = 0;
+  for (VertexId skip : {ScopeDedup::kNoSkip, VertexId{0}}) {
+    // Sparse, dense, both sides of the threshold, and duplicate-heavy
+    // scopes (far more draws than distinct values). When skip is set, every
+    // fifth draw is `skip`, which neither form may insert.
+    for (std::uint64_t degree :
+         {1, 2, 7, 40, 63, 64, 200, 255, 256, 257, 1000, 5000}) {
+      for (std::size_t draws : {degree, 4 * degree, 50 * degree}) {
+        std::vector<VertexId> values =
+            DedupDraws(draws, degree, universe, ++seed);
+        if (skip != ScopeDedup::kNoSkip) {
+          for (std::size_t i = 0; i < values.size(); i += 5) values[i] = skip;
+        }
+        ExpectInsertBlockMatchesInsert(&ref, &blk, degree, universe, values,
+                                       skip);
+      }
+    }
+  }
+  // Stamp wrap: small scopes through two wraps, a large one on each.
+  const VertexId wide = VertexId{1} << 40;
+  std::vector<VertexId> large(1000);
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = i * 7919 + 3;
+  for (std::uint64_t scope = 0; scope <= 2 * 65535; ++scope) {
+    if (scope % 65535 == 0) {
+      ExpectInsertBlockMatchesInsert(&ref, &blk, large.size(), wide, large,
+                                     ScopeDedup::kNoSkip);
+      continue;
+    }
+    ExpectInsertBlockMatchesInsert(&ref, &blk, 4, wide,
+                                   {7, scope + 1000, 7, scope}, 7);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScopeDedupTest, MemoryIsNeverAboveTheBitmapOrMinimumTable) {
+  // Scopes are dense above |V|/256, where the table (4 slots per entry)
+  // would outgrow the bitmap, so no degree costs more than the bitmap's
+  // |V|/8 bytes or the 16-slot minimum table.
+  ScopeDedup dedup;
+  for (int levels : {4, 8, 12, 16, 20}) {
+    const VertexId universe = VertexId{1} << levels;
+    const std::size_t bound = std::max<std::size_t>(universe / 8, 128);
+    std::vector<std::uint64_t> degrees = {universe / 256 - 1, universe / 256,
+                                          universe / 256 + 1, universe};
+    for (std::uint64_t d = 1; d <= universe; d += 1 + d / 8) {
+      degrees.push_back(d);
+    }
+    for (std::uint64_t degree : degrees) {
+      if (degree == 0 || degree > universe) continue;
+      dedup.Reset(degree, universe);
+      EXPECT_LE(dedup.MemoryBytes(), bound)
+          << "levels=" << levels << " degree=" << degree;
+      EXPECT_EQ(dedup.dense(), degree > universe / 256)
+          << "levels=" << levels << " degree=" << degree;
+    }
   }
 }
 
