@@ -108,17 +108,32 @@ Status Adj6Writer::Finish() {
 
 Adj6Reader::Adj6Reader(const std::string& path) {
   status_ = reader_.Open(path);
+  remaining_ = reader_.size();
 }
 
 bool Adj6Reader::Next(VertexId* u, std::vector<VertexId>* adj) {
-  if (!status_.ok()) return false;
-  std::uint64_t vertex, degree;
-  if (!reader_.Read48(&vertex)) return false;
-  TG_CHECK_MSG(reader_.Read48(&degree), "truncated ADJ6 record header");
-  adj->resize(degree);
-  for (std::uint64_t i = 0; i < degree; ++i) {
-    TG_CHECK_MSG(reader_.Read48(&(*adj)[i]), "truncated ADJ6 adjacency");
+  if (!status_.ok() || remaining_ == 0) return false;
+  const std::uint64_t offset = reader_.size() - remaining_;
+  std::uint64_t vertex = 0, degree = 0;
+  if (remaining_ < 12 || !reader_.Read48(&vertex) ||
+      !reader_.Read48(&degree)) {
+    status_ = Status::Corruption("truncated ADJ6 record header at byte " +
+                                 std::to_string(offset) + ": " +
+                                 reader_.path());
+    return false;
   }
+  remaining_ -= 12;
+  if (degree > remaining_ / 6) {
+    status_ = Status::Corruption(
+        "truncated ADJ6 adjacency: vertex " + std::to_string(vertex) +
+        " at byte " + std::to_string(offset) + " claims degree " +
+        std::to_string(degree) + " but " + std::to_string(remaining_) +
+        " bytes remain: " + reader_.path());
+    return false;
+  }
+  adj->resize(degree);
+  for (std::uint64_t i = 0; i < degree; ++i) reader_.Read48(&(*adj)[i]);
+  remaining_ -= 6 * degree;
   *u = vertex;
   return true;
 }

@@ -44,15 +44,18 @@ class Adj6Writer : public core::ResumableSink {
   storage::FileWriter writer_;
 };
 
-/// Streaming ADJ6 reader.
+/// Streaming ADJ6 reader. Every length is checked against the bytes left
+/// in the file before it is read or allocated, so a cut or corrupt file
+/// latches Status::Corruption instead of aborting.
 class Adj6Reader {
  public:
   explicit Adj6Reader(const std::string& path);
 
-  /// Reads the next adjacency record; returns false at EOF.
+  /// Reads the next adjacency record; returns false at EOF or on error
+  /// (see status()).
   bool Next(VertexId* u, std::vector<VertexId>* adj);
 
-  /// Visits every record.
+  /// Visits every record; returns the first error, if any.
   static Status ForEach(
       const std::string& path,
       const std::function<void(VertexId, const std::vector<VertexId>&)>& fn);
@@ -62,6 +65,7 @@ class Adj6Reader {
  private:
   storage::FileReader reader_;
   Status status_;
+  std::uint64_t remaining_ = 0;  ///< file bytes not yet read
 };
 
 }  // namespace tg::format

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cmath>
-#include <string>
 
 #include "util/common.h"
 
@@ -88,8 +87,6 @@ class SeedMatrix {
   /// Transposed matrix; generating with it swaps the roles of sources and
   /// destinations (used by the AVS-I orientation of the ERV model).
   SeedMatrix Transposed() const { return SeedMatrix(a(), c(), b(), d()); }
-
-  std::string ToString() const;
 
   friend bool operator==(const SeedMatrix& x, const SeedMatrix& y) {
     return x.k_ == y.k_;

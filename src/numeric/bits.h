@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "util/common.h"
-
 namespace tg::numeric {
 
 /// Bits(x) from the paper: number of set bits in x (Proposition 1).
@@ -17,32 +15,6 @@ inline int BitsLow(std::uint64_t x, int width) {
   if (width >= 64) return std::popcount(x);
   return std::popcount(x & ((std::uint64_t{1} << width) - 1));
 }
-
-/// Number of zero bits among the low `width` bits of x (the Bits(~u) of
-/// Lemma 1, restricted to the log|V|-bit vertex ID width).
-inline int ZeroBitsLow(std::uint64_t x, int width) {
-  return width - BitsLow(x, width);
-}
-
-/// k-th bit of u counted from the LSB, as used in Lemma 3's u[k].
-inline int BitAt(std::uint64_t u, int k) {
-  return static_cast<int>((u >> k) & 1u);
-}
-
-/// floor(log2(x)) for x > 0.
-inline int Log2Floor(std::uint64_t x) {
-  TG_CHECK(x != 0);
-  return 63 - std::countl_zero(x);
-}
-
-/// Exact log2 for powers of two (checked).
-inline int Log2Exact(std::uint64_t x) {
-  TG_CHECK(std::has_single_bit(x));
-  return Log2Floor(x);
-}
-
-/// True if x is a power of two (and nonzero).
-inline bool IsPowerOfTwo(std::uint64_t x) { return std::has_single_bit(x); }
 
 }  // namespace tg::numeric
 

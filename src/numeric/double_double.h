@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <compare>
-#include <string>
 
 namespace tg::numeric {
 
@@ -15,7 +14,7 @@ namespace tg::numeric {
 ///
 /// Implements the classical Dekker/Knuth error-free transformations. Only
 /// the operations RecVec construction and edge determination need are
-/// provided: +, -, *, /, comparisons, and pow with integer exponent.
+/// provided: +, -, *, / and comparisons.
 class DoubleDouble {
  public:
   constexpr DoubleDouble() = default;
@@ -27,8 +26,6 @@ class DoubleDouble {
 
   /// Best double approximation of the value.
   double ToDouble() const { return hi_ + lo_; }
-
-  static DoubleDouble FromProduct(double a, double b) { return TwoProd(a, b); }
 
   friend DoubleDouble operator+(const DoubleDouble& a, const DoubleDouble& b) {
     DoubleDouble s = TwoSum(a.hi_, b.hi_);
@@ -79,19 +76,6 @@ class DoubleDouble {
     if (a.lo_ > b.lo_) return std::strong_ordering::greater;
     return std::strong_ordering::equal;
   }
-
-  /// value^n for n >= 0 by binary exponentiation.
-  static DoubleDouble Pow(DoubleDouble base, unsigned n) {
-    DoubleDouble result(1.0);
-    while (n != 0) {
-      if (n & 1u) result *= base;
-      base *= base;
-      n >>= 1;
-    }
-    return result;
-  }
-
-  std::string ToString() const;
 
  private:
   /// Error-free sum: hi+lo == a+b exactly, |lo| <= ulp(hi)/2.

@@ -117,6 +117,16 @@ std::vector<GatedMetric> ListGatedMetrics(const RunReport& baseline,
   return out;
 }
 
+RunReport GatedPart(const RunReport& report) {
+  RunReport gated;
+  gated.meta = report.meta;
+  gated.meta.erase("profile");
+  gated.counters = report.counters;
+  gated.gauges = report.gauges;
+  gated.histograms = report.histograms;
+  return gated;
+}
+
 DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
                        const DiffOptions& options) {
   DiffResult result;

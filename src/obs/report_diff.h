@@ -89,6 +89,13 @@ struct GatedMetric {
 std::vector<GatedMetric> ListGatedMetrics(const RunReport& baseline,
                                           const DiffOptions& options);
 
+/// The part of `report` a baseline keeps: `meta` without the machine-local
+/// `profile` path, plus the counters, gauges and histograms that
+/// DiffReports reads. The other sections (spans, machines, series, the
+/// profile, ...) are never compared and are largely real-clock or
+/// host-specific, so `bench_check --update` drops them.
+RunReport GatedPart(const RunReport& report);
+
 /// Compares `current` against `baseline`. A metric present in the baseline
 /// but absent from the current report counts as a regression (the bench
 /// stopped measuring something it promised); metrics new in `current` are

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "format/adj6.h"
 #include "format/csr6_mapped.h"
 
 namespace tg::query {
@@ -60,35 +59,6 @@ Status CsrGraph::FromCsr6Shards(const std::vector<std::string>& paths,
     }
     shard->CopyAllNeighbors(graph->edges_.data() + base);
     base += shard->num_edges();
-  }
-  return Status::Ok();
-}
-
-Status CsrGraph::FromAdj6Files(VertexId num_vertices,
-                               const std::vector<std::string>& paths,
-                               CsrGraph* graph) {
-  // Two passes would need re-reading files; instead collect per-vertex
-  // adjacency lengths and payload in one pass, then assemble.
-  std::vector<std::uint32_t> degrees(num_vertices, 0);
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> records;
-  for (const std::string& path : paths) {
-    Status status = format::Adj6Reader::ForEach(
-        path, [&](VertexId u, const std::vector<VertexId>& adj) {
-          TG_CHECK(u < num_vertices);
-          degrees[u] += static_cast<std::uint32_t>(adj.size());
-          records.emplace_back(u, adj);
-        });
-    if (!status.ok()) return status;
-  }
-  graph->offsets_.assign(num_vertices + 1, 0);
-  for (VertexId u = 0; u < num_vertices; ++u) {
-    graph->offsets_[u + 1] = graph->offsets_[u] + degrees[u];
-  }
-  graph->edges_.resize(graph->offsets_.back());
-  std::vector<std::uint64_t> cursor(graph->offsets_.begin(),
-                                    graph->offsets_.end() - 1);
-  for (const auto& [u, adj] : records) {
-    for (VertexId v : adj) graph->edges_[cursor[u]++] = v;
   }
   return Status::Ok();
 }

@@ -1,6 +1,6 @@
-// query/csr_graph.h — in-memory compressed-sparse-row graph, loadable from
-// the on-disk formats (TSV/ADJ6/CSR6 shards). The common input of the query
-// kernels (BFS, PageRank, components) and the analysis passes.
+// query/csr_graph.h — in-memory compressed-sparse-row graph, built from an
+// edge list or loaded from CSR6 shards. The common input of the query
+// kernels (BFS, components) and the analysis passes.
 #ifndef TRILLIONG_QUERY_CSR_GRAPH_H_
 #define TRILLIONG_QUERY_CSR_GRAPH_H_
 
@@ -30,12 +30,6 @@ class CsrGraph {
   /// [0, num_vertices) exactly.
   static Status FromCsr6Shards(const std::vector<std::string>& paths,
                                CsrGraph* graph);
-
-  /// Loads ADJ6 files (any order; vertices absent from the files have
-  /// degree 0).
-  static Status FromAdj6Files(VertexId num_vertices,
-                              const std::vector<std::string>& paths,
-                              CsrGraph* graph);
 
   VertexId num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);

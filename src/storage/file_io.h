@@ -40,6 +40,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "obs/span.h"
 #include "util/common.h"
 #include "util/status.h"
@@ -283,11 +285,20 @@ class FileReader {
     if (file_ == nullptr) {
       return Status::IoError("cannot open for read: " + path);
     }
+    struct stat st;
+    if (fstat(fileno(file_), &st) != 0) {
+      Close();
+      return Status::IoError("cannot stat: " + path);
+    }
+    size_ = st.st_size;
     path_ = path;
     return Status::Ok();
   }
 
   bool is_open() const { return file_ != nullptr; }
+  const std::string& path() const { return path_; }
+  /// File size in bytes at Open.
+  std::uint64_t size() const { return size_; }
 
   /// Reads exactly n bytes; returns false on clean EOF at offset 0 of the
   /// read, aborts (corruption) on a short read mid-record.
@@ -326,6 +337,7 @@ class FileReader {
  private:
   std::FILE* file_ = nullptr;
   std::string path_;
+  std::uint64_t size_ = 0;
 };
 
 /// Removes a file if it exists (best effort; used for temp cleanup).

@@ -140,12 +140,6 @@ class MemoryBudget {
   std::uint64_t limit_bytes() const { return limit_bytes_; }
   int machine() const { return machine_; }
 
-  void ResetPeak() {
-    peak_bytes_.store(used_bytes_.load());
-    std::lock_guard<std::mutex> lock(tags_mu_);
-    for (auto& [name, tag] : tags_) tag->peak.store(tag->used.load());
-  }
-
   /// Snapshot of the per-tag used/peak counters, sorted by tag name.
   std::vector<OomReport::TagUsage> TagBreakdown() const {
     std::vector<OomReport::TagUsage> out;

@@ -35,38 +35,6 @@ TEST(FailureTest, WritersReportUnwritablePaths) {
   EXPECT_FALSE(csr6.status().ok());
 }
 
-TEST(FailureTest, TruncatedAdj6HeaderDies) {
-  storage::TempDir dir;
-  std::string path = dir.File("trunc.adj6");
-  {
-    storage::FileWriter w;
-    ASSERT_TRUE(w.Open(path).ok());
-    w.Append48(5);  // vertex id but no degree
-    ASSERT_TRUE(w.Close().ok());
-  }
-  format::Adj6Reader reader(path);
-  VertexId u;
-  std::vector<VertexId> adj;
-  EXPECT_DEATH(reader.Next(&u, &adj), "truncated ADJ6");
-}
-
-TEST(FailureTest, TruncatedAdj6AdjacencyDies) {
-  storage::TempDir dir;
-  std::string path = dir.File("trunc2.adj6");
-  {
-    storage::FileWriter w;
-    ASSERT_TRUE(w.Open(path).ok());
-    w.Append48(5);   // vertex
-    w.Append48(3);   // claims 3 neighbors
-    w.Append48(7);   // provides only 1
-    ASSERT_TRUE(w.Close().ok());
-  }
-  format::Adj6Reader reader(path);
-  VertexId u;
-  std::vector<VertexId> adj;
-  EXPECT_DEATH(reader.Next(&u, &adj), "truncated ADJ6 adjacency");
-}
-
 TEST(FailureTest, TruncatedCsr6OffsetsRejected) {
   storage::TempDir dir;
   std::string path = dir.File("trunc.csr6");

@@ -172,6 +172,67 @@ TEST(Adj6Test, FileIsCompact) {
   }
 }
 
+// Writes a well-formed record for vertex 1 (neighbors 2, 3), then `tail`
+// ADJ6 values, then `extra` raw bytes: a file cut or corrupted after one
+// good record.
+std::string Adj6WithTail(const storage::TempDir& dir,
+                         std::initializer_list<VertexId> tail,
+                         std::size_t extra = 0) {
+  const std::string path = dir.File("bad.adj6");
+  storage::FileWriter w;
+  EXPECT_TRUE(w.Open(path).ok());
+  for (VertexId v : {1, 2, 2, 3}) w.Append48(v);
+  for (VertexId v : tail) w.Append48(v);
+  w.Append("\x07\x07\x07\x07\x07", extra);
+  EXPECT_TRUE(w.Close().ok());
+  return path;
+}
+
+// The reader must reject the second record with Status::Corruption after
+// delivering the first, and ForEach must return that status.
+void ExpectCorruptSecondRecord(const std::string& path,
+                               const std::string& what) {
+  Adj6Reader reader(path);
+  VertexId u;
+  std::vector<VertexId> adj;
+  ASSERT_TRUE(reader.Next(&u, &adj));
+  EXPECT_EQ(u, 1u);
+  EXPECT_EQ(adj, V({2, 3}));
+  EXPECT_FALSE(reader.Next(&u, &adj));
+  EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(reader.status().message().find(what), std::string::npos)
+      << reader.status().ToString();
+  EXPECT_FALSE(reader.Next(&u, &adj));  // the error stays latched
+
+  int records = 0;
+  Status s = Adj6Reader::ForEach(
+      path, [&](VertexId, const std::vector<VertexId>&) { ++records; });
+  EXPECT_EQ(records, 1);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+}
+
+TEST(Adj6Test, TruncatedHeaderIsCorruption) {
+  // Vertex id, then the degree cut after 3 of its 6 bytes.
+  storage::TempDir dir;
+  ExpectCorruptSecondRecord(Adj6WithTail(dir, {5}, 3),
+                            "truncated ADJ6 record header at byte 24");
+}
+
+TEST(Adj6Test, TruncatedAdjacencyIsCorruption) {
+  // Claims 3 neighbors, provides one and half of the next.
+  storage::TempDir dir;
+  ExpectCorruptSecondRecord(Adj6WithTail(dir, {5, 3, 7}, 3),
+                            "claims degree 3 but 9 bytes remain");
+}
+
+TEST(Adj6Test, DegreeBeyondFileIsCorruption) {
+  // A degree of 2^40 would need 6 TiB of neighbors; the reader must not
+  // allocate for it.
+  storage::TempDir dir;
+  ExpectCorruptSecondRecord(Adj6WithTail(dir, {5, VertexId{1} << 40, 7}),
+                            "claims degree 1099511627776 but 6 bytes remain");
+}
+
 TEST(Csr6Test, RoundTripWholeGraph) {
   storage::TempDir dir;
   std::string path = dir.File("g.csr6");

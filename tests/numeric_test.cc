@@ -68,17 +68,6 @@ TEST(DoubleDoubleTest, ComparisonOrdersByValue) {
   EXPECT_LT(DoubleDouble(0.5), DoubleDouble(0.75));
 }
 
-TEST(DoubleDoubleTest, PowMatchesRepeatedMultiplication) {
-  DoubleDouble base(0.57);
-  DoubleDouble by_mult(1.0);
-  for (unsigned n = 0; n <= 40; ++n) {
-    DoubleDouble by_pow = DoubleDouble::Pow(base, n);
-    EXPECT_NEAR(by_pow.ToDouble(), by_mult.ToDouble(),
-                1e-25 * by_mult.ToDouble() + 1e-300);
-    by_mult *= base;
-  }
-}
-
 TEST(DoubleDoubleTest, PrecisionBeyondDouble) {
   // Accumulate 2^20 copies of (2^-70): exact in double-double when added to
   // 1.0, entirely lost in double.
@@ -115,34 +104,6 @@ TEST(BitsTest, BitsLowRespectsWidth) {
   EXPECT_EQ(BitsLow(0xF0, 8), 4);
   EXPECT_EQ(BitsLow(~std::uint64_t{0}, 64), 64);
   EXPECT_EQ(BitsLow(~std::uint64_t{0}, 0), 0);
-}
-
-TEST(BitsTest, ZeroBitsLowIsComplement) {
-  for (int width = 1; width <= 20; ++width) {
-    std::uint64_t x = 0xDEADBEEFCAFEBABEULL;
-    EXPECT_EQ(BitsLow(x, width) + ZeroBitsLow(x, width), width);
-  }
-}
-
-TEST(BitsTest, BitAtMatchesShift) {
-  std::uint64_t x = 0b101101;
-  EXPECT_EQ(BitAt(x, 0), 1);
-  EXPECT_EQ(BitAt(x, 1), 0);
-  EXPECT_EQ(BitAt(x, 2), 1);
-  EXPECT_EQ(BitAt(x, 3), 1);
-  EXPECT_EQ(BitAt(x, 4), 0);
-  EXPECT_EQ(BitAt(x, 5), 1);
-}
-
-TEST(BitsTest, Log2Functions) {
-  EXPECT_EQ(Log2Floor(1), 0);
-  EXPECT_EQ(Log2Floor(2), 1);
-  EXPECT_EQ(Log2Floor(3), 1);
-  EXPECT_EQ(Log2Floor(1ULL << 47), 47);
-  EXPECT_EQ(Log2Exact(1ULL << 20), 20);
-  EXPECT_TRUE(IsPowerOfTwo(1ULL << 33));
-  EXPECT_FALSE(IsPowerOfTwo(3));
-  EXPECT_FALSE(IsPowerOfTwo(0));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "query/bfs.h"
 #include "query/components.h"
 #include "query/csr_graph.h"
-#include "query/pagerank.h"
 #include "storage/temp_dir.h"
 
 namespace tg::query {
@@ -202,84 +201,6 @@ TEST(DisjointSetsTest, AgreesWithBfsOnGeneratedGraph) {
   CsrGraph rev = g.Transposed();
   BfsResult r = Bfs(g, 0, &rev);
   EXPECT_EQ(r.vertices_visited, ds.ComponentSize(0));
-}
-
-TEST(PageRankTest, UniformOnRegularCycle) {
-  // A directed cycle: every vertex has identical rank 1/n.
-  const VertexId n = 10;
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < n; ++v) edges.push_back(Edge{v, (v + 1) % n});
-  CsrGraph g = CsrGraph::FromEdges(n, edges);
-  PageRankResult r = PageRank(g);
-  double total = 0;
-  for (double x : r.rank) {
-    EXPECT_NEAR(x, 0.1, 1e-9);
-    total += x;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(PageRankTest, StarGraphCenterDominates) {
-  // Spokes point to the center; the center's rank must dominate.
-  const VertexId n = 50;
-  std::vector<Edge> edges;
-  for (VertexId v = 1; v < n; ++v) edges.push_back(Edge{v, 0});
-  CsrGraph g = CsrGraph::FromEdges(n, edges);
-  PageRankResult r = PageRank(g);
-  for (VertexId v = 1; v < n; ++v) EXPECT_GT(r.rank[0], 10 * r.rank[v]);
-  double total = 0;
-  for (double x : r.rank) total += x;
-  EXPECT_NEAR(total, 1.0, 1e-9);  // dangling center redistributes correctly
-}
-
-TEST(PageRankTest, MatchesHandComputedTwoNodeChain) {
-  // 0 -> 1, 1 dangling. Closed form with damping d and n = 2:
-  // r0 = (1-d)/2 + d*r1/2; r1 = (1-d)/2 + d*r0 + d*r1/2.
-  CsrGraph g = CsrGraph::FromEdges(2, {{0, 1}});
-  PageRankOptions options;
-  options.max_iterations = 200;
-  options.tolerance = 1e-14;
-  PageRankResult r = PageRank(g, options);
-  double d = options.damping;
-  // Solve the 2x2 system.
-  // r0 = (1-d)/2 + d/2 * r1 ; r1 = (1-d)/2 + d * r0 + d/2 * r1
-  // => substitute and check.
-  double r0 = r.rank[0], r1 = r.rank[1];
-  EXPECT_NEAR(r0, (1 - d) / 2 + d / 2 * r1, 1e-9);
-  EXPECT_NEAR(r1, (1 - d) / 2 + d * r0 + d / 2 * r1, 1e-9);
-  EXPECT_NEAR(r0 + r1, 1.0, 1e-9);
-}
-
-TEST(PageRankTest, ConvergesOnGeneratedGraph) {
-  core::TrillionGConfig config;
-  config.scale = 10;
-  config.edge_factor = 8;
-  std::vector<Edge> edges;
-  class Collect : public core::ScopeSink {
-   public:
-    explicit Collect(std::vector<Edge>* out) : out_(out) {}
-    void ConsumeScope(VertexId u, const VertexId* adj,
-                      std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) out_->push_back(Edge{u, adj[i]});
-    }
-    std::vector<Edge>* out_;
-  };
-  Collect sink(&edges);
-  core::GenerateToSink(config, &sink);
-  CsrGraph g = CsrGraph::FromEdges(config.NumVertices(), edges);
-
-  PageRankOptions options;
-  options.tolerance = 1e-10;
-  options.max_iterations = 100;
-  PageRankResult r = PageRank(g, options);
-  EXPECT_LT(r.final_delta, 1e-10);
-  double total = 0;
-  for (double x : r.rank) total += x;
-  EXPECT_NEAR(total, 1.0, 1e-6);
-  // On an RMAT graph, high in-degree hubs (low vertex IDs) get high rank.
-  double head = r.rank[0] + r.rank[1] + r.rank[2];
-  double mid = r.rank[500] + r.rank[501] + r.rank[502];
-  EXPECT_GT(head, 10 * mid);
 }
 
 TEST(GraphStatsTest, HandComputedValues) {

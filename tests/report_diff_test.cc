@@ -204,5 +204,43 @@ TEST(ReportDiffTest, VerboseListingNamesEveryCheckedMetric) {
   EXPECT_EQ(result.ToString(false).find("FAIL"), std::string::npos);
 }
 
+// What bench_check --update writes: a report with a profile path, profiler
+// frames, a sampler series and spans keeps only the sections the diff
+// reads, survives a JSON round trip, and still matches its source.
+TEST(ReportDiffTest, GatedPartKeepsOnlyWhatTheDiffReads) {
+  RunReport report = MakeBaseline();
+  report.meta["tool"] = "bench_fig11b";
+  report.meta["profile"] = "/tmp/bench/bench_fig11b.folded";
+  ProfSection prof;
+  prof.samples = 870;
+  prof.hz = 99;
+  prof.frames.push_back({"generate", "InvertBlock", 500, 600});
+  report.prof = prof;
+  TimeSeries series;
+  series.interval_seconds = 0.05;
+  series.t = {0.0, 0.05};
+  series.v = {0.0, 1024.0};
+  report.series["avs.edges_generated"] = series;
+  report.spans.push_back({"generate", 0, 1, 0.5, 0.5});
+  report.machines[0]["cpu_seconds"] = 0.5;
+
+  RunReport parsed;
+  ASSERT_TRUE(RunReport::FromJson(GatedPart(report).ToJson(), &parsed).ok());
+  EXPECT_EQ(parsed.meta.count("profile"), 0u);
+  EXPECT_EQ(parsed.meta.at("tool"), "bench_fig11b");
+  EXPECT_FALSE(parsed.prof.has_value());
+  EXPECT_TRUE(parsed.series.empty());
+  EXPECT_TRUE(parsed.spans.empty());
+  EXPECT_TRUE(parsed.machines.empty());
+  EXPECT_EQ(parsed.counters, report.counters);
+  EXPECT_EQ(parsed.gauges, report.gauges);
+  EXPECT_EQ(parsed.histograms.size(), report.histograms.size());
+
+  DiffResult result =
+      DiffReports(GatedPart(report), report, DiffOptions::Defaults());
+  EXPECT_TRUE(result.ok()) << result.ToString(true);
+  EXPECT_EQ(result.num_checked, 5);
+}
+
 }  // namespace
 }  // namespace tg::obs

@@ -10,8 +10,9 @@
 //               [--skip sort.merge_passes,...]
 //               [--default_gauge_tol 0.5] [--verbose] [--update]
 //
-// --update rewrites the baseline from the current report (after printing the
-// diff) — the maintenance path when a change legitimately moves a metric.
+// --update rewrites the baseline from the gated part of the current report
+// (obs::GatedPart, after printing the diff) — the maintenance path when a
+// change legitimately moves a metric.
 // --list needs only --baseline: it prints every metric the gate would check
 // with its resolved tolerance (plus the skipped ones), so the gate's
 // coverage is reviewable without running a bench.
@@ -138,7 +139,8 @@ int main(int argc, char** argv) {
              stdout);
 
   if (flags.GetBool("update", false)) {
-    s = tg::storage::WriteFile(baseline_path, current.ToJson());
+    s = tg::storage::WriteFile(baseline_path,
+                                 tg::obs::GatedPart(current).ToJson());
     if (!s.ok()) {
       std::fprintf(stderr, "bench_check: cannot update %s: %s\n",
                    baseline_path.c_str(), s.ToString().c_str());
