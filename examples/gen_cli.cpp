@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
         "loads that journal, truncates the output shards back to the last\n"
         "committed chunk, and generates only what is missing — the resumed\n"
         "files are byte-identical to an uninterrupted run.\n"
-        "--mem_budget caps the generator's logical working set (accepts\n"
-        "human sizes: 512m, 2g, 64k, plain bytes); exceeding it aborts the\n"
+        "--mem_budget caps the generator's logical working set, stolen\n"
+        "chunks parked for their owner included (accepts human sizes:\n"
+        "512m, 2g, 64k, plain bytes); exceeding it aborts the\n"
         "run with an OomError whose forensics (machine, tag, per-tag byte\n"
         "breakdown, span stack) are printed — and written as standalone\n"
         "JSON when --oom_report is given.\n"
@@ -386,11 +387,15 @@ int main(int argc, char** argv) {
     std::printf("peak per-scope working set: %llu bytes\n",
                 static_cast<unsigned long long>(stats.peak_scope_bytes));
     if (config.num_workers > 1) {
+      const double parked_mib =
+          static_cast<double>(
+              budget.Tag(tg::core::ChunkBuffer::kParkedTag)->peak.load()) /
+          (1 << 20);
       std::printf(
-          "scheduler: %llu chunks, %llu steals, cpu imbalance %.2f "
-          "(max/mean)\n",
+          "scheduler: %llu chunks, %llu steals, parked peak %.1f MiB, "
+          "cpu imbalance %.2f (max/mean)\n",
           static_cast<unsigned long long>(stats.sched_chunks),
-          static_cast<unsigned long long>(stats.sched_steals),
+          static_cast<unsigned long long>(stats.sched_steals), parked_mib,
           stats.sched_imbalance);
     }
     if (stats.sched_recovered > 0) {

@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "core/partitioner.h"
 #include "fault/fault_injector.h"
@@ -29,6 +30,128 @@ double CpuImbalance(const std::vector<double>& worker_cpu_seconds) {
   }
   const double mean = sum / static_cast<double>(worker_cpu_seconds.size());
   return mean > 0.0 ? max_cpu / mean : 1.0;
+}
+
+namespace {
+
+/// Longest LEB128 encoding of a 64-bit value. The writer opens a new block
+/// when fewer bytes than this are left, so no varint straddles two blocks.
+constexpr std::ptrdiff_t kMaxVarintBytes = 10;
+
+inline std::uint8_t* PutVarint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// Reads one LEB128 value at `*p` and advances past it.
+inline std::uint64_t GetVarint(const std::uint8_t** p) {
+  const std::uint8_t* q = *p;
+  std::uint64_t v = 0;
+  int shift = 0;
+  while (*q & 0x80) {
+    v |= static_cast<std::uint64_t>(*q++ & 0x7f) << shift;
+    shift += 7;
+  }
+  v |= static_cast<std::uint64_t>(*q++) << shift;
+  *p = q;
+  return v;
+}
+
+}  // namespace
+
+ChunkBuffer::ChunkBuffer(MemoryBudget* budget)
+    : budget_(budget),
+      tag_(budget != nullptr ? budget->Tag(kParkedTag) : nullptr) {}
+
+ChunkBuffer::ChunkBuffer(ChunkBuffer&& other) noexcept
+    : budget_(other.budget_),
+      tag_(other.tag_),
+      blocks_(std::move(other.blocks_)),
+      pos_(std::exchange(other.pos_, nullptr)),
+      end_(std::exchange(other.end_, nullptr)),
+      prev_u_(std::exchange(other.prev_u_, 0)),
+      target_(std::exchange(other.target_, nullptr)) {}
+
+void ChunkBuffer::NewBlock() {
+  if (!blocks_.empty()) blocks_.back()->size = pos_ - blocks_.back()->bytes;
+  blocks_.push_back(std::make_unique<Block>(budget_, tag_));
+  pos_ = blocks_.back()->bytes;
+  end_ = pos_ + sizeof(Block::bytes);
+}
+
+void ChunkBuffer::Pack(VertexId u, const VertexId* adj, std::size_t n) {
+  // The cursor lives in locals: the byte stores could alias the members.
+  std::uint8_t* pos = pos_;
+  std::uint8_t* end = end_;
+  auto put = [&](std::uint64_t v) {
+    if (end - pos < kMaxVarintBytes) {
+      pos_ = pos;
+      NewBlock();
+      pos = pos_;
+      end = end_;
+    }
+    pos = PutVarint(pos, v);
+  };
+  put(u - prev_u_);
+  put(n);
+  for (std::size_t i = 0; i < n; ++i) put(adj[i]);
+  pos_ = pos;
+  prev_u_ = u;
+}
+
+void ChunkBuffer::Clear() {
+  blocks_.clear();
+  pos_ = end_ = nullptr;
+  prev_u_ = 0;
+  target_ = nullptr;
+}
+
+void ChunkBuffer::FlushTo(ScopeSink* sink) {
+  if (blocks_.empty()) return;
+  blocks_.back()->size = pos_ - blocks_.back()->bytes;
+  std::size_t next = 0;  // the block to open when the current one runs out
+  const std::uint8_t* p = nullptr;
+  const std::uint8_t* end = nullptr;
+  auto open_next = [&] {
+    if (next > 0) blocks_[next - 1].reset();
+    p = blocks_[next]->bytes;
+    end = p + blocks_[next]->size;
+    ++next;
+  };
+  auto get = [&] {
+    if (p == end) open_next();
+    return GetVarint(&p);
+  };
+  VertexId u = 0;
+  while (p != end || next < blocks_.size()) {
+    u += get();
+    const std::size_t n = get();
+    if (adj_.size() < n) adj_.resize(n);
+    VertexId* adj = adj_.data();
+    // Varints never straddle blocks, so the ids decode block by block.
+    for (std::size_t i = 0; i < n;) {
+      if (p == end) open_next();
+      while (i < n && p != end) adj[i++] = GetVarint(&p);
+    }
+    sink->ConsumeScope(u, adj, n);
+  }
+  Clear();
+}
+
+std::vector<int> StealDomains(const std::vector<MemoryBudget*>& budgets) {
+  std::vector<MemoryBudget*> seen;
+  std::vector<int> domains;
+  domains.reserve(budgets.size());
+  for (MemoryBudget* budget : budgets) {
+    const auto it = std::find(seen.begin(), seen.end(), budget);
+    domains.push_back(static_cast<int>(it - seen.begin()));
+    if (it == seen.end()) seen.push_back(budget);
+  }
+  return domains;
 }
 
 std::vector<std::vector<Chunk>> BuildChunkQueues(
@@ -64,7 +187,8 @@ struct WorkerDeque {
 
 /// A chunk that completed out of order, waiting for its predecessors. The
 /// Chunk rides along so the commit hook fires with full chunk identity when
-/// the parked buffer is finally drained.
+/// the parked buffer is finally drained; the buffer's blocks stay charged to
+/// the thief's budget until then.
 struct ParkedChunk {
   Chunk chunk;
   ChunkBuffer buffer;
@@ -93,8 +217,8 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   const int num_workers = static_cast<int>(queues.size());
   const int num_ranges = static_cast<int>(sinks.size());
   TG_CHECK(num_workers >= 1);
-  TG_CHECK(options.steal_domain.empty() ||
-           static_cast<int>(options.steal_domain.size()) == num_workers);
+  TG_CHECK(options.budgets.empty() ||
+           static_cast<int>(options.budgets.size()) == num_workers);
   TG_CHECK(options.machine_tags.empty() ||
            static_cast<int>(options.machine_tags.size()) == num_workers);
 
@@ -157,9 +281,8 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
   Stopwatch run_timer;
   std::vector<double> exit_wall(num_workers, 0.0);
 
-  auto domain_of = [&](int w) {
-    return options.steal_domain.empty() ? 0 : options.steal_domain[w];
-  };
+  const std::vector<int> domains = StealDomains(options.budgets);
+  auto domain_of = [&](int w) { return domains.empty() ? 0 : domains[w]; };
 
   auto try_pop_own = [&](int w, Chunk* out) {
     WorkerDeque& wd = deques[w];
@@ -262,7 +385,8 @@ SchedulerStats RunWorkStealing(const std::vector<std::vector<Chunk>>& queues,
     const double cpu_start = ThreadCpuSeconds();
     try {
       ChunkFn fn = make_worker(w);
-      ChunkBuffer local;
+      ChunkBuffer local(options.budgets.empty() ? nullptr
+                                                : options.budgets[w]);
       Chunk c;
       double slow_factor = 1.0;
       int transient_attempts = 0;

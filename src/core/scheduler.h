@@ -18,19 +18,25 @@
 // common case: an owner popping its own deque). Only a chunk that is out of
 // order when it starts — in practice a stolen tail — is generated into a
 // ChunkBuffer, parked in the range's reorder map, and replayed once its
-// predecessors have committed. A worker's working set is therefore the
-// O(d_max) scope scratch plus the writer's staging blocks, not a chunk.
+// predecessors have committed. An owner's working set is therefore the
+// O(d_max) scope scratch plus the writer's staging blocks. A thief adds the
+// chunks it parks, packed at ceil(scale / 7) bytes per id or less (about 3
+// at scale 22) plus a few bytes per scope, in 1 KiB blocks: at most one
+// partly filled block per parked chunk. Those blocks are charged to the
+// thief's budget as `sched.parked` until the owner flushes them.
 #ifndef TRILLIONG_CORE_SCHEDULER_H_
 #define TRILLIONG_CORE_SCHEDULER_H_
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/scope_sink.h"
 #include "model/noise.h"
 #include "util/common.h"
+#include "util/memory_budget.h"
 
 namespace tg::fault {
 class FaultInjector;
@@ -55,29 +61,43 @@ struct Chunk {
   VertexId hi = 0;
 };
 
-/// Where a worker generates one chunk. Out of order (its predecessors are
-/// still running), it buffers the chunk as scope-packed adjacency that the
-/// commit protocol later replays, in order, into the owner range's
-/// (single-threaded) sink. In order, the scheduler points it at that sink
-/// with PassThroughTo and every scope goes straight through; nothing is
-/// buffered. Capacity persists across Clear().
+/// Where a worker generates one chunk. In order, the scheduler points it at
+/// the owner range's (single-threaded) sink with PassThroughTo and every
+/// scope goes straight through; nothing is buffered. Out of order (its
+/// predecessors are still running), it packs the chunk for the commit
+/// protocol to replay, in order, into that sink.
+///
+/// The packed stream fills a chain of fixed kBlockBytes blocks, so packed
+/// bytes are never reallocated or copied. Each scope is the LEB128 of
+/// `u - previous u` and of `n`, then its `n` ids, each LEB128: about 3 bytes
+/// per id at scale 22 instead of 8, and any 64-bit id round-trips. A varint
+/// never straddles two blocks; a scope may. Each block is charged whole to
+/// the buffer's budget under kParkedTag while the buffer holds it, so the
+/// parked chunks of a thief count against its machine's cap like any other
+/// working set. Blocks are small so that a small chunk (a few KB at the
+/// daemon's scales) is charged little more than its packed size.
 class ChunkBuffer : public ScopeSink {
  public:
+  /// One block's allocation, header included.
+  static constexpr std::size_t kBlockBytes = 1024;
+  static constexpr const char* kParkedTag = "sched.parked";
+
+  /// `budget` (may be null: no charge) pays for the buffered blocks.
+  explicit ChunkBuffer(MemoryBudget* budget = nullptr);
+  /// Takes `other`'s blocks and their charge; `other` is left empty and keeps
+  /// its budget and its decode scratch.
+  ChunkBuffer(ChunkBuffer&& other) noexcept;
+
   void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override {
     if (target_ != nullptr) {
       target_->ConsumeScope(u, adj, n);
       return;
     }
-    scopes_.push_back({u, adj_.size(), n});
-    adj_.insert(adj_.end(), adj, adj + n);
+    Pack(u, adj, n);
   }
 
-  /// Empties the buffer; later scopes are buffered.
-  void Clear() {
-    adj_.clear();
-    scopes_.clear();
-    target_ = nullptr;
-  }
+  /// Empties the buffer, releasing its blocks; later scopes are buffered.
+  void Clear();
 
   /// Empties the buffer; later scopes go straight to `sink` until the next
   /// Clear().
@@ -86,31 +106,44 @@ class ChunkBuffer : public ScopeSink {
     target_ = sink;
   }
 
-  /// Replays the buffered scopes, in order, into `sink`.
-  void FlushTo(ScopeSink* sink) const {
-    for (const ScopeRef& s : scopes_) {
-      sink->ConsumeScope(s.u, adj_.data() + s.offset, s.n);
-    }
-  }
+  /// Replays the buffered scopes, in order, into `sink`, decoding each
+  /// scope into one reused adjacency scratch and releasing each block once
+  /// it is decoded. The buffer is empty afterwards. A no-op when passing
+  /// through.
+  void FlushTo(ScopeSink* sink);
 
  private:
-  struct ScopeRef {
-    VertexId u;
-    std::size_t offset;
-    std::size_t n;
+  struct Block {
+    Block(MemoryBudget* budget, MemoryBudget::TagStats* tag)
+        : charge(budget, kBlockBytes, tag) {}
+    ScopedAllocation charge;
+    std::size_t size = 0;  ///< bytes used; the last block's is pos_ - bytes
+    std::uint8_t bytes[kBlockBytes - sizeof(ScopedAllocation) -
+                       sizeof(std::size_t)];
   };
-  std::vector<VertexId> adj_;
-  std::vector<ScopeRef> scopes_;
+  static_assert(sizeof(Block) == kBlockBytes);
+
+  void Pack(VertexId u, const VertexId* adj, std::size_t n);
+  void NewBlock();
+
+  MemoryBudget* budget_;
+  MemoryBudget::TagStats* tag_;
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::uint8_t* pos_ = nullptr;  ///< next free byte of the last block
+  std::uint8_t* end_ = nullptr;  ///< end of the last block
+  VertexId prev_u_ = 0;
   ScopeSink* target_ = nullptr;
+  std::vector<VertexId> adj_;  ///< FlushTo's decode scratch
 };
 
 /// Scheduling policy knobs.
 struct SchedulerOptions {
-  /// Steal domain of each worker; a worker only steals from deques in its
-  /// own domain. Empty means one shared domain. core::Generate gives each
-  /// memory budget of its WorkerTopology its own domain — threads of one
-  /// machine share memory, machines do not.
-  std::vector<int> steal_domain;
+  /// Memory budget of each worker (null entries allowed). Workers that
+  /// share a budget form one steal domain (StealDomains), and the chunks a
+  /// worker parks are charged to its budget under ChunkBuffer::kParkedTag
+  /// until their owner flushes them. Empty means one shared domain and no
+  /// charge.
+  std::vector<MemoryBudget*> budgets;
   /// Simulated-machine tag installed on each worker thread (obs span and
   /// per-machine stat attribution). Empty means tag worker w as machine w,
   /// the identity WorkerTopology.
@@ -172,6 +205,12 @@ struct SchedulerStats {
   /// (e.g. a format writer's latched write error); Ok otherwise.
   Status sink_status;
 };
+
+/// The steal domain of each worker: workers that share a budget share memory
+/// (the threads of one machine), so they share a domain; machines do not.
+/// Domains are numbered in order of first appearance: worker 0 is in
+/// domain 0, and a budget no earlier worker has opens the next domain.
+std::vector<int> StealDomains(const std::vector<MemoryBudget*>& budgets);
 
 /// Computes `imbalance` (max/mean, 1.0 when idle) from per-worker CPU times.
 double CpuImbalance(const std::vector<double>& worker_cpu_seconds);

@@ -52,23 +52,20 @@ GenerateStats RunTyped(const TrillionGConfig& config,
   TG_SPAN("generate");
   const rng::Rng root(config.rng_seed, /*stream=*/1);
 
-  // Workers that share a budget share memory: one generator per budget (one
-  // prefix-table set, charged once to it) and one steal domain, so chunks
+  // Workers that share a budget share memory: one generator per steal
+  // domain (one prefix-table set, charged once to that budget). The
+  // scheduler derives the same domains from the same budgets, so chunks
   // never migrate between machines.
   SchedulerOptions sched_options;
   sched_options.machine_tags = topology.machine;
-  std::vector<MemoryBudget*> domain_budgets;
+  sched_options.budgets = topology.budget;
+  const std::vector<int> domains = StealDomains(topology.budget);
   std::vector<std::unique_ptr<AvsRangeGenerator<Real>>> generators;
-  for (MemoryBudget* budget : topology.budget) {
-    const auto it =
-        std::find(domain_budgets.begin(), domain_budgets.end(), budget);
-    sched_options.steal_domain.push_back(
-        static_cast<int>(it - domain_budgets.begin()));
-    if (it != domain_budgets.end()) continue;
-    domain_budgets.push_back(budget);
+  for (int w = 0; w < config.num_workers; ++w) {
+    if (domains[w] < static_cast<int>(generators.size())) continue;
     Stopwatch build_watch;
     generators.push_back(std::make_unique<AvsRangeGenerator<Real>>(
-        &noise, config.NumEdges(), config.determiner, budget,
+        &noise, config.NumEdges(), config.determiner, topology.budget[w],
         config.exclude_self_loops, config.shared_prefix_tables));
     if (generators.back()->uses_table_kernel() &&
         config.shared_prefix_tables == nullptr) {
@@ -106,7 +103,7 @@ GenerateStats RunTyped(const TrillionGConfig& config,
     auto scratch = std::make_shared<ScopeScratch<Real>>();
     AvsWorkerStats* stats_slot = &worker_stats[w];
     const AvsRangeGenerator<Real>* generator =
-        generators[sched_options.steal_domain[w]].get();
+        generators[domains[w]].get();
     return [generator, &root, scratch, stats_slot](const Chunk& c,
                                                    ChunkBuffer* buffer) {
       generator->GenerateRange(c.lo, c.hi, root, scratch.get(), stats_slot,

@@ -172,9 +172,10 @@ GenerateStats Generate(const TrillionGConfig& config,
 /// Where the workers of a Generate() run live. Worker w belongs to simulated
 /// machine `machine[w]`: its sink is created under that tag, and the
 /// scheduler, per-machine stats and fault injector attribute its chunks to
-/// it. It charges `budget[w]` (null: unlimited). Workers that share a budget
-/// share memory, so they share one generator (one prefix-table set, charged
-/// once to that budget) and one steal domain.
+/// it. It charges `budget[w]` (null: unlimited), including the chunks it
+/// parks as a thief. Workers that share a budget share memory, so they share
+/// one generator (one prefix-table set, charged once to that budget) and one
+/// steal domain (core::StealDomains).
 struct WorkerTopology {
   std::vector<int> machine;
   std::vector<MemoryBudget*> budget;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "format/adj6.h"
@@ -102,6 +103,13 @@ Status Adj6ToCsr6(const std::string& adj6_path, const std::string& csr6_path,
   for (const auto& [u, adj] : records) {
     if (u >= num_vertices) {
       return Status::InvalidArgument("vertex id beyond num_vertices");
+    }
+    for (VertexId v : adj) {
+      if (v >= num_vertices) {
+        return Status::InvalidArgument("neighbor id " + std::to_string(v) +
+                                       " of vertex " + std::to_string(u) +
+                                       " beyond num_vertices");
+      }
     }
     writer.ConsumeScope(u, adj.data(), adj.size());
   }

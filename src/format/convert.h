@@ -31,7 +31,8 @@ Status MergeCsr6Shards(const std::vector<std::string>& shard_paths,
                        const std::string& out_path);
 
 /// ADJ6 -> CSR6 (whole file): records may arrive in any order; sorted and
-/// assembled in memory.
+/// assembled in memory. A vertex or neighbor id >= num_vertices is
+/// InvalidArgument.
 Status Adj6ToCsr6(const std::string& adj6_path, const std::string& csr6_path,
                   VertexId num_vertices);
 

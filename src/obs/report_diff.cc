@@ -69,6 +69,9 @@ DiffOptions DiffOptions::Defaults() {
   // Which chunks get stolen is a thread-timing outcome, not a property of
   // the build (sched.chunks, which is deterministic, stays gated).
   options.skip.push_back("sched.steals");
+  // Parked chunks exist only where a steal ran out of order, so their peak
+  // is as schedule-dependent as the steal count (0 in a run with no steal).
+  options.skip.push_back("mem.tag.sched.parked.peak_bytes");
   // How long the producer blocked on a full async-writer queue is likewise
   // wall-clock, not workload (io.bytes_written / io.flushes, which are
   // deterministic, stay gated).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "format/csr6_mapped.h"
@@ -59,6 +60,14 @@ Status CsrGraph::FromCsr6Shards(const std::vector<std::string>& paths,
     }
     shard->CopyAllNeighbors(graph->edges_.data() + base);
     base += shard->num_edges();
+  }
+  // Bfs and Transposed index per-vertex arrays with neighbor ids.
+  for (VertexId v : graph->edges_) {
+    if (v >= num_vertices) {
+      return Status::Corruption("CSR6 neighbor id " + std::to_string(v) +
+                                " beyond the shards' range [0, " +
+                                std::to_string(num_vertices) + ")");
+    }
   }
   return Status::Ok();
 }

@@ -27,7 +27,8 @@ class CsrGraph {
 
   /// Loads and concatenates CSR6 shard files (as produced by per-worker
   /// Csr6Writer sinks). Shards may arrive in any order but must tile
-  /// [0, num_vertices) exactly.
+  /// [0, num_vertices) exactly; a neighbor id outside that range is
+  /// Corruption.
   static Status FromCsr6Shards(const std::vector<std::string>& paths,
                                CsrGraph* graph);
 

@@ -132,6 +132,21 @@ TEST(ConvertTest, Adj6ToCsr6SortsAdjacency) {
             (std::vector<VertexId>{3, 6, 9}));
 }
 
+TEST(ConvertTest, Adj6ToCsr6RejectsNeighborBeyondVertices) {
+  storage::TempDir dir;
+  std::string adj6 = dir.File("g.adj6");
+  {
+    Adj6Writer writer(adj6);
+    std::vector<VertexId> adj = {3, 100};
+    writer.ConsumeScope(2, adj.data(), adj.size());
+    writer.Finish();
+  }
+  const Status status = Adj6ToCsr6(adj6, dir.File("g.csr6"), 16);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_TRUE(Adj6ToCsr6(adj6, dir.File("g.csr6"), 101).ok());
+}
+
 TEST(ConvertTest, FullPipelineTsvToCsr6ViaAdj6) {
   // Generate TSV, convert twice, and confirm the edge set is preserved.
   storage::TempDir dir;

@@ -87,6 +87,21 @@ TEST(CsrGraphTest, FromCsr6ShardsRejectsGaps) {
           .ok());
 }
 
+TEST(CsrGraphTest, FromCsr6ShardsRejectsNeighborBeyondRange) {
+  // The shard tiles [0, 4) but names neighbor 9; Bfs (parent[v]) and
+  // Transposed (offsets_[v + 1]) would index out of bounds with it.
+  storage::TempDir dir;
+  {
+    format::Csr6Writer w0(dir.File("a.csr6"), 0, 4);
+    std::vector<VertexId> adj = {1, 9};
+    w0.ConsumeScope(2, adj.data(), adj.size());
+    w0.Finish();
+  }
+  CsrGraph g;
+  const Status status = CsrGraph::FromCsr6Shards({dir.File("a.csr6")}, &g);
+  EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
+}
+
 TEST(BfsTest, ChainGraphDepths) {
   CsrGraph g = CsrGraph::FromEdges(10, Chain(10));
   BfsResult r = Bfs(g, 0);

@@ -163,6 +163,18 @@ TEST(ReportDiffTest, StealCountsAreSkippedByDefault) {
   EXPECT_TRUE(DiffReports(baseline, current, DiffOptions::Defaults()).ok());
 }
 
+TEST(ReportDiffTest, ParkedPeakIsSkippedByDefault) {
+  // The prefix rule would gate a mem.tag.* peak at 0.5; parked bytes follow
+  // the steals, so a no-steal baseline must not fail a run that stole.
+  RunReport baseline = MakeBaseline();
+  baseline.gauges["mem.tag.sched.parked.peak_bytes"] = 0.0;
+  RunReport current = baseline;
+  current.gauges["mem.tag.sched.parked.peak_bytes"] = 983040.0;
+  EXPECT_TRUE(DiffReports(baseline, current, DiffOptions::Defaults()).ok());
+  current.gauges.erase("mem.tag.sched.parked.peak_bytes");
+  EXPECT_TRUE(DiffReports(baseline, current, DiffOptions::Defaults()).ok());
+}
+
 TEST(ReportDiffTest, SimulatedGaugeUsesBuiltInTolerance) {
   RunReport baseline = MakeBaseline();
   RunReport current = baseline;

@@ -6,11 +6,14 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/partitioner.h"
 #include "core/trilliong.h"
+#include "fault/fault_injector.h"
 #include "model/noise.h"
 
 namespace tg::core {
@@ -247,7 +250,8 @@ TEST(SchedulerTest, InOrderChunksWriteStraightToTheSink) {
 }
 
 TEST(SchedulerTest, StealDomainsConfineThieves) {
-  // Two domains of two workers each; all work sits on worker 0's deque.
+  // Two machines (budgets) of two workers each, so two steal domains; all
+  // work sits on worker 0's deque.
   // Worker 1 (same domain) may steal it; workers 2 and 3 (other domain)
   // must never see it. Each chunk records which worker executed it.
   constexpr int kChunks = 8;
@@ -269,13 +273,217 @@ TEST(SchedulerTest, StealDomainsConfineThieves) {
       buffer->ConsumeScope(c.lo, &v, 1);
     };
   };
+  MemoryBudget machine_a, machine_b;
   SchedulerOptions options;
-  options.steal_domain = {0, 0, 1, 1};
+  options.budgets = {&machine_a, &machine_a, &machine_b, &machine_b};
   SchedulerStats stats = RunWorkStealing(queues, sinks, make_worker, options);
 
   EXPECT_FALSE(foreign_execution.load());
   EXPECT_EQ(stats.num_chunks, static_cast<std::uint64_t>(kChunks));
   EXPECT_EQ(sink.scopes().size(), static_cast<std::size_t>(kChunks));
+}
+
+/// Scopes in delivery order, with no ordering check: a ChunkBuffer replays
+/// whatever order it was given.
+using ScopeList = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+
+class RecordingSink : public ScopeSink {
+ public:
+  void ConsumeScope(VertexId u, const VertexId* adj, std::size_t n) override {
+    scopes.emplace_back(u, std::vector<VertexId>(adj, adj + n));
+  }
+  ScopeList scopes;
+};
+
+/// Blocks a budget is charged for under the parked tag.
+std::uint64_t ParkedBlocks(MemoryBudget* budget) {
+  return budget->Tag(ChunkBuffer::kParkedTag)->used.load() /
+         ChunkBuffer::kBlockBytes;
+}
+
+/// LEB128 length of `v`.
+std::uint64_t VarintBytes(std::uint64_t v) {
+  std::uint64_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
+TEST(ChunkBufferTest, PackedScopesRoundTripAndChargeTheirBlocks) {
+  constexpr VertexId kMax48 = (VertexId{1} << 48) - 1;
+  ScopeList scopes = {
+      {0, {0, 127, 128, VertexId{1} << 21, kMax48}},  // LEB128 edges
+      {7, {}},                                        // n == 0
+      {kMax48, {kMax48, 0, 1}},
+      {3, {2}},  // u may go down: the delta wraps and unwraps
+  };
+  // Three scopes of 40000 ids below 2^21 (3 bytes each) and one of 60000
+  // ids below 2^14 (2 bytes each): each crosses many block boundaries.
+  for (VertexId u = 10; u < 13; ++u) {
+    std::vector<VertexId> adj(40000);
+    for (std::size_t i = 0; i < adj.size(); ++i) {
+      adj[i] = (i * 2654435761u + u) % (VertexId{1} << 21);
+    }
+    scopes.emplace_back(u, std::move(adj));
+  }
+  std::vector<VertexId> small(60000);
+  for (std::size_t i = 0; i < small.size(); ++i) small[i] = (i * 7919) % 16384;
+  scopes.emplace_back(13, std::move(small));
+  std::uint64_t packed = 0;  // the stream's LEB128 bytes
+  VertexId prev_u = 0;
+  for (const auto& [u, adj] : scopes) {
+    packed += VarintBytes(u - prev_u) + VarintBytes(adj.size());
+    for (VertexId v : adj) packed += VarintBytes(v);
+    prev_u = u;
+  }
+  MemoryBudget budget;
+  ChunkBuffer buffer(&budget);
+  auto fill = [&scopes](ChunkBuffer* b) {
+    for (const auto& [u, adj] : scopes) {
+      b->ConsumeScope(u, adj.data(), adj.size());
+    }
+  };
+
+  // The charge is the packed size plus the blocks' headers and the unused
+  // tails where a varint did not fit (under 5% at 1 KiB), plus at most one
+  // partly filled block; 8-byte ids would be about three times as much.
+  fill(&buffer);
+  const std::uint64_t blocks = ParkedBlocks(&budget);
+  EXPECT_GE(blocks * ChunkBuffer::kBlockBytes, packed);
+  EXPECT_LE(blocks * ChunkBuffer::kBlockBytes,
+            packed + packed / 20 + ChunkBuffer::kBlockBytes);
+  RecordingSink out;
+  buffer.FlushTo(&out);
+  EXPECT_EQ(out.scopes, scopes);
+  EXPECT_EQ(ParkedBlocks(&budget), 0u);
+
+  // Refilled after a flush, then parked: the move takes blocks and charge.
+  fill(&buffer);
+  ChunkBuffer parked(std::move(buffer));
+  EXPECT_EQ(ParkedBlocks(&budget), blocks);
+  RecordingSink from_parked;
+  parked.FlushTo(&from_parked);
+  EXPECT_EQ(from_parked.scopes, scopes);
+  EXPECT_EQ(ParkedBlocks(&budget), 0u);
+
+  // Clear drops what was buffered; PassThroughTo forwards without buffering
+  // until the next Clear, which buffers again.
+  fill(&buffer);
+  buffer.Clear();
+  EXPECT_EQ(ParkedBlocks(&budget), 0u);
+  RecordingSink direct;
+  buffer.PassThroughTo(&direct);
+  fill(&buffer);
+  EXPECT_EQ(direct.scopes, scopes);
+  EXPECT_EQ(ParkedBlocks(&budget), 0u);
+  RecordingSink nothing;
+  buffer.FlushTo(&nothing);
+  EXPECT_TRUE(nothing.scopes.empty());
+  buffer.Clear();
+  fill(&buffer);
+  RecordingSink again;
+  buffer.FlushTo(&again);
+  EXPECT_EQ(again.scopes, scopes);
+  EXPECT_EQ(budget.Tag(ChunkBuffer::kParkedTag)->peak.load(),
+            blocks * ChunkBuffer::kBlockBytes);
+}
+
+TEST(SchedulerTest, ParkedChunksAreChargedAndBoundedUnderAdversarialOrders) {
+  // Runs a 2-worker Generate under worker_runner orders a shared pool can
+  // produce. Every order must give the 1-worker bytes, keep the parked
+  // peak within the packed bound, and release every parked block; an
+  // order whose parking is deterministic must also overflow a budget just
+  // above the no-steal working set in the `sched.parked` tag.
+  TrillionGConfig config;
+  config.scale = 16;
+  config.edge_factor = 16;
+  config.rng_seed = 42;
+  // An injector of its own, unarmed, keeps a TG_FAULT_PLAN from the
+  // environment out: the orders below are the schedule under test.
+  fault::FaultInjector no_faults(fault::FaultPlan{}, 2);
+  config.fault_injector = &no_faults;
+
+  // One worker never parks: its peak is the no-steal working set (prefix
+  // tables plus the largest scope lease).
+  MemoryBudget solo;
+  config.budget = &solo;
+  config.num_workers = 1;
+  const MergedRun reference = RunMerged(config);
+  const std::uint64_t working_set = solo.peak_bytes();
+
+  // What parking chunks [1, 16) of a range may cost: 4 B per edge, 2 B per
+  // scope and one block per chunk.
+  config.num_workers = 2;
+  const model::NoiseVector noise = MakeRunNoise(config);
+  const std::vector<std::vector<Chunk>> queues = BuildChunkQueues(
+      noise, PartitionByCdf(noise, 2), config.chunks_per_worker);
+  auto tail_bound = [&](int range) {
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 1; i < queues[range].size(); ++i) {
+      const Chunk& c = queues[range][i];
+      bytes += ChunkBuffer::kBlockBytes;
+      for (auto it = reference.scopes.lower_bound(c.lo);
+           it != reference.scopes.end() && it->first < c.hi; ++it) {
+        bytes += 4 * it->second.size() + 2;
+      }
+    }
+    return bytes;
+  };
+  using Runner = std::function<void(std::vector<std::function<void()>>&)>;
+  auto sequential = [](std::vector<int> order) -> Runner {
+    return [order](std::vector<std::function<void()>>& bodies) {
+      for (int b : order) bodies[b]();
+    };
+  };
+  const Runner threads = [](std::vector<std::function<void()>>& bodies) {
+    std::vector<std::thread> running;
+    for (auto& body : bodies) running.emplace_back(body);
+    for (std::thread& t : running) t.join();
+  };
+  struct Order {
+    const char* name;
+    Runner runner;
+    std::uint64_t bound;
+    bool deterministic;
+  };
+  const std::vector<Order> orders = {
+      // Body 0 drains range 0 in order, then steals range 1 from the tail:
+      // chunks 15..1 park and chunk 0 writes in place.
+      {"forward", sequential({0, 1}), tail_bound(1), true},
+      // Body 1 runs to completion first, as the daemon's pool can: it
+      // steals range 0 from the tail and parks 15 chunks.
+      {"reversed", sequential({1, 0}), tail_bound(0), true},
+      // Real threads: what parks depends on timing, so the bound counts
+      // every chunk that can park.
+      {"threads", threads, tail_bound(0) + tail_bound(1), false},
+  };
+  for (const Order& order : orders) {
+    SCOPED_TRACE(order.name);
+    MemoryBudget budget;
+    config.budget = &budget;
+    config.worker_runner = order.runner;
+    const MergedRun run = RunMerged(config);
+    EXPECT_EQ(run.scopes, reference.scopes);
+    const MemoryBudget::TagStats* parked =
+        budget.Tag(ChunkBuffer::kParkedTag);
+    EXPECT_LE(parked->peak.load(), order.bound);
+    EXPECT_EQ(parked->used.load(), 0u);
+    if (!order.deterministic) continue;
+    EXPECT_GE(parked->peak.load(), 15 * ChunkBuffer::kBlockBytes);
+
+    // Until the thief parks, usage stays within the working set; its parked
+    // blocks then overflow a cap one byte above it, because 15 parked chunks
+    // outweigh the gap between the thief's scope lease and the largest.
+    const std::uint64_t limit = working_set + 1;
+    ASSERT_LT(limit, budget.peak_bytes());
+    MemoryBudget capped(limit);
+    config.budget = &capped;
+    try {
+      RunMerged(config);
+      ADD_FAILURE() << "a " << limit << "-byte budget held the parked chunks";
+    } catch (const OomError& e) {
+      EXPECT_EQ(e.report().tag, ChunkBuffer::kParkedTag) << e.what();
+    }
+  }
 }
 
 TEST(SchedulerTest, WorkerExceptionPropagates) {
